@@ -9,7 +9,7 @@ use cnd_core::resilience::RetryPolicy;
 
 use crate::protocol::{read_reply, write_request, FrameError, Reply, Request, ServerInfo};
 
-/// Default client read timeout: far above any sane batching deadline,
+/// Default client read timeout: far above any sane batch scoring time,
 /// so hitting it means the server is gone, not slow.
 const READ_TIMEOUT: Duration = Duration::from_secs(10);
 

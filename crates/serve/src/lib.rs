@@ -5,26 +5,28 @@
 //! flow-feature scoring requests over a small versioned binary wire
 //! protocol ([`protocol`]).
 //!
-//! Three properties make it more than a socket wrapper:
+//! Four properties make it more than a socket wrapper:
 //!
-//! 1. **Micro-batching** ([`server`]): queued requests are drained into
-//!    one `Matrix` when a batch-size cap or a latency deadline fires,
-//!    so point lookups ride the cache-blocked batched kernels instead
-//!    of n×(1-row) GEMV calls. Scores are bit-identical either way —
-//!    the blocked matmul's accumulation order per output element does
-//!    not depend on batch composition.
+//! 1. **Inline batching** ([`server`]): each connection's reader scores
+//!    every complete frame it already has buffered as one `Matrix`, so
+//!    a pipelining client's point lookups ride the cache-blocked
+//!    batched kernels instead of n×(1-row) GEMV calls, with no queue
+//!    and no timer. Scores are bit-identical either way — the blocked
+//!    matmul's accumulation order per output element does not depend
+//!    on batch composition.
 //! 2. **Hot swap** ([`registry`]): a versioned model registry swaps in
 //!    a freshly validated scorer between batches; in-flight batches
 //!    finish on the version they started with and every score reply
 //!    names the version that produced it.
-//! 3. **Admission control**: the batch queue is bounded; past the cap
-//!    requests are shed with an explicit `Overloaded` reply rather than
-//!    queued into unbounded memory. Shed/accept counters and batch/
-//!    queue/latency histograms land in `cnd-obs` and are scrapeable via
-//!    the existing `CND_OBS_LISTEN` Prometheus endpoint.
+//! 3. **Admission control**: score rows in flight across all
+//!    connections are bounded; past the cap requests are shed with an
+//!    explicit `Overloaded` reply rather than held in unbounded memory.
+//!    Shed/accept counters and batch-size/in-flight histograms land in
+//!    `cnd-obs` and are scrapeable via the existing `CND_OBS_LISTEN`
+//!    Prometheus endpoint.
 //! 4. **Lifecycle telemetry** ([`telemetry`]): every request's life is
 //!    split into parse / queue-wait / batch-form / score / write
-//!    stages, timed via wait-free per-thread ring buffers and
+//!    stages, timed via wait-free per-connection ring buffers and
 //!    harvested into HDR latency histograms, shed attribution
 //!    counters, and multi-window SLO burn-rate gauges.
 //!
@@ -79,7 +81,7 @@ pub enum ServeError {
     /// The model artifact could not be loaded or parsed.
     Model(CoreError),
     /// A reload candidate expects a different feature width than the
-    /// serving model; swapping it in would invalidate every queued
+    /// serving model; swapping it in would invalidate every admitted
     /// request, so the reload is refused.
     DimMismatch {
         /// Feature width of the currently serving model.

@@ -139,7 +139,7 @@ pub struct ServerInfo {
     pub model_version: u32,
     /// Feature dimensionality the model expects.
     pub n_features: u32,
-    /// Requests admitted into the batch queue.
+    /// Score requests admitted for scoring.
     pub accepted: u64,
     /// Requests shed with an `Overloaded` reply.
     pub shed: u64,
@@ -172,7 +172,8 @@ pub enum Reply {
         /// Human-readable reason.
         reason: String,
     },
-    /// The admission queue was full; the request was shed unscored.
+    /// The server's in-flight bound was reached; the request was shed
+    /// unscored.
     Overloaded {
         /// Echoed request id.
         id: u64,
@@ -278,13 +279,52 @@ fn read_f64(r: &mut impl Read, id: u64) -> Result<f64, FrameError> {
     Ok(f64::from_le_bytes(b))
 }
 
-/// Reads one request frame, the first byte of which has already been
-/// consumed (servers poll the first byte so an idle connection can
-/// observe shutdown; the remainder of the frame is then read blocking).
-pub fn read_request_after_first(first: u8, r: &mut impl Read) -> Result<Request, FrameError> {
-    let mut rest_magic = [0u8; 3];
-    read_exact_or(r, &mut rest_magic, 0)?;
-    if [first, rest_magic[0], rest_magic[1], rest_magic[2]] != REQUEST_MAGIC {
+/// Byte length of a score frame's fixed part: magic, version, type,
+/// id, and the `dim` field.
+const SCORE_HEADER_LEN: usize = 18;
+/// Byte length of a Reload/Info frame (and of every frame up to its id).
+const ID_HEADER_LEN: usize = 14;
+
+/// How many bytes [`read_request`] consumes to decode the frame at the
+/// start of `buf`, or `None` when `buf` holds only a prefix and the
+/// decoder would need more bytes to reach an outcome.
+///
+/// The outcome may be an error: a bad magic is decided after 4 bytes,
+/// a bad version after 5, an unknown type after the id, and a zero or
+/// oversized `dim` after the header. A server that decodes only frames
+/// this check calls complete never blocks on its socket mid-batch.
+pub(crate) fn frame_len(buf: &[u8]) -> Option<usize> {
+    let decided_at = |n: usize| (buf.len() >= n).then_some(n);
+    if buf.get(..4)? != REQUEST_MAGIC {
+        return decided_at(4);
+    }
+    if *buf.get(4)? != PROTOCOL_VERSION {
+        return decided_at(5);
+    }
+    if *buf.get(5)? != TYPE_SCORE {
+        return decided_at(ID_HEADER_LEN);
+    }
+    let dim =
+        u32::from_le_bytes(buf.get(ID_HEADER_LEN..SCORE_HEADER_LEN)?.try_into().ok()?) as usize;
+    if dim == 0 || dim > MAX_WIRE_DIM {
+        return decided_at(SCORE_HEADER_LEN);
+    }
+    decided_at(SCORE_HEADER_LEN + dim * 8)
+}
+
+/// Reads one full request frame (blocking). A clean end of stream
+/// before the first byte is [`FrameError::Closed`]; one inside the
+/// frame is a fatal truncation.
+pub fn read_request(r: &mut impl Read) -> Result<Request, FrameError> {
+    let mut magic = [0u8; 4];
+    match r.read(&mut magic[..1]) {
+        Ok(0) => return Err(FrameError::Closed),
+        Ok(_) => {}
+        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Err(FrameError::Closed),
+        Err(_) => return Err(fatal(0, "transport read failure")),
+    }
+    read_exact_or(r, &mut magic[1..], 0)?;
+    if magic != REQUEST_MAGIC {
         return Err(fatal(0, "bad request magic"));
     }
     let version = read_u8(r, 0)?;
@@ -324,18 +364,6 @@ pub fn read_request_after_first(first: u8, r: &mut impl Read) -> Result<Request,
         TYPE_INFO => Ok(Request::Info { id }),
         _ => Err(fatal(id, "unknown request type")),
     }
-}
-
-/// Reads one full request frame (blocking).
-pub fn read_request(r: &mut impl Read) -> Result<Request, FrameError> {
-    let mut first = [0u8; 1];
-    match r.read(&mut first) {
-        Ok(0) => return Err(FrameError::Closed),
-        Ok(_) => {}
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Err(FrameError::Closed),
-        Err(_) => return Err(fatal(0, "transport read failure")),
-    }
-    read_request_after_first(first[0], r)
 }
 
 /// Serializes a request frame into `w` as a single write.
@@ -714,6 +742,53 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
+        /// One request frame of the given kind: 0 valid Score, 1 Reload,
+        /// 2 Info, 3 zero-dim Score, 4 Score declaring more than
+        /// `MAX_WIRE_DIM` features, 5 a valid Score with bytes
+        /// overwritten from `noise`, 6 `noise` itself.
+        fn wire_frame(kind: usize, dim: usize, id: u64, big: u64, noise: &[u8]) -> Vec<u8> {
+            let header = |dim: u32| {
+                let mut f = REQUEST_MAGIC.to_vec();
+                f.extend_from_slice(&[PROTOCOL_VERSION, TYPE_SCORE]);
+                f.extend_from_slice(&id.to_le_bytes());
+                f.extend_from_slice(&dim.to_le_bytes());
+                f
+            };
+            let score = || {
+                let features = (0..dim).map(|j| (id ^ j as u64) as f64 * 1e-3).collect();
+                let mut f = Vec::new();
+                write_request(&mut f, &Request::Score { id, features }).unwrap();
+                f
+            };
+            match kind {
+                0 => score(),
+                1 | 2 => {
+                    let mut f = Vec::new();
+                    let req = if kind == 1 {
+                        Request::Reload { id }
+                    } else {
+                        Request::Info { id }
+                    };
+                    write_request(&mut f, &req).unwrap();
+                    f
+                }
+                3 => header(0),
+                4 => {
+                    let over = u64::from(u32::MAX) - MAX_WIRE_DIM as u64;
+                    header((MAX_WIRE_DIM as u64 + 1 + big % over) as u32)
+                }
+                5 => {
+                    let mut f = score();
+                    for pair in noise.chunks_exact(2) {
+                        let at = pair[0] as usize % f.len();
+                        f[at] = pair[1];
+                    }
+                    f
+                }
+                _ => noise.to_vec(),
+            }
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -742,6 +817,43 @@ mod tests {
             fn garbage_never_panics(bytes in prop::collection::vec(0u8..=u8::MAX, 0..256)) {
                 let _ = read_request(&mut bytes.as_slice());
                 let _ = read_reply(&mut bytes.as_slice());
+            }
+
+            /// `frame_len` calls a buffer complete only when the decoder
+            /// can reach its outcome from those bytes alone, and then
+            /// names exactly the bytes the decoder consumes. Every prefix
+            /// of every frame kind is tried, with trailing bytes of a
+            /// following frame behind it.
+            #[test]
+            fn frame_len_never_calls_a_prefix_complete(
+                (kind, dim, id, big) in (0usize..7, 1usize..12, 0u64..=u64::MAX, 0u64..=u64::MAX),
+                noise in prop::collection::vec(0u8..=u8::MAX, 0..24),
+                tail in prop::collection::vec(0u8..=u8::MAX, 0..24),
+            ) {
+                let mut buf = wire_frame(kind, dim, id, big, &noise);
+                let frame_end = buf.len();
+                buf.extend_from_slice(&tail);
+                for cut in 0..=buf.len() {
+                    let prefix = &buf[..cut];
+                    let mut rest = prefix;
+                    let outcome = read_request(&mut rest);
+                    let consumed = cut - rest.len();
+                    let truncated = matches!(
+                        outcome,
+                        Err(FrameError::Closed) | Err(FrameError::Fatal { reason: "truncated frame", .. })
+                    );
+                    match frame_len(prefix) {
+                        Some(n) => {
+                            prop_assert!(!truncated, "cut {}: complete but decoder wants more", cut);
+                            prop_assert_eq!(n, consumed, "cut {}", cut);
+                        }
+                        None => prop_assert!(truncated, "cut {}: incomplete but decoder finished: {:?}", cut, outcome),
+                    }
+                }
+                // An ungarbled frame is always complete at its own end.
+                if kind < 5 {
+                    prop_assert!(frame_len(&buf[..frame_end]).is_some());
+                }
             }
         }
     }

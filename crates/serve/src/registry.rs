@@ -2,7 +2,7 @@
 //!
 //! The registry owns the path of the on-disk model artifact and the
 //! currently serving [`DeployedScorer`], wrapped in an `Arc` behind a
-//! mutex (the std-only stand-in for an `ArcSwap`). Scoring threads
+//! mutex (the std-only stand-in for an `ArcSwap`). Connection readers
 //! [`current`](ModelRegistry::current) an `Arc` clone once per batch, so
 //! a [`reload`](ModelRegistry::reload) swapping the pointer between
 //! batches never mixes weights mid-batch: in-flight batches finish on
@@ -14,9 +14,10 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use cnd_core::deploy::{DeployedScorer, DeployedScorerF32};
+use cnd_metrics::threshold::quantile_threshold;
 
 use crate::ServeError;
 
@@ -32,6 +33,11 @@ pub struct VersionedModel {
     /// stay f64 on disk; both precisions always come from the same
     /// loaded weights.
     pub scorer_f32: DeployedScorerF32,
+    /// Alert threshold τ calibrated from this version's served scores;
+    /// set once, so a hot swap recalibrates for the new weights.
+    tau: OnceLock<f64>,
+    /// Scores gathered toward `tau` while its window is still open.
+    calibration: Mutex<Vec<f64>>,
 }
 
 impl VersionedModel {
@@ -41,7 +47,30 @@ impl VersionedModel {
             version,
             scorer,
             scorer_f32,
+            tau: OnceLock::new(),
+            calibration: Mutex::new(Vec::new()),
         }
+    }
+
+    /// This version's label-free alert threshold: the `quantile` of the
+    /// first `window` scores it serves, from every connection at once.
+    /// `scores` (a batch just served) join the window while it is open;
+    /// until it fills the answer is `None`.
+    pub(crate) fn calibrate(&self, scores: &[f64], window: usize, quantile: f64) -> Option<f64> {
+        if let Some(&tau) = self.tau.get() {
+            return Some(tau);
+        }
+        let mut samples = self.calibration.lock().unwrap_or_else(|e| e.into_inner());
+        if self.tau.get().is_none() {
+            samples.extend_from_slice(scores);
+            if samples.len() >= window {
+                if let Ok(tau) = quantile_threshold(&samples, quantile) {
+                    let _ = self.tau.set(tau);
+                }
+                *samples = Vec::new();
+            }
+        }
+        self.tau.get().copied()
     }
 }
 

@@ -1,77 +1,70 @@
-//! The micro-batching scoring server.
+//! The scoring server: each connection's reader scores inline.
 //!
 //! # Thread architecture
 //!
 //! ```text
-//! acceptor ──spawns──▶ one reader thread per connection
-//!                          │  parse frame → admission check
-//!                          ▼
-//!                   bounded queue (Mutex<VecDeque> + Condvar)
-//!                          │  drain ≤ max_batch when full OR deadline
-//!                          ▼
-//!                      batcher thread
-//!                          │  one Matrix, one `anomaly_scores` call
-//!                          ▼
-//!                   replies written back per connection
+//! acceptor ──spawns──▶ one reader thread per connection, looping over rounds:
+//!                        1. decode every complete frame already buffered
+//!                           (≤ max_batch), admitting score rows
+//!                        2. score the rows as one Matrix against one
+//!                           `registry.current()` load
+//!                        3. send every reply of the round with one write
 //! ```
 //!
-//! * **Micro-batching.** The batcher sleeps until the queue is
-//!   non-empty, then drains as soon as `max_batch` requests are queued
-//!   *or* the oldest request has waited `max_delay` — whichever comes
-//!   first. Many 1-row scores become one cache-blocked batched kernel
-//!   pass through `cnd-parallel`.
-//! * **Admission control.** Readers never block on a full queue: past
-//!   `queue_cap` pending requests the frame is answered with an
-//!   explicit `Overloaded` reply and counted as shed. Memory is bounded
-//!   by `queue_cap × n_features`.
-//! * **Hot swap.** The batcher takes one `Arc<VersionedModel>` per
-//!   batch; `reload` swaps the registry pointer between batches, so a
-//!   batch never mixes two models' weights and every reply names the
-//!   version that scored it.
-//! * **Shutdown drains.** An accepted request is never dropped: on
-//!   shutdown the batcher keeps draining until the queue is empty
-//!   before exiting.
+//! * **Batching without a timer.** A batch is whatever one connection
+//!   has pipelined by the time its reader looks: a client with 64
+//!   frames in flight gets batches of up to 64 rows, a closed-loop
+//!   client gets 1-row batches and never waits out a deadline. A row's
+//!   f64 score does not depend on the rows it shares a batch with, so
+//!   batch composition never shows in a reply.
+//! * **Admission control.** One atomic counts admitted-but-unreplied
+//!   score rows across all connections; past `queue_cap` a score frame
+//!   is answered with an explicit `Overloaded` reply and counted as
+//!   shed.
+//! * **Hot swap.** A round takes one `Arc<VersionedModel>`; `reload`
+//!   swaps the registry pointer, so a batch never mixes two models'
+//!   weights and every reply names the version that scored it.
+//! * **Shutdown drains.** A reader answers every frame of its round
+//!   before it looks at the stop flag again, so joining the readers is
+//!   the whole drain: an admitted request always gets its reply.
 
-use std::collections::HashMap;
-use std::collections::VecDeque;
-use std::io::{self, Read};
+use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use cnd_linalg::Matrix;
-use cnd_metrics::threshold::quantile_threshold;
 
 use cnd_obs::ring::{Record, RingBuffer};
 use cnd_obs::slo::SloConfig;
 
 use crate::continual::{MirrorSample, TrafficMirror};
 use crate::protocol::{
-    read_request_after_first, write_reply, FrameError, Reply, Request, ServerInfo, Verdict,
+    frame_len, read_request, write_reply, FrameError, Reply, Request, ServerInfo, Verdict,
 };
 use crate::registry::{ModelRegistry, VersionedModel};
 use crate::telemetry::{
-    shed_record, stage_record, Stage, TelemetryHub, TelemetrySnapshot, BATCHER_RING_CAP,
-    READER_RING_CAP,
+    shed_record, stage_record, Stage, TelemetryHub, TelemetrySnapshot, RING_CAP,
 };
 use crate::ServeError;
 
-/// Idle poll interval for reader first-byte reads and the acceptor.
+/// Idle poll interval for reader socket reads and the acceptor.
 const POLL: Duration = Duration::from_millis(25);
 /// Once a frame has started arriving, allow this long for the rest.
 const FRAME_TIMEOUT: Duration = Duration::from_secs(2);
+/// Bytes a reader buffers from its socket; the complete frames in this
+/// buffer form the connection's next batch.
+const READ_BUF: usize = 64 * 1024;
 
 /// Tuning knobs for [`Server::start`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Maximum requests scored in one batch.
+    /// Maximum frames one connection decodes into one batch.
     pub max_batch: usize,
-    /// Maximum time the oldest queued request waits before its batch is
-    /// forced out (the latency half of the batching trade-off).
-    pub max_delay: Duration,
-    /// Bounded admission-queue depth; requests past it are shed.
+    /// Bound on score rows admitted but not yet replied to, across all
+    /// connections; score requests past it are shed.
     pub queue_cap: usize,
     /// Explicit alert threshold τ. When `None` the server calibrates a
     /// per-model-version τ from the first [`calibrate`](Self::calibrate)
@@ -105,7 +98,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             max_batch: 64,
-            max_delay: Duration::from_micros(500),
             queue_cap: 1024,
             threshold: None,
             quantile: 0.95,
@@ -159,7 +151,7 @@ impl ServeConfig {
 /// Counter snapshot returned by [`Server::stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeStats {
-    /// Requests admitted into the queue.
+    /// Score requests admitted for scoring.
     pub accepted: u64,
     /// Requests shed with an `Overloaded` reply.
     pub shed: u64,
@@ -189,26 +181,15 @@ struct Counters {
     reply_failures: AtomicU64,
 }
 
-/// One admitted request waiting for its batch.
-#[derive(Debug)]
-struct Pending {
-    id: u64,
-    features: Vec<f64>,
-    conn: Arc<Mutex<TcpStream>>,
-    enqueued: Instant,
-}
-
 #[derive(Debug)]
 struct Shared {
-    queue: Mutex<VecDeque<Pending>>,
-    notify: Condvar,
-    /// Phase-1 stop: the acceptor, readers, and watcher exit; no new
-    /// requests can be admitted once their threads are joined.
-    stop_accepting: AtomicBool,
-    /// Phase-2 stop: set only after every enqueuing thread has been
-    /// joined, so the batcher can exit the moment the queue is empty
-    /// without racing a reader that is still finishing a frame.
-    stop_batching: AtomicBool,
+    /// Set by shutdown: the acceptor, readers, and watcher exit. A
+    /// reader finishes its round first, so nothing admitted is dropped.
+    stop: AtomicBool,
+    /// Score rows admitted but not yet replied to, across connections.
+    in_flight: AtomicUsize,
+    /// Feature width of every model version (reloads refuse a change).
+    n_features: usize,
     counters: Counters,
     registry: ModelRegistry,
     cfg: ServeConfig,
@@ -218,23 +199,18 @@ struct Shared {
 
 impl Shared {
     fn stopping(&self) -> bool {
-        self.stop_accepting.load(Ordering::Relaxed)
-    }
-
-    fn batching_stopped(&self) -> bool {
-        self.stop_batching.load(Ordering::Relaxed)
+        self.stop.load(Ordering::Relaxed)
     }
 }
 
 /// A running scoring server; dropping it shuts down and joins every
-/// thread (draining the queue first — accepted requests always get a
-/// reply).
+/// thread (each reader answers what it admitted first — accepted
+/// requests always get a reply).
 #[derive(Debug)]
 pub struct Server {
     addr: SocketAddr,
     shared: Arc<Shared>,
     acceptor: Option<std::thread::JoinHandle<()>>,
-    batcher: Option<std::thread::JoinHandle<()>>,
     watcher: Option<std::thread::JoinHandle<()>>,
     conn_threads: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
 }
@@ -271,10 +247,9 @@ impl Server {
             None
         };
         let shared = Arc::new(Shared {
-            queue: Mutex::new(VecDeque::new()),
-            notify: Condvar::new(),
-            stop_accepting: AtomicBool::new(false),
-            stop_batching: AtomicBool::new(false),
+            stop: AtomicBool::new(false),
+            in_flight: AtomicUsize::new(0),
+            n_features: registry.current().scorer.n_features(),
             counters: Counters::default(),
             registry,
             cfg,
@@ -289,14 +264,6 @@ impl Server {
                 std::thread::Builder::new()
                     .name("cnd-serve-accept".into())
                     .spawn(move || accept_loop(listener, shared, conn_threads))?,
-            )
-        };
-        let batcher = {
-            let shared = Arc::clone(&shared);
-            Some(
-                std::thread::Builder::new()
-                    .name("cnd-serve-batch".into())
-                    .spawn(move || batch_loop(&shared))?,
             )
         };
         let watcher = match shared.cfg.watch {
@@ -314,7 +281,6 @@ impl Server {
             addr,
             shared,
             acceptor,
-            batcher,
             watcher,
             conn_threads,
         })
@@ -370,26 +336,25 @@ impl Server {
     }
 
     /// Harvested lifecycle telemetry: per-stage latency histograms,
-    /// queue/shed attribution, and SLO burn rates. `None` when the
+    /// in-flight/shed attribution, and SLO burn rates. `None` when the
     /// server was started with [`ServeConfig::telemetry`] off.
     pub fn telemetry_snapshot(&self) -> Option<TelemetrySnapshot> {
         self.shared.hub.as_ref().map(|h| h.snapshot())
     }
 
-    /// Stops accepting, drains the queue, joins all threads, and
-    /// returns the final counters.
+    /// Stops accepting, lets every reader answer what it admitted,
+    /// joins all threads, and returns the final counters.
     pub fn shutdown(mut self) -> ServeStats {
         self.stop_and_join();
         self.stats()
     }
 
     fn stop_and_join(&mut self) {
-        // Phase 1: stop admission and join every thread that can still
-        // enqueue. A reader mid-frame finishes the frame (and its
-        // enqueue) before exiting, so joining readers first guarantees
-        // the queue can only shrink afterwards.
-        self.shared.stop_accepting.store(true, Ordering::Relaxed);
-        self.shared.notify.notify_all();
+        // A reader answers its whole round before it sees the flag, so
+        // once the readers are joined every admitted request has had
+        // its reply. The acceptor goes first: after it is joined no new
+        // reader can appear in `conn_threads`.
+        self.shared.stop.store(true, Ordering::Relaxed);
         if let Some(h) = self.acceptor.take() {
             let _ = h.join();
         }
@@ -401,15 +366,6 @@ impl Server {
             g.drain(..).collect()
         };
         for h in conns {
-            let _ = h.join();
-        }
-        // Phase 2: no producer remains — tell the batcher it may exit
-        // once the queue is drained. Without the ordering above, the
-        // batcher could observe an empty queue and exit while a reader
-        // was still admitting a request, silently dropping it.
-        self.shared.stop_batching.store(true, Ordering::Relaxed);
-        self.shared.notify.notify_all();
-        if let Some(h) = self.batcher.take() {
             let _ = h.join();
         }
         // All producers are gone: stop the harvester after one final
@@ -461,13 +417,6 @@ fn accept_loop(
     }
 }
 
-/// Sends `reply` on the connection's serialized write half. Returns
-/// `false` when the client is gone.
-fn send_reply(conn: &Arc<Mutex<TcpStream>>, reply: &Reply) -> bool {
-    let mut w = conn.lock().unwrap_or_else(|e| e.into_inner());
-    write_reply(&mut *w, reply).is_ok()
-}
-
 /// Wait-free telemetry push; a `None` ring (telemetry off) is a no-op.
 fn push_rec(ring: Option<&Arc<RingBuffer>>, rec: Record) {
     if let Some(r) = ring {
@@ -475,29 +424,37 @@ fn push_rec(ring: Option<&Arc<RingBuffer>>, rec: Record) {
     }
 }
 
-fn serve_connection(mut conn: TcpStream, shared: &Shared) {
+fn micros(d: Duration) -> u64 {
+    d.as_micros() as u64
+}
+
+/// A decoded frame's place in its round's reply order.
+enum Slot {
+    /// An admitted score row, answered once its batch is scored.
+    Row {
+        id: u64,
+        features: Vec<f64>,
+        decoded: Instant,
+    },
+    /// A reply known at decode time (errors, sheds, control frames).
+    Ready(Reply),
+}
+
+fn serve_connection(conn: TcpStream, shared: &Shared) {
     let _ = conn.set_nodelay(true);
-    let Ok(write_clone) = conn.try_clone() else {
-        return;
-    };
-    let write_half = Arc::new(Mutex::new(write_clone));
     if conn.set_read_timeout(Some(POLL)).is_err() {
         return;
     }
     // One SPSC ring per reader thread; registration is the only lock
     // this thread ever takes on the telemetry path.
-    let ring = shared
-        .hub
-        .as_ref()
-        .map(|h| h.register_ring(READER_RING_CAP));
+    let ring = shared.hub.as_ref().map(|h| h.register_ring(RING_CAP));
     let ring = ring.as_ref();
-    let mut first = [0u8; 1];
-    loop {
-        if shared.stopping() {
-            break;
-        }
-        match conn.read(&mut first) {
-            Ok(0) => break,
+    let mut reader = BufReader::with_capacity(READ_BUF, &conn);
+    let mut slots = Vec::new();
+    let mut out = Vec::new();
+    while !shared.stopping() {
+        match reader.fill_buf() {
+            Ok([]) => break,
             Ok(_) => {}
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
@@ -506,87 +463,89 @@ fn serve_connection(mut conn: TcpStream, shared: &Shared) {
             }
             Err(_) => break,
         }
-        // Frame under way: give the rest of it a generous deadline.
-        let frame_started = Instant::now();
-        let _ = conn.set_read_timeout(Some(FRAME_TIMEOUT));
-        let outcome = read_request_after_first(first[0], &mut conn);
-        let _ = conn.set_read_timeout(Some(POLL));
-        if outcome.is_ok() {
-            push_rec(
-                ring,
-                stage_record(Stage::Parse, frame_started.elapsed().as_micros() as u64),
-            );
-        }
-        match outcome {
-            Ok(Request::Score { id, features }) => {
-                match handle_score(id, features, &write_half, shared) {
-                    Admit::Admitted => {}
-                    Admit::Shed { depth } => push_rec(ring, shed_record(depth)),
-                    Admit::BadFrame => push_rec(ring, stage_record(Stage::BadFrame, 0)),
-                }
-            }
-            Ok(Request::Reload { id }) => {
-                let reply = match shared.registry.reload() {
-                    Ok(model_version) => Reply::ReloadOk { id, model_version },
-                    Err(e) => Reply::ReloadFailed {
-                        id,
-                        reason: e.to_string(),
-                    },
-                };
-                if !send_reply(&write_half, &reply) {
-                    break;
-                }
-            }
-            Ok(Request::Info { id }) => {
-                let reply = Reply::Info {
-                    id,
-                    info: info_snapshot(shared),
-                };
-                if !send_reply(&write_half, &reply) {
-                    break;
-                }
-            }
-            Err(FrameError::Closed) => break,
-            Err(FrameError::Malformed { id, reason }) => {
-                bump_bad_frame(shared);
-                push_rec(ring, stage_record(Stage::BadFrame, 0));
-                let reply = Reply::BadRequest {
-                    id,
-                    reason: reason.to_string(),
-                };
-                if !send_reply(&write_half, &reply) {
-                    break;
-                }
-            }
-            Err(FrameError::Fatal { id, reason }) => {
-                bump_bad_frame(shared);
-                push_rec(ring, stage_record(Stage::BadFrame, 0));
-                // Best-effort typed reply before closing the broken stream.
-                let _ = send_reply(
-                    &write_half,
-                    &Reply::BadRequest {
-                        id,
-                        reason: reason.to_string(),
-                    },
-                );
-                break;
-            }
+        let open = decode_round(&mut reader, shared, ring, &mut slots);
+        let sent = answer_round(&conn, &mut slots, shared, ring, &mut out);
+        if !(open && sent) {
+            break;
         }
     }
 }
 
-fn bump_bad_frame(shared: &Shared) {
+/// Decodes one round into `slots`: every complete frame already
+/// buffered, up to `max_batch`. The reader blocks on its socket (under
+/// [`FRAME_TIMEOUT`]) only when the buffer holds nothing but the start
+/// of a frame. Returns `false` when the connection must close once this
+/// round is answered.
+fn decode_round(
+    reader: &mut BufReader<&TcpStream>,
+    shared: &Shared,
+    ring: Option<&Arc<RingBuffer>>,
+    slots: &mut Vec<Slot>,
+) -> bool {
+    while slots.len() < shared.cfg.max_batch {
+        let started = Instant::now();
+        let outcome = if frame_len(reader.buffer()).is_some() {
+            read_request(reader)
+        } else if slots.is_empty() {
+            let _ = reader.get_ref().set_read_timeout(Some(FRAME_TIMEOUT));
+            let outcome = read_request(reader);
+            let _ = reader.get_ref().set_read_timeout(Some(POLL));
+            outcome
+        } else {
+            break;
+        };
+        let decoded = Instant::now();
+        if outcome.is_ok() {
+            push_rec(ring, stage_record(Stage::Parse, micros(decoded - started)));
+        }
+        let slot = match outcome {
+            Ok(Request::Score { id, features }) => admit(id, features, decoded, shared, ring),
+            Ok(Request::Reload { id }) => Slot::Ready(match shared.registry.reload() {
+                Ok(model_version) => Reply::ReloadOk { id, model_version },
+                Err(e) => Reply::ReloadFailed {
+                    id,
+                    reason: e.to_string(),
+                },
+            }),
+            Ok(Request::Info { id }) => Slot::Ready(Reply::Info {
+                id,
+                info: info_snapshot(shared),
+            }),
+            Err(FrameError::Closed) => return false,
+            Err(FrameError::Malformed { id, reason }) => {
+                bump_bad_frame(shared, ring);
+                Slot::Ready(Reply::BadRequest {
+                    id,
+                    reason: reason.to_string(),
+                })
+            }
+            Err(FrameError::Fatal { id, reason }) => {
+                // Framing is lost: a best-effort typed reply, then close.
+                bump_bad_frame(shared, ring);
+                slots.push(Slot::Ready(Reply::BadRequest {
+                    id,
+                    reason: reason.to_string(),
+                }));
+                return false;
+            }
+        };
+        slots.push(slot);
+    }
+    true
+}
+
+fn bump_bad_frame(shared: &Shared, ring: Option<&Arc<RingBuffer>>) {
     shared.counters.bad_frames.fetch_add(1, Ordering::Relaxed);
     cnd_obs::counter_add_volatile("serve.bad_frame.count", 1);
+    push_rec(ring, stage_record(Stage::BadFrame, 0));
 }
 
 fn info_snapshot(shared: &Shared) -> ServerInfo {
     let c = &shared.counters;
     let (reloads, _) = shared.registry.reload_counts();
-    let model = shared.registry.current();
     ServerInfo {
-        model_version: model.version,
-        n_features: model.scorer.n_features() as u32,
+        model_version: shared.registry.version(),
+        n_features: shared.n_features as u32,
         accepted: c.accepted.load(Ordering::Relaxed),
         shed: c.shed.load(Ordering::Relaxed),
         scored: c.scored.load(Ordering::Relaxed),
@@ -595,253 +554,169 @@ fn info_snapshot(shared: &Shared) -> ServerInfo {
     }
 }
 
-/// Admission outcome of a score request, for shed attribution: which
-/// decision rejected it, and (for queue sheds) at what depth.
-enum Admit {
-    /// Queued for batching.
-    Admitted,
-    /// Rejected with `Overloaded`; the queue held `depth` requests.
-    Shed {
-        /// Queue depth observed at the shed decision.
-        depth: usize,
-    },
-    /// Rejected with `BadRequest` before touching the queue.
-    BadFrame,
-}
-
-fn handle_score(
+/// Admission control for one decoded score frame: a dimension check,
+/// then one slot of the server-wide in-flight bound. A shed is recorded
+/// with the in-flight depth that justified it.
+fn admit(
     id: u64,
     features: Vec<f64>,
-    conn: &Arc<Mutex<TcpStream>>,
+    decoded: Instant,
     shared: &Shared,
-) -> Admit {
-    let expected = shared.registry.current().scorer.n_features();
+    ring: Option<&Arc<RingBuffer>>,
+) -> Slot {
+    let expected = shared.n_features;
     if features.len() != expected {
-        bump_bad_frame(shared);
-        send_reply(
-            conn,
-            &Reply::BadRequest {
-                id,
-                reason: format!(
-                    "feature dimension mismatch: model expects {expected}, frame has {}",
-                    features.len()
-                ),
-            },
-        );
-        return Admit::BadFrame;
+        bump_bad_frame(shared, ring);
+        return Slot::Ready(Reply::BadRequest {
+            id,
+            reason: format!(
+                "feature dimension mismatch: model expects {expected}, frame has {}",
+                features.len()
+            ),
+        });
     }
-    let shed_depth = {
-        let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-        if q.len() >= shared.cfg.queue_cap {
-            Some(q.len())
-        } else {
-            q.push_back(Pending {
-                id,
-                features,
-                conn: Arc::clone(conn),
-                enqueued: Instant::now(),
-            });
-            shared.notify.notify_one();
-            None
-        }
-    };
-    match shed_depth {
-        None => {
-            shared.counters.accepted.fetch_add(1, Ordering::Relaxed);
-            cnd_obs::counter_add_volatile("serve.accept.count", 1);
-            Admit::Admitted
-        }
-        Some(depth) => {
-            shared.counters.shed.fetch_add(1, Ordering::Relaxed);
-            cnd_obs::counter_add_volatile("serve.shed.count", 1);
-            send_reply(conn, &Reply::Overloaded { id });
-            Admit::Shed { depth }
-        }
+    let depth = shared.in_flight.fetch_add(1, Ordering::Relaxed);
+    if depth >= shared.cfg.queue_cap {
+        shared.in_flight.fetch_sub(1, Ordering::Relaxed);
+        shared.counters.shed.fetch_add(1, Ordering::Relaxed);
+        cnd_obs::counter_add_volatile("serve.shed.count", 1);
+        push_rec(ring, shed_record(depth));
+        return Slot::Ready(Reply::Overloaded { id });
+    }
+    shared.counters.accepted.fetch_add(1, Ordering::Relaxed);
+    cnd_obs::counter_add_volatile("serve.accept.count", 1);
+    Slot::Row {
+        id,
+        features,
+        decoded,
     }
 }
 
-/// Per-model-version threshold calibration state.
-#[derive(Default)]
-struct Calibration {
-    samples: Vec<f64>,
-    tau: Option<f64>,
-}
-
-fn batch_loop(shared: &Shared) {
-    let mut calib: HashMap<u32, Calibration> = HashMap::new();
-    let ring = shared
-        .hub
-        .as_ref()
-        .map(|h| h.register_ring(BATCHER_RING_CAP));
-    let ring = ring.as_ref();
-    loop {
-        let batch = {
-            let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                if let Some(front) = q.front() {
-                    if shared.stopping() || q.len() >= shared.cfg.max_batch {
-                        break;
-                    }
-                    let deadline = front.enqueued + shared.cfg.max_delay;
-                    let now = Instant::now();
-                    if now >= deadline {
-                        break;
-                    }
-                    let (guard, _) = shared
-                        .notify
-                        .wait_timeout(q, deadline - now)
-                        .unwrap_or_else(|e| e.into_inner());
-                    q = guard;
-                } else {
-                    if shared.batching_stopped() {
-                        return; // queue drained: accepted requests all replied
-                    }
-                    let (guard, _) = shared
-                        .notify
-                        .wait_timeout(q, Duration::from_millis(50))
-                        .unwrap_or_else(|e| e.into_inner());
-                    q = guard;
-                }
-            }
-            cnd_obs::histogram_record_volatile("serve.queue.depth", q.len() as f64);
+/// Scores the round's admitted rows as one batch, then sends every
+/// reply of the round, in request order, with one `write_all`. Returns
+/// `false` when the client is gone.
+///
+/// The batch's matrix-assembly, kernel, and write durations are
+/// recorded once per row, un-amortized — each request waits out all of
+/// them, which is what makes stage medians sum to the end-to-end median.
+fn answer_round(
+    conn: &TcpStream,
+    slots: &mut Vec<Slot>,
+    shared: &Shared,
+    ring: Option<&Arc<RingBuffer>>,
+    out: &mut Vec<u8>,
+) -> bool {
+    let batch_started = Instant::now();
+    let model = shared.registry.current();
+    let mut data = Vec::new();
+    let mut decoded = Vec::new();
+    for slot in slots.iter() {
+        if let Slot::Row {
+            features,
+            decoded: at,
+            ..
+        } = slot
+        {
+            data.extend_from_slice(features);
+            decoded.push(*at);
             push_rec(
                 ring,
-                Record::new(Stage::QueueDepth as u16, 0, q.len() as u64),
+                stage_record(Stage::QueueWait, micros(batch_started - *at)),
             );
-            let n = q.len().min(shared.cfg.max_batch);
-            q.drain(..n).collect::<Vec<Pending>>()
-        };
-        process_batch(batch, shared, &mut calib, ring, Instant::now());
+        }
     }
-}
-
-fn process_batch(
-    batch: Vec<Pending>,
-    shared: &Shared,
-    calib: &mut HashMap<u32, Calibration>,
-    ring: Option<&Arc<RingBuffer>>,
-    drained_at: Instant,
-) {
-    if batch.is_empty() {
-        return;
-    }
-    // Queue wait ends at the drain; every request in the batch then
-    // experiences the full matrix-assembly and kernel durations, so
-    // those stage values are recorded once per request, un-amortized —
-    // that is what makes stage medians sum to the end-to-end median.
-    for p in &batch {
-        push_rec(
-            ring,
-            stage_record(
-                Stage::QueueWait,
-                drained_at.saturating_duration_since(p.enqueued).as_micros() as u64,
-            ),
-        );
-    }
-    let model = shared.registry.current();
-    let d = model.scorer.n_features();
-    let n = batch.len();
-    let mut data = Vec::with_capacity(n * d);
-    for p in &batch {
-        data.extend_from_slice(&p.features);
-    }
-    let x = Matrix::from_vec(n, d, data).expect("admitted frames are dimension-checked");
-    let formed_at = Instant::now();
-    let batch_form_us = formed_at.duration_since(drained_at).as_micros() as u64;
-    let score_result = if shared.cfg.score_f32 {
-        model.scorer_f32.anomaly_scores(&x)
+    let n = decoded.len();
+    let (scores, tau) = if n == 0 {
+        (Ok(Vec::new()), None)
     } else {
-        model.scorer.anomaly_scores(&x)
+        let depth = shared.in_flight.load(Ordering::Relaxed);
+        cnd_obs::histogram_record_volatile("serve.queue.depth", depth as f64);
+        push_rec(ring, Record::new(Stage::QueueDepth as u16, 0, depth as u64));
+        let x = Matrix::from_vec(n, shared.n_features, data)
+            .expect("admitted rows are dimension-checked");
+        let formed = Instant::now();
+        let result = if shared.cfg.score_f32 {
+            model.scorer_f32.anomaly_scores(&x)
+        } else {
+            model.scorer.anomaly_scores(&x)
+        };
+        let (form_us, score_us) = (micros(formed - batch_started), micros(formed.elapsed()));
+        for _ in 0..n {
+            push_rec(ring, stage_record(Stage::BatchForm, form_us));
+            push_rec(ring, stage_record(Stage::Score, score_us));
+        }
+        let tau = match &result {
+            Ok(scores) => {
+                let c = &shared.counters;
+                c.scored.fetch_add(n as u64, Ordering::Relaxed);
+                c.batches.fetch_add(1, Ordering::Relaxed);
+                cnd_obs::counter_add_volatile("serve.scored.count", n as u64);
+                cnd_obs::histogram_record_volatile("serve.batch.size", n as f64);
+                shared
+                    .cfg
+                    .threshold
+                    .or_else(|| model.calibrate(scores, shared.cfg.calibrate, shared.cfg.quantile))
+            }
+            Err(_) => None,
+        };
+        (result, tau)
     };
-    let score_us = formed_at.elapsed().as_micros() as u64;
-    for _ in 0..n {
-        push_rec(ring, stage_record(Stage::BatchForm, batch_form_us));
-        push_rec(ring, stage_record(Stage::Score, score_us));
-    }
-    let scores = match score_result {
-        Ok(s) => s,
-        Err(e) => {
+
+    let write_started = Instant::now();
+    let mut scores = scores.as_deref().map(|s| s.iter());
+    for slot in slots.drain(..) {
+        let reply = match (slot, &mut scores) {
+            (Slot::Ready(reply), _) => reply,
+            (Slot::Row { id, features, .. }, Ok(scores)) => {
+                let score = *scores.next().expect("one score per admitted row");
+                if let Some(mirror) = &shared.cfg.mirror {
+                    mirror.push(MirrorSample {
+                        features,
+                        score,
+                        model_version: model.version,
+                    });
+                }
+                let verdict = match tau {
+                    Some(t) if score > t => Verdict::Alert,
+                    Some(_) => Verdict::Normal,
+                    None => Verdict::Uncalibrated,
+                };
+                Reply::Score {
+                    id,
+                    model_version: model.version,
+                    score,
+                    verdict,
+                }
+            }
             // Unreachable with dimension-checked admission, but a
             // scoring failure must still answer every request.
-            let reason = format!("scoring failed: {e}");
-            for p in &batch {
-                if !send_reply(
-                    &p.conn,
-                    &Reply::BadRequest {
-                        id: p.id,
-                        reason: reason.clone(),
-                    },
-                ) {
-                    shared
-                        .counters
-                        .reply_failures
-                        .fetch_add(1, Ordering::Relaxed);
-                    push_rec(ring, stage_record(Stage::ReplyFailure, 0));
-                }
-            }
-            return;
-        }
-    };
-    let tau = match shared.cfg.threshold {
-        Some(t) => Some(t),
-        None => {
-            let state = calib.entry(model.version).or_default();
-            if state.tau.is_none() {
-                state.samples.extend_from_slice(&scores);
-                if state.samples.len() >= shared.cfg.calibrate {
-                    state.tau = quantile_threshold(&state.samples, shared.cfg.quantile).ok();
-                    state.samples = Vec::new();
-                }
-            }
-            state.tau
-        }
-    };
-    shared
-        .counters
-        .scored
-        .fetch_add(n as u64, Ordering::Relaxed);
-    shared.counters.batches.fetch_add(1, Ordering::Relaxed);
-    cnd_obs::counter_add_volatile("serve.scored.count", n as u64);
-    cnd_obs::histogram_record_volatile("serve.batch.size", n as f64);
-    if let Some(mirror) = &shared.cfg.mirror {
-        for (p, &score) in batch.iter().zip(&scores) {
-            mirror.push(MirrorSample {
-                features: p.features.clone(),
-                score,
-                model_version: model.version,
-            });
-        }
+            (Slot::Row { id, .. }, Err(e)) => Reply::BadRequest {
+                id,
+                reason: format!("scoring failed: {e}"),
+            },
+        };
+        write_reply(out, &reply).expect("writing to a Vec cannot fail");
     }
-    for (p, &score) in batch.iter().zip(&scores) {
-        let verdict = match tau {
-            Some(t) if score > t => Verdict::Alert,
-            Some(_) => Verdict::Normal,
-            None => Verdict::Uncalibrated,
-        };
-        let reply = Reply::Score {
-            id: p.id,
-            model_version: model.version,
-            score,
-            verdict,
-        };
-        let write_started = Instant::now();
-        if send_reply(&p.conn, &reply) {
-            push_rec(
-                ring,
-                stage_record(Stage::Write, write_started.elapsed().as_micros() as u64),
-            );
-            push_rec(
-                ring,
-                stage_record(Stage::Total, p.enqueued.elapsed().as_micros() as u64),
-            );
+    let sent = (&*conn).write_all(out).is_ok();
+    out.clear();
+    let written = Instant::now();
+    let write_us = micros(written - write_started);
+    for &at in &decoded {
+        if sent {
+            push_rec(ring, stage_record(Stage::Write, write_us));
+            push_rec(ring, stage_record(Stage::Total, micros(written - at)));
         } else {
-            shared
-                .counters
-                .reply_failures
-                .fetch_add(1, Ordering::Relaxed);
             push_rec(ring, stage_record(Stage::ReplyFailure, 0));
         }
     }
+    if !sent {
+        shared
+            .counters
+            .reply_failures
+            .fetch_add(n as u64, Ordering::Relaxed);
+    }
+    shared.in_flight.fetch_sub(n, Ordering::Relaxed);
+    sent
 }
 
 fn watch_loop(shared: &Shared, interval: Duration) {
@@ -1009,13 +884,7 @@ mod tests {
 
     #[test]
     fn shutdown_drains_accepted_requests() {
-        let (server, _artifact) = start(ServeConfig {
-            // A long delay window so requests are still queued when
-            // shutdown lands.
-            max_delay: Duration::from_millis(500),
-            max_batch: 1024,
-            ..ServeConfig::default()
-        });
+        let (server, _artifact) = start(ServeConfig::default());
         let addr = server.local_addr();
         let d = 6;
         let handles: Vec<_> = (0..4)
@@ -1026,7 +895,7 @@ mod tests {
                 })
             })
             .collect();
-        // Give the requests time to enqueue, then shut down mid-window.
+        // Give the requests time to arrive, then shut down.
         std::thread::sleep(Duration::from_millis(100));
         let stats = server.shutdown();
         for h in handles {
@@ -1043,12 +912,11 @@ mod tests {
     #[test]
     fn shutdown_under_live_traffic_never_drops_accepted_requests() {
         // Clients hammer the server while shutdown lands mid-stream.
-        // The two-phase stop (readers joined before the batcher may
-        // exit) guarantees every admitted request is scored and
-        // replied to — `scored == accepted` with zero reply failures.
+        // A reader answers its whole round before it checks the stop
+        // flag, so every admitted request is scored and replied to —
+        // `scored == accepted` with zero reply failures.
         let (server, _artifact) = start(ServeConfig {
             max_batch: 8,
-            max_delay: Duration::from_millis(2),
             ..ServeConfig::default()
         });
         let addr = server.local_addr();

@@ -2,15 +2,15 @@
 //!
 //! The serving threads must not pay a mutex (or any blocking call) per
 //! request to be observable, so every lifecycle event is written into a
-//! per-producer-thread [`RingBuffer`] — a wait-free push of two words —
+//! per-connection [`RingBuffer`] — a wait-free push of two words —
 //! and a background **harvester** thread drains the rings every few
 //! milliseconds into log-bucketed [`HdrHistogram`]s, the SLO tracker,
 //! and (when a `cnd-obs` session is active) the global metric registry.
 //!
 //! ```text
-//! reader threads ──┐                         ┌─▶ per-stage HdrHistograms
-//! batcher thread ──┼─▶ SPSC rings ─harvest─▶ ┼─▶ SloTracker (burn rates)
-//!                  │    (wait-free)          └─▶ cnd-obs registry/export
+//!                                            ┌─▶ per-stage HdrHistograms
+//! reader threads ──▶ SPSC rings ─harvest─▶ ──┼─▶ SloTracker (burn rates)
+//!                     (wait-free)            └─▶ cnd-obs registry/export
 //! ```
 //!
 //! # Stage taxonomy
@@ -18,21 +18,21 @@
 //! A request's served life is split into non-overlapping stages, each
 //! timed in microseconds and recorded under its own [`Stage`] tag:
 //!
-//! | stage        | clock starts            | clock stops              |
-//! |--------------|-------------------------|--------------------------|
-//! | `parse`      | first byte of the frame | request decoded          |
-//! | `queue_wait` | admission into queue    | batcher drains the batch |
-//! | `batch_form` | batch drained           | scoring kernel entered   |
-//! | `score`      | scoring kernel entered  | scores returned          |
-//! | `write`      | reply serialization     | reply bytes written      |
-//! | `total`      | admission into queue    | reply written            |
+//! | stage        | clock starts               | clock stops                |
+//! |--------------|----------------------------|----------------------------|
+//! | `parse`      | decoder starts the frame   | request decoded            |
+//! | `queue_wait` | request decoded            | its batch starts scoring   |
+//! | `batch_form` | batch starts               | rows assembled (Matrix)    |
+//! | `score`      | scoring kernel entered     | scores returned            |
+//! | `write`      | round's replies serialized | one `write_all` returns    |
+//! | `total`      | request decoded            | reply bytes written        |
 //!
 //! `total` is measured end-to-end (not summed from stages), so the sum
 //! of stage medians can be cross-checked against it — the integration
-//! tests do exactly that. Shed and malformed requests never reach the
-//! queue; they are recorded as *admission outcomes* instead, carrying
-//! the queue depth that justified the shed, which is what "which
-//! admission decision, at what depth" dashboards need.
+//! tests do exactly that. Shed and malformed requests are never
+//! scored; they are recorded as *admission outcomes* instead, a shed
+//! carrying the in-flight depth that justified it, which is what
+//! "which admission decision, at what depth" dashboards need.
 //!
 //! # Loss accounting
 //!
@@ -49,11 +49,10 @@ use cnd_obs::hdr::HdrHistogram;
 use cnd_obs::ring::{Record, RingBuffer, RingSet};
 use cnd_obs::slo::{SloConfig, SloSnapshot, SloTracker};
 
-/// Ring capacity for per-connection reader threads (records).
-pub const READER_RING_CAP: usize = 1 << 12;
-/// Ring capacity for the batcher thread, which emits several records
-/// per request (records).
-pub const BATCHER_RING_CAP: usize = 1 << 14;
+/// Ring capacity per connection reader (records). A reader emits six
+/// records per scored request plus one per batch, and the harvester
+/// drains every `HARVEST_PERIOD`.
+pub const RING_CAP: usize = 1 << 14;
 /// How often the harvester drains the rings.
 const HARVEST_PERIOD: Duration = Duration::from_millis(10);
 
@@ -63,20 +62,22 @@ const HARVEST_PERIOD: Duration = Duration::from_millis(10);
 pub enum Stage {
     /// Frame decode time (first byte → request struct), µs.
     Parse = 1,
-    /// Admission → batch drain, µs.
+    /// Request decoded → its batch starts scoring, µs.
     QueueWait = 2,
-    /// Batch drain → scoring kernel entry (matrix assembly), µs.
+    /// Batch start → scoring kernel entry (matrix assembly), µs.
     BatchForm = 3,
     /// Scoring kernel wall time, recorded once per request in the
     /// batch (each request waits out the full kernel), µs.
     Score = 4,
-    /// Reply serialization + socket write, µs.
+    /// Serialization of the round's replies + their one socket write,
+    /// recorded once per scored request, µs.
     Write = 5,
-    /// Admission → reply written, end-to-end, µs.
+    /// Request decoded → reply written, end-to-end, µs.
     Total = 6,
-    /// Queue depth sampled at batch drain (value = depth).
+    /// Rows in flight across connections as a batch starts (value =
+    /// depth).
     QueueDepth = 7,
-    /// Request shed because the queue was full (aux = depth seen).
+    /// Request shed at the in-flight bound (aux = depth seen).
     ShedQueueFull = 8,
     /// Malformed or dimension-mismatched frame rejected.
     BadFrame = 9,
@@ -107,7 +108,7 @@ pub fn stage_record(stage: Stage, us: u64) -> Record {
     Record::new(stage as u16, 0, us)
 }
 
-/// Builds a shed record carrying the queue depth at the decision.
+/// Builds a shed record carrying the in-flight depth at the decision.
 pub fn shed_record(depth: usize) -> Record {
     Record::new(
         Stage::ShedQueueFull as u16,
@@ -121,9 +122,9 @@ pub fn shed_record(depth: usize) -> Record {
 pub struct TelemetrySnapshot {
     /// Frame decode time, µs.
     pub parse: HdrHistogram,
-    /// Admission → batch drain, µs.
+    /// Request decoded → its batch starts scoring, µs.
     pub queue_wait: HdrHistogram,
-    /// Batch drain → kernel entry, µs.
+    /// Batch start → kernel entry, µs.
     pub batch_form: HdrHistogram,
     /// Kernel wall time per request, µs.
     pub score: HdrHistogram,
@@ -131,11 +132,11 @@ pub struct TelemetrySnapshot {
     pub write: HdrHistogram,
     /// End-to-end served latency, µs.
     pub total: HdrHistogram,
-    /// Queue depth at each batch drain.
+    /// Rows in flight across connections as each batch starts.
     pub queue_depth: HdrHistogram,
-    /// Queue depth at each shed decision.
+    /// In-flight depth at each shed decision.
     pub shed_depth: HdrHistogram,
-    /// Requests shed because the queue was full.
+    /// Requests shed at the in-flight bound.
     pub shed_queue_full: u64,
     /// Malformed / mismatched frames rejected.
     pub bad_frames: u64,
@@ -189,7 +190,7 @@ impl HubInner {
 
 /// The telemetry hub: ring registry + harvester + aggregates.
 ///
-/// The server holds one `Arc<TelemetryHub>`; each producer thread
+/// The server holds one `Arc<TelemetryHub>`; each connection reader
 /// registers a ring once and pushes records wait-free. The harvester
 /// owns aggregation; [`snapshot`](TelemetryHub::snapshot) runs one
 /// harvest inline first so callers always see their own records.
@@ -228,7 +229,7 @@ impl TelemetryHub {
         hub
     }
 
-    /// Registers a producer ring sized for a reader or batcher thread.
+    /// Registers a producer ring (one per connection reader).
     pub fn register_ring(&self, capacity: usize) -> Arc<RingBuffer> {
         self.rings.register(capacity)
     }

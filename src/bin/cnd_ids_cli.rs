@@ -26,12 +26,14 @@
 //!   pipeline over the stream (optionally with seeded input corruption)
 //!   and print pooled detection quality; `--health` appends the
 //!   pipeline's final health report.
-//! * `serve <model.txt> [--addr A] [--max-batch N] [--max-delay-us U]
-//!   [--queue-cap N] [--threshold T | --quantile Q --calibrate N]
+//! * `serve <model.txt> [--addr A] [--max-batch N] [--queue-cap N]
+//!   [--threshold T | --quantile Q --calibrate N]
 //!   [--watch [--watch-interval-ms MS]] [--score-f32] [--no-telemetry]
 //!   [--runtime-s S]`
-//!   — serve the frozen model over the `cnd-serve` TCP wire protocol
-//!   with micro-batching, hot-swap reload, and admission control;
+//!   — serve the frozen model over the `cnd-serve` TCP wire protocol;
+//!   each connection's reader scores the frames it has buffered as one
+//!   batch (`--max-batch` caps it), with hot-swap reload and admission
+//!   control (`--queue-cap` bounds in-flight rows across connections);
 //!   `--score-f32` scores on the single-precision twin (threshold
 //!   decisions stay in f64); `--no-telemetry` disables the per-stage
 //!   lifecycle telemetry (rings + SLO tracking), which exists mainly
@@ -145,7 +147,7 @@ const USAGE: &str = "usage:
   cnd-ids-cli train <data.csv|data.cnds> <model.txt> [--experiences M] [--seed N] [--clean-cap N] [--train-cap N] [--chunk-rows N]
   cnd-ids-cli score <model.txt> <data.csv|data.cnds> [--quantile Q] [--chunk-rows N]
   cnd-ids-cli stream <data.csv> [--experiences M] [--seed N] [--chunk N] [--fault-rate R] [--health]
-  cnd-ids-cli serve <model.txt> [--addr 127.0.0.1:7071] [--max-batch N] [--max-delay-us U] [--queue-cap N] [--threshold T] [--quantile Q] [--calibrate N] [--watch] [--watch-interval-ms MS] [--score-f32] [--no-telemetry] [--runtime-s S] [--continual --data <labelled.csv|.cnds> [--experiences M] [--seed N] [--drift-window N] [--min-retrain N] [--probation N] [--ledger <path>] [--flight-dump <path>] [--mirror-spill <out.cnds>]]
+  cnd-ids-cli serve <model.txt> [--addr 127.0.0.1:7071] [--max-batch N] [--queue-cap N] [--threshold T] [--quantile Q] [--calibrate N] [--watch] [--watch-interval-ms MS] [--score-f32] [--no-telemetry] [--runtime-s S] [--continual --data <labelled.csv|.cnds> [--experiences M] [--seed N] [--drift-window N] [--min-retrain N] [--probation N] [--ledger <path>] [--flight-dump <path>] [--mirror-spill <out.cnds>]]
   cnd-ids-cli loadgen <addr> [--flows N] [--concurrency C] [--rate R] [--seed N] [--reload-midway] [--tag T] [--out <path>] [--append]
   cnd-ids-cli observe <trace.jsonl> [--top [N]] [--latency] [--timeline]
   cnd-ids-cli bench-check <current> [--baseline <path>] [--update] [--tolerance T]
@@ -512,7 +514,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 
     let model_path = args.first().ok_or("serve: missing <model.txt>")?;
     let addr: String = parse_flag(args, "--addr", "127.0.0.1:7071".to_string())?;
-    let max_delay_us: u64 = parse_flag(args, "--max-delay-us", 500)?;
     let threshold: f64 = parse_flag(args, "--threshold", f64::NAN)?;
     let watch_interval_ms: u64 = parse_flag(args, "--watch-interval-ms", 500)?;
     let runtime_s: u64 = parse_flag(args, "--runtime-s", 0)?;
@@ -548,7 +549,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 
     let cfg = ServeConfig {
         max_batch: parse_flag(args, "--max-batch", 64)?,
-        max_delay: std::time::Duration::from_micros(max_delay_us),
         queue_cap: parse_flag(args, "--queue-cap", 1024)?,
         threshold: if threshold.is_nan() {
             None

@@ -282,14 +282,44 @@ fn observe_top_prints_self_time_profile() {
     std::fs::remove_file(&trace).ok();
 }
 
+/// Writes a `BENCH_substrate.json` report into a fresh directory named
+/// `dir`, rebuilt from the committed baseline's metrics, so the
+/// bench-check tests depend on nothing but committed files.
+fn substrate_report(dir: &str) -> PathBuf {
+    let text = std::fs::read_to_string("baselines/BENCH_substrate.json")
+        .expect("committed substrate baseline");
+    let metrics = cnd_ids::obs::baseline::extract_metrics(&text).expect("baseline parses");
+    let results: Vec<String> = metrics
+        .iter()
+        .filter_map(|(key, bit)| {
+            let name = key.strip_prefix("bit.")?;
+            let rate = |arm: &str| metrics[&format!("rate.{name}.{arm}")];
+            Some(format!(
+                "{{\"name\":\"{name}\",\"serial_rate\":{},\"parallel_rate\":{},\"bit_identical\":{}}}",
+                rate("serial"),
+                rate("parallel"),
+                *bit == 1.0
+            ))
+        })
+        .collect();
+    let dir = tmp(dir);
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let report = dir.join("BENCH_substrate.json");
+    std::fs::write(&report, format!("{{\"results\":[{}]}}", results.join(",")))
+        .expect("write report");
+    report
+}
+
 /// Tentpole acceptance criterion: `bench-check` exits zero against the
 /// committed baselines and non-zero on a doctored report with a 10x
 /// slower kernel.
 #[test]
 fn bench_check_passes_committed_pair_and_fails_doctored() {
-    // The committed BENCH_substrate.json vs its committed baseline.
+    // A report matching the committed baseline, which bench-check finds
+    // from the report's file stem.
+    let report = substrate_report("bench_report_pair");
     let out = Command::new(cli())
-        .args(["bench-check", "BENCH_substrate.json"])
+        .args(["bench-check", report.to_str().expect("utf8 path")])
         .output()
         .expect("CLI runs");
     assert!(
@@ -304,7 +334,7 @@ fn bench_check_passes_committed_pair_and_fails_doctored() {
     // Doctor one serial rate down 10x: that is below the Relative(0.6)
     // floor, so the check must fail with a non-zero exit.
     let doctored = tmp("doctored_bench.json");
-    let text = std::fs::read_to_string("BENCH_substrate.json").expect("bench report committed");
+    let text = std::fs::read_to_string(&report).expect("bench report written");
     let needle = "\"serial_rate\":";
     let at = text.find(needle).expect("serial_rate field") + needle.len();
     let end = at + text[at..].find([',', '}']).expect("number end");
@@ -329,6 +359,7 @@ fn bench_check_passes_committed_pair_and_fails_doctored() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(!stderr.contains("usage:"), "stderr: {stderr}");
     std::fs::remove_file(&doctored).ok();
+    std::fs::remove_dir_all(report.parent().expect("report dir")).ok();
 }
 
 /// `bench-check --update` creates a baseline that the same artifact
@@ -336,6 +367,7 @@ fn bench_check_passes_committed_pair_and_fails_doctored() {
 /// `--update`.
 #[test]
 fn bench_check_update_workflow_round_trips() {
+    let report = substrate_report("bench_report_update");
     let dir = tmp("bench_baselines");
     std::fs::create_dir_all(&dir).expect("mkdir");
     let baseline = dir.join("roundtrip.json");
@@ -344,7 +376,7 @@ fn bench_check_update_workflow_round_trips() {
     let out = Command::new(cli())
         .args([
             "bench-check",
-            "BENCH_substrate.json",
+            report.to_str().expect("utf8 path"),
             "--baseline",
             baseline.to_str().expect("utf8 path"),
         ])
@@ -360,7 +392,7 @@ fn bench_check_update_workflow_round_trips() {
     let out = Command::new(cli())
         .args([
             "bench-check",
-            "BENCH_substrate.json",
+            report.to_str().expect("utf8 path"),
             "--baseline",
             baseline.to_str().expect("utf8 path"),
             "--update",
@@ -378,7 +410,7 @@ fn bench_check_update_workflow_round_trips() {
     let out = Command::new(cli())
         .args([
             "bench-check",
-            "BENCH_substrate.json",
+            report.to_str().expect("utf8 path"),
             "--baseline",
             baseline.to_str().expect("utf8 path"),
         ])
@@ -392,6 +424,7 @@ fn bench_check_update_workflow_round_trips() {
 
     std::fs::remove_file(&baseline).ok();
     std::fs::remove_dir(&dir).ok();
+    std::fs::remove_dir_all(report.parent().expect("report dir")).ok();
 }
 
 #[test]

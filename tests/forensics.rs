@@ -104,7 +104,6 @@ fn harness(tag: &str, seed: u64, faults: ScriptedFaults) -> Harness {
         "127.0.0.1:0",
         ServeConfig {
             max_batch: 32,
-            max_delay: Duration::from_millis(1),
             queue_cap: 4096,
             mirror: Some(mirror.clone()),
             ..ServeConfig::default()

@@ -7,14 +7,14 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use cnd_ids::core::deploy::DeployedScorer;
 use cnd_ids::core::{CndIds, CndIdsConfig};
 use cnd_ids::linalg::Matrix;
-use cnd_ids::serve::protocol::{PROTOCOL_VERSION, REQUEST_MAGIC};
+use cnd_ids::serve::protocol::{read_reply, write_request, PROTOCOL_VERSION, REQUEST_MAGIC};
 use cnd_ids::serve::{
-    run_loadgen, LoadGenConfig, Reply, ServeClient, ServeConfig, Server, Verdict,
+    run_loadgen, LoadGenConfig, Reply, Request, ServeClient, ServeConfig, Server, Verdict,
 };
 
 /// Trains a tiny model; different seeds give different weights with the
@@ -282,49 +282,115 @@ fn malformed_frames_get_error_replies_and_server_keeps_serving() {
     );
 }
 
+/// Writes one score frame per row (ids `0..`) to a fresh connection in
+/// a single `write_all`, so the server finds them all buffered at once,
+/// and reads back one reply per frame.
+fn pipeline(addr: std::net::SocketAddr, rows: &[Vec<f64>]) -> Vec<Reply> {
+    let mut conn = TcpStream::connect(addr).expect("connects");
+    conn.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut frames = Vec::new();
+    for (id, features) in rows.iter().enumerate() {
+        let req = Request::Score {
+            id: id as u64,
+            features: features.clone(),
+        };
+        write_request(&mut frames, &req).expect("encodes");
+    }
+    conn.write_all(&frames).expect("writes the pipeline");
+    rows.iter()
+        .map(|_| read_reply(&mut conn).expect("one reply per frame"))
+        .collect()
+}
+
+fn reply_id(reply: &Reply) -> u64 {
+    match reply {
+        Reply::Score { id, .. }
+        | Reply::BadRequest { id, .. }
+        | Reply::Overloaded { id }
+        | Reply::ReloadOk { id, .. }
+        | Reply::ReloadFailed { id, .. }
+        | Reply::Info { id, .. } => *id,
+    }
+}
+
 #[test]
 fn full_queue_sheds_with_explicit_overloaded_replies() {
     let scorer = trained_scorer(3);
     let d = scorer.n_features();
     let artifact = TempArtifact::new("shed", &scorer);
-    // A tiny queue and a long deadline so requests pile up un-batched.
+    // One batch may hold every frame, but only `queue_cap` rows may be
+    // in flight: the rest of the batch must be shed.
     let server = Server::start(
         artifact.path(),
         "127.0.0.1:0",
         ServeConfig {
             max_batch: 64,
-            max_delay: Duration::from_millis(500),
             queue_cap: 4,
             ..ServeConfig::default()
         },
     )
     .expect("server starts");
-    let addr = server.local_addr();
 
     let total = 16;
-    let handles: Vec<_> = (0..total)
-        .map(|k| {
-            std::thread::spawn(move || {
-                let mut c = ServeClient::connect(addr).expect("connect");
-                c.score(&feature_row(k, d)).expect("round trip")
-            })
-        })
-        .collect();
+    let rows: Vec<_> = (0..total).map(|k| feature_row(k, d)).collect();
     let mut scored = 0u64;
     let mut shed = 0u64;
-    for h in handles {
-        match h.join().expect("client thread") {
+    for reply in pipeline(server.local_addr(), &rows) {
+        match reply {
             Reply::Score { .. } => scored += 1,
             Reply::Overloaded { .. } => shed += 1,
             other => panic!("unexpected reply {other:?}"),
         }
     }
     assert_eq!(scored + shed, total as u64, "every request got a reply");
-    assert!(shed >= 1, "queue_cap=4 with 16 concurrent must shed");
+    assert!(
+        shed >= 1,
+        "queue_cap=4 with 16 frames in one batch must shed"
+    );
+    let snap = server.telemetry_snapshot().expect("telemetry on");
+    assert_eq!(snap.shed_queue_full, shed, "every shed is attributed");
     let stats = server.shutdown();
     assert_eq!(stats.accepted, scored);
     assert_eq!(stats.shed, shed);
     assert_eq!(stats.scored, scored, "accepted requests are never dropped");
+}
+
+/// Batches form from whatever a connection has pipelined, with no
+/// timer: 64 frames written at once are scored in fewer batches than
+/// rows, every reply bit-matches the row scored alone, and replies come
+/// back in request order.
+#[test]
+fn pipelined_frames_batch_and_score_bit_exactly() {
+    let scorer = trained_scorer(3);
+    let d = scorer.n_features();
+    let artifact = TempArtifact::new("pipelined", &scorer);
+    let server = Server::start(artifact.path(), "127.0.0.1:0", ServeConfig::default())
+        .expect("server starts");
+
+    let rows: Vec<_> = (0..64).map(|k| feature_row(k, d)).collect();
+    let replies = pipeline(server.local_addr(), &rows);
+    for (k, (row, reply)) in rows.iter().zip(&replies).enumerate() {
+        assert_eq!(reply_id(reply), k as u64, "replies out of request order");
+        let alone = scorer
+            .anomaly_scores(&Matrix::from_vec(1, d, row.clone()).unwrap())
+            .unwrap()[0];
+        match reply {
+            Reply::Score { score, .. } => assert_eq!(
+                score.to_bits(),
+                alone.to_bits(),
+                "flow {k}: batched score differs from the row scored alone"
+            ),
+            other => panic!("flow {k}: unexpected reply {other:?}"),
+        }
+    }
+    let stats = server.shutdown();
+    assert_eq!(stats.scored, 64);
+    assert!(
+        stats.batches < stats.scored,
+        "64 pipelined frames were scored one row per batch ({} batches)",
+        stats.batches
+    );
 }
 
 /// The hot-swap guarantee: concurrent scoring while models swap never
@@ -344,7 +410,6 @@ fn hot_swap_under_load_is_atomic_and_bit_exact() {
         "127.0.0.1:0",
         ServeConfig {
             max_batch: 8,
-            max_delay: Duration::from_micros(200),
             ..ServeConfig::default()
         },
     )
@@ -518,7 +583,6 @@ fn stage_medians_are_consistent_with_end_to_end_latency() {
         "127.0.0.1:0",
         ServeConfig {
             max_batch: 8,
-            max_delay: Duration::from_micros(200),
             ..ServeConfig::default()
         },
     )
@@ -547,10 +611,20 @@ fn stage_medians_are_consistent_with_end_to_end_latency() {
         h.join().expect("client worker");
     }
 
-    let snap = server
-        .telemetry_snapshot()
-        .expect("telemetry is on by default");
+    // A reader records a request's `write` and `total` stages after its
+    // reply bytes leave, so the client can get here first: wait (with a
+    // bound) for the last records to be harvested.
     let served = (workers * per_worker) as u64;
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let snap = loop {
+        let snap = server
+            .telemetry_snapshot()
+            .expect("telemetry is on by default");
+        if snap.total.count >= served || Instant::now() >= deadline {
+            break snap;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    };
     // Every request passed through every stage exactly once.
     assert_eq!(snap.total.count, served);
     assert_eq!(snap.queue_wait.count, served);
@@ -558,13 +632,13 @@ fn stage_medians_are_consistent_with_end_to_end_latency() {
     assert_eq!(snap.score.count, served);
     assert_eq!(snap.write.count, served);
     assert_eq!(snap.parse.count, served);
-    assert!(snap.queue_depth.count > 0, "depth sampled at every drain");
+    assert!(snap.queue_depth.count > 0, "depth sampled at every batch");
     assert_eq!(snap.records_dropped, 0, "rings must not saturate here");
     assert_eq!(snap.shed_queue_full, 0);
     assert_eq!(snap.bad_frames, 0);
 
     // Sum of stage medians vs the end-to-end median. The stages
-    // partition [enqueue, reply-written] (parse precedes the enqueue
+    // partition [decoded, reply-written] (parse precedes the decode
     // timestamp, so it is excluded), but medians of different
     // distributions do not sum exactly — allow generous slack plus the
     // HDR quantile error before calling it inconsistent.
@@ -586,8 +660,8 @@ fn stage_medians_are_consistent_with_end_to_end_latency() {
 }
 
 /// Shed attribution: requests rejected by admission control show up in
-/// the telemetry with the queue depth at the decision, separate from
-/// bad-frame rejections.
+/// the telemetry with the in-flight depth at the decision, separate
+/// from bad-frame rejections.
 #[test]
 fn shed_decisions_are_attributed_with_queue_depth() {
     let scorer = trained_scorer(3);
@@ -598,35 +672,28 @@ fn shed_decisions_are_attributed_with_queue_depth() {
         "127.0.0.1:0",
         ServeConfig {
             max_batch: 64,
-            max_delay: Duration::from_millis(500),
             queue_cap: 2,
             ..ServeConfig::default()
         },
     )
     .expect("server starts");
-    let addr = server.local_addr();
 
-    let total = 12;
-    let handles: Vec<_> = (0..total)
-        .map(|k| {
-            std::thread::spawn(move || {
-                let mut c = ServeClient::connect(addr).expect("connect");
-                c.score(&feature_row(k, d)).expect("round trip")
-            })
-        })
-        .collect();
-    let shed = handles
-        .into_iter()
-        .map(|h| h.join().expect("client"))
+    let rows: Vec<_> = (0..12).map(|k| feature_row(k, d)).collect();
+    let shed = pipeline(server.local_addr(), &rows)
+        .iter()
         .filter(|r| matches!(r, Reply::Overloaded { .. }))
         .count() as u64;
-    assert!(shed >= 1, "queue_cap=2 with 12 concurrent must shed");
+    assert!(
+        shed >= 1,
+        "queue_cap=2 with 12 frames in one batch must shed"
+    );
 
     let snap = server.telemetry_snapshot().expect("telemetry on");
     assert_eq!(snap.shed_queue_full, shed, "every shed is attributed");
     assert_eq!(snap.shed_depth.count, shed);
-    // Each shed saw the queue at (or beyond) its cap.
+    // Each shed saw the in-flight count at (or beyond) its cap.
     assert!(snap.shed_depth.min.unwrap_or(0) >= 2);
     assert_eq!(snap.bad_frames, 0, "sheds are not bad frames");
+    assert_eq!(server.stats().shed, shed);
     drop(server);
 }
