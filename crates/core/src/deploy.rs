@@ -13,10 +13,10 @@
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
 
-use cnd_linalg::{Matrix, MatrixF32};
+use cnd_linalg::{Matrix, MatrixF32, MatrixRef};
 use cnd_ml::pca::{Pca, PcaF32};
-use cnd_ml::{StandardScaler, StandardScalerF32};
-use cnd_nn::{Activation, Layer, Linear, Sequential, SequentialF32};
+use cnd_ml::{MlError, StandardScaler, StandardScalerF32};
+use cnd_nn::{Activation, Layer, Linear, PackedSequential, Sequential, SequentialF32};
 
 use crate::{CndIds, CoreError};
 
@@ -36,6 +36,11 @@ const MAX_LAYERS: usize = 256;
 const MAX_ELEMENTS: usize = 1 << 26;
 
 /// A frozen, inference-only CND-IDS model.
+///
+/// Its weights never change, so every encoder weight and the PCA
+/// components are packed for the GEMM once, when the scorer is built
+/// ([`from_model`](Self::from_model), [`load`](Self::load)), and every
+/// batch reuses them.
 ///
 /// # Example
 ///
@@ -57,7 +62,11 @@ const MAX_ELEMENTS: usize = 1 << 26;
 #[derive(Debug, Clone)]
 pub struct DeployedScorer {
     scaler: StandardScaler,
+    /// The encoder as trained, kept for [`save`](Self::save) and
+    /// [`to_f32`](Self::to_f32).
     encoder: Sequential,
+    /// `encoder` packed once; the scoring path runs this.
+    packed: PackedSequential,
     pca: Pca,
 }
 
@@ -70,23 +79,78 @@ impl DeployedScorer {
     /// at least one training experience.
     pub fn from_model(model: &CndIds) -> Result<Self, CoreError> {
         let pca = model.pca().ok_or(CoreError::NotTrained)?.clone();
+        Self::assemble(
+            model.scaler().clone(),
+            model.feature_extractor().encoder().clone(),
+            pca,
+        )
+    }
+
+    /// The one constructor: checks that the widths chain from the
+    /// scaler through the encoder into the PCA, then packs the encoder.
+    fn assemble(scaler: StandardScaler, encoder: Sequential, pca: Pca) -> Result<Self, CoreError> {
+        let mut width = scaler.mean().len();
+        for lin in encoder.linear_layers() {
+            if lin.fan_in() != width {
+                return Err(parse_err("inconsistent encoder layer widths"));
+            }
+            width = lin.fan_out();
+        }
+        if pca.n_features() != width {
+            return Err(parse_err("pca width does not match the encoder output"));
+        }
         Ok(DeployedScorer {
-            scaler: model.scaler().clone(),
-            encoder: model.feature_extractor().encoder().clone(),
+            packed: PackedSequential::new(&encoder),
+            scaler,
+            encoder,
             pca,
         })
     }
 
     /// Anomaly scores for a batch; higher means more anomalous.
-    /// Identical to [`CndIds::anomaly_scores`] on the frozen state.
+    /// Bit-identical to [`CndIds::anomaly_scores`] on the frozen state.
+    ///
+    /// The batch is split into one contiguous row block per
+    /// [`cnd_parallel::current`] pool thread (batches under
+    /// 128 rows stay on the caller).
+    /// Each block runs scaler → encoder → PCA-FRE end to end, tile by
+    /// tile, reusing three scratch buffers, and writes its rows' scores.
+    /// Every row goes through the same serial operations whatever block
+    /// it lands in, so scores are bit-identical at every pool size.
     ///
     /// # Errors
     ///
-    /// Propagates dimension mismatches.
+    /// Returns a dimension mismatch unless `x` has
+    /// [`n_features`](Self::n_features) columns.
     pub fn anomaly_scores(&self, x: &Matrix) -> Result<Vec<f64>, CoreError> {
-        let xs = self.scaler.transform(x)?;
-        let h = self.encoder.forward_inference(&xs);
-        Ok(self.pca.reconstruction_errors(&h)?)
+        let d = self.n_features();
+        if x.cols() != d {
+            return Err(MlError::DimensionMismatch {
+                fitted: d,
+                given: x.cols(),
+            }
+            .into());
+        }
+        let latent = self.pca.n_features();
+        let mut scores = vec![0.0; x.rows()];
+        cnd_parallel::current().par_row_blocks(
+            &mut scores,
+            x.rows(),
+            |r, out, (a, h, b): &mut (Vec<f64>, Vec<f64>, Vec<f64>)| {
+                let rows = r.len();
+                self.scaler
+                    .transform_rows_into(x.view().rows_view(r.start, r.end), a)
+                    .expect("dimension checked");
+                self.packed
+                    .forward_rows(MatrixRef::from_slice(rows, d, a), h, b);
+                // The scaled input and the spare layer buffer are free
+                // again: they become the PCA scratch.
+                self.pca
+                    .fre_rows_into(MatrixRef::from_slice(rows, latent, h), a, b, out)
+                    .expect("widths checked when the scorer was built");
+            },
+        );
+        Ok(scores)
     }
 
     /// Input feature dimensionality the scorer expects.
@@ -266,11 +330,7 @@ impl DeployedScorer {
         let pca = Pca::from_parts(mean, components, variance)
             .map_err(|_| parse_err("inconsistent pca parameters"))?;
 
-        Ok(DeployedScorer {
-            scaler,
-            encoder,
-            pca,
-        })
+        Self::assemble(scaler, encoder, pca)
     }
 }
 
@@ -539,6 +599,29 @@ mod tests {
             DeployedScorer::load(nan.as_bytes()),
             Err(CoreError::CorruptModel { .. })
         ));
+    }
+
+    #[test]
+    fn rejects_widths_that_do_not_chain() {
+        // Every section parses, but the encoder expects 3 inputs from a
+        // 2-feature scaler: a typed error at load, not a panic at score.
+        let encoder = "encoder 1\nlinear 3 1\n1 1 1\n0\n";
+        let pca = "pca 1 1\n0\n1\n1\n";
+        let bad = format!("{MAGIC}\nscaler 2\n0 0\n1 1\n{encoder}{pca}");
+        assert!(matches!(
+            DeployedScorer::load(bad.as_bytes()),
+            Err(CoreError::CorruptModel { .. })
+        ));
+        let good = format!("{MAGIC}\nscaler 3\n0 0 0\n1 1 1\n{encoder}{pca}");
+        let scorer = DeployedScorer::load(good.as_bytes()).expect("widths chain");
+        let pca_2 = "pca 2 1\n0 0\n1 0\n1\n";
+        let bad = format!("{MAGIC}\nscaler 3\n0 0 0\n1 1 1\n{encoder}{pca_2}");
+        assert!(DeployedScorer::load(bad.as_bytes()).is_err());
+        assert!(scorer.anomaly_scores(&Matrix::zeros(2, 2)).is_err());
+        assert_eq!(
+            scorer.anomaly_scores(&Matrix::zeros(2, 3)).unwrap(),
+            [0.0, 0.0]
+        );
     }
 
     /// One serialized trained scorer, built once and shared across

@@ -6,13 +6,16 @@
 //! module. The kernel follows the classic BLIS decomposition, shrunk to
 //! the two levels that matter at our sizes:
 //!
-//! * **Packing.** The right operand `B` is repacked once per product
-//!   into `NR`-column panels, k-major (`panel[k * NR + j]`), in
-//!   `KC`-row k-blocks; the left operand `A` is packed per row-panel
+//! * **Packing.** The right operand `B` is packed into [`PackedB`]:
+//!   `NR`-column panels, k-major (`panel[k * NR + j]`), in k-blocks of
+//!   at most `KC` rows; the left operand `A` is packed per row-panel
 //!   into `MR`-row panels (`panel[k * MR + i]`). Packing absorbs
 //!   arbitrary input strides, which is what lets transposed
 //!   [`MatrixRef`] views multiply at full speed without a materialized
-//!   `transpose()`.
+//!   `transpose()`. [`Matrix::matmul`] packs `B` once per product; a
+//!   right operand that never changes (a frozen layer weight, the PCA
+//!   components) is packed once with [`PackedB::pack`] and reused by
+//!   every [`matmul_packed_into`] call.
 //! * **Microkernel.** An `MR×NR` (4×8) register tile accumulates over
 //!   one k-block via `chunks_exact` slices, so LLVM keeps the tile in
 //!   vector registers and autovectorizes the `NR`-wide inner loop. The
@@ -135,30 +138,49 @@ fn avx2_available() -> bool {
     false
 }
 
-/// `B` repacked into k-major `NR`-column panels, grouped by `KC`
-/// k-block. Panel slots are uniformly `KC * NR` long (the final,
-/// shorter k-block simply leaves its tail zeros unread), so panel
-/// offsets are pure arithmetic.
-struct PackedB<T> {
+/// A right operand `B` packed for the GEMM kernel: k-major `NR`-column
+/// panels, grouped by k-block. Every panel slot is `kc_slot * NR` long,
+/// where `kc_slot = min(KC, rows)` (the final, shorter k-block of a
+/// deep `B` leaves its tail zeros unread), so panel offsets are pure
+/// arithmetic and a shallow `B` carries no k-padding at all.
+///
+/// Packing reads any strides, so a transposed view packs as cheaply as
+/// a row-major matrix. Build it once for an operand that does not
+/// change and pass it to [`matmul_packed_into`] for every product.
+#[derive(Clone, PartialEq)]
+pub struct PackedB<T = f64> {
     data: Vec<T>,
-    /// Elements per k-block: `panels * KC * NR`.
+    /// Elements per k-block: `panels * kc_slot * NR`.
     block_stride: usize,
+    rows: usize,
+    cols: usize,
+}
+
+impl<T> std::fmt::Debug for PackedB<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PackedB")
+            .field("rows", &self.rows)
+            .field("cols", &self.cols)
+            .finish_non_exhaustive()
+    }
 }
 
 impl<T: Scalar> PackedB<T> {
-    fn pack(b: MatrixRef<'_, T>) -> PackedB<T> {
+    /// Packs `b` (any strides) into GEMM panels.
+    pub fn pack(b: MatrixRef<'_, T>) -> PackedB<T> {
         let (m, p) = b.shape();
         let (rs, cs) = b.strides();
         let panels = p.div_ceil(NR);
         let blocks = m.div_ceil(KC).max(1);
-        let block_stride = panels * KC * NR;
+        let kc_slot = KC.min(m);
+        let block_stride = panels * kc_slot * NR;
         let mut data = vec![T::ZERO; blocks * block_stride];
         for (kb, k0) in (0..m).step_by(KC).enumerate() {
             let kc = KC.min(m - k0);
             for jp in 0..panels {
                 let j0 = jp * NR;
                 let nv = NR.min(p - j0);
-                let panel = &mut data[kb * block_stride + jp * KC * NR..][..kc * NR];
+                let panel = &mut data[kb * block_stride + jp * kc_slot * NR..][..kc * NR];
                 if cs == 1 {
                     // Row-contiguous source: copy NR-wide row segments.
                     for kk in 0..kc {
@@ -177,7 +199,22 @@ impl<T: Scalar> PackedB<T> {
                 }
             }
         }
-        PackedB { data, block_stride }
+        PackedB {
+            data,
+            block_stride,
+            rows: m,
+            cols: p,
+        }
+    }
+
+    /// Rows of the packed operand (the product's k-depth).
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Columns of the packed operand (the product's output width).
+    pub fn cols(&self) -> usize {
+        self.cols
     }
 }
 
@@ -220,6 +257,7 @@ fn gemm_rows_generic<T: Scalar>(
     let m = a.cols();
     let (ars, acs) = a.strides();
     let panels = p.div_ceil(NR);
+    let panel_stride = block_stride / panels;
     let mut ap = [T::ZERO; KC * MR];
     for (kb, k0) in (0..m).step_by(KC).enumerate() {
         let kc = KC.min(m - k0);
@@ -240,7 +278,7 @@ fn gemm_rows_generic<T: Scalar>(
             for jp in 0..panels {
                 let j0 = jp * NR;
                 let nv = NR.min(p - j0);
-                let bp = &pbdata[kb * block_stride + jp * KC * NR..][..kc * NR];
+                let bp = &pbdata[kb * block_stride + jp * panel_stride..][..kc * NR];
                 let mut acc = [[T::ZERO; NR]; MR];
                 // Load the current partial sums (exact f64 round-trip,
                 // so k-blocking preserves the ascending-k order).
@@ -499,6 +537,39 @@ pub(crate) fn matmul_f32(a: MatrixRef<'_, f32>, b: MatrixRef<'_, f32>) -> Vec<f3
     out
 }
 
+/// `out = a · b` against a pre-packed `b`, on the calling thread.
+///
+/// `out` is row-major `a.rows() × b.cols()`; its previous contents are
+/// overwritten. The product runs serially through the active kernel
+/// arm: callers that split rows over the pool call this once per row
+/// block. Results are bit-identical to [`Matrix::matmul`] of the same
+/// operands (same per-element ascending-k order).
+///
+/// # Errors
+///
+/// Returns [`crate::LinalgError::ShapeMismatch`] unless
+/// `a.cols() == b.rows()` and `out.len() == a.rows() * b.cols()`.
+pub fn matmul_packed_into(
+    a: MatrixRef<'_, f64>,
+    b: &PackedB<f64>,
+    out: &mut [f64],
+) -> Result<(), crate::LinalgError> {
+    let (n, m, p) = (a.rows(), a.cols(), b.cols);
+    if m != b.rows || out.len() != n * p {
+        return Err(crate::LinalgError::ShapeMismatch {
+            left: a.shape(),
+            right: (b.rows, b.cols),
+            op: "matmul_packed_into",
+        });
+    }
+    out.fill(0.0);
+    if n == 0 || m == 0 || p == 0 {
+        return Ok(());
+    }
+    f64::rows(active_kernel(), a, &b.data, b.block_stride, p, out, 0, n);
+    Ok(())
+}
+
 /// Test/bench hook: full f64 product forced onto a specific kernel arm.
 ///
 /// Requests for [`GemmKernel::Avx2`] on hardware without AVX2 + FMA
@@ -602,6 +673,26 @@ mod tests {
             let got = matmul_with_kernel(&a, &b, kernel).unwrap();
             assert_eq!(got[(0, 0)].to_bits(), naive[(0, 0)].to_bits(), "{kernel:?}");
         }
+    }
+
+    #[test]
+    fn prepacked_product_matches_naive() {
+        // Shallow (k < KC) and deep (k > KC) operands, strided and not.
+        for (n, m, p) in [(1, 1, 1), (7, 58, 64), (9, 64, 116), (5, 300, 13)] {
+            let a = mat(n, m, 5);
+            let b = mat(m, p, 6);
+            let naive = a.matmul_naive(&b).unwrap();
+            let mut out = vec![f64::NAN; n * p];
+            matmul_packed_into(a.view(), &PackedB::pack(b.view()), &mut out).unwrap();
+            assert_eq!(out, naive.as_slice(), "({n},{m},{p})");
+            let bt = b.transpose();
+            let packed_t = PackedB::pack(bt.view().t());
+            matmul_packed_into(a.view(), &packed_t, &mut out).unwrap();
+            assert_eq!(out, naive.as_slice(), "({n},{m},{p}) transposed view");
+        }
+        let packed = PackedB::pack(mat(4, 3, 1).view());
+        assert!(matmul_packed_into(mat(2, 5, 1).view(), &packed, &mut [0.0; 6]).is_err());
+        assert!(matmul_packed_into(mat(2, 4, 1).view(), &packed, &mut [0.0; 5]).is_err());
     }
 
     #[test]

@@ -19,7 +19,9 @@
 //! * [`gemm`] — the packed-panel GEMM microkernel behind every matrix
 //!   product, with runtime AVX2/portable dispatch
 //!   ([`gemm::active_kernel`], `CND_GEMM_KERNEL` override) and the f64
-//!   bit-identity contract documented on the module.
+//!   bit-identity contract documented on the module. [`PackedB`] and
+//!   [`matmul_packed_into`] reuse a right operand packed once (frozen
+//!   inference weights) across products.
 //! * [`MatrixF32`] — single-precision inference-only matrix sharing the
 //!   packed kernel (the `--score-f32` serving path).
 //! * [`eigen::symmetric_eigen`] — cyclic Jacobi eigendecomposition of
@@ -59,7 +61,7 @@ pub mod stats;
 pub mod vector;
 
 pub use error::LinalgError;
-pub use gemm::{GemmKernel, Scalar};
+pub use gemm::{matmul_packed_into, GemmKernel, PackedB, Scalar};
 pub use matrix::Matrix;
 pub use matrix_f32::MatrixF32;
 pub use view::{MatrixMut, MatrixRef};

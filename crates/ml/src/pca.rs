@@ -6,13 +6,9 @@
 //! explained variance, and a test embedding `h` receives the anomaly
 //! score `FRE = ‖h − T⁻¹(T(h))‖²` where `T` is the PCA projection.
 
-use cnd_linalg::{eigen, stats, Matrix, MatrixF32};
+use cnd_linalg::{eigen, matmul_packed_into, stats, Matrix, MatrixF32, MatrixRef, PackedB};
 
 use crate::MlError;
-
-/// Fixed scoring-chunk row count. Chunk boundaries never depend on the
-/// pool size, so FRE scores are bit-identical at every `CND_THREADS`.
-const SCORE_CHUNK_ROWS: usize = 256;
 
 /// How many principal components to retain.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -51,6 +47,10 @@ pub struct Pca {
     components: Matrix,
     explained_variance: Vec<f64>,
     explained_variance_ratio: Vec<f64>,
+    /// `C` and `Cᵀ` packed once for the scoring GEMMs. A fitted PCA
+    /// never changes, so they are built with it and never invalidated.
+    packed_c: PackedB,
+    packed_ct: PackedB,
 }
 
 impl Pca {
@@ -138,12 +138,29 @@ impl Pca {
                 .row_mut(r)
                 .copy_from_slice(&eig.eigenvectors.row(r)[..n_keep]);
         }
-        Ok(Pca {
+        Ok(Pca::assemble(
             mean,
             components,
-            explained_variance: eigenvalues[..n_keep].to_vec(),
-            explained_variance_ratio: ratios[..n_keep].to_vec(),
-        })
+            eigenvalues[..n_keep].to_vec(),
+            ratios[..n_keep].to_vec(),
+        ))
+    }
+
+    /// The one constructor: packs `C` and `Cᵀ` beside the parts.
+    fn assemble(
+        mean: Vec<f64>,
+        components: Matrix,
+        explained_variance: Vec<f64>,
+        explained_variance_ratio: Vec<f64>,
+    ) -> Pca {
+        Pca {
+            packed_c: PackedB::pack(components.view()),
+            packed_ct: PackedB::pack(components.view().t()),
+            mean,
+            components,
+            explained_variance,
+            explained_variance_ratio,
+        }
     }
 
     /// Number of retained components.
@@ -203,12 +220,12 @@ impl Pca {
         } else {
             vec![0.0; explained_variance.len()]
         };
-        Ok(Pca {
+        Ok(Pca::assemble(
             mean,
             components,
             explained_variance,
             explained_variance_ratio,
-        })
+        ))
     }
 
     /// Projects `x` into the principal subspace
@@ -247,11 +264,12 @@ impl Pca {
     /// Feature reconstruction error `FRE(h) = ‖h − T⁻¹(T(h))‖²` per row —
     /// the CND-IDS anomaly score.
     ///
-    /// Scoring is row-independent, so batches are split into fixed
-    /// `SCORE_CHUNK_ROWS`-row chunks fanned out over the
-    /// [`cnd_parallel::current`] pool; each chunk runs the exact serial
-    /// pipeline (center → project → reconstruct → squared row norm), so
-    /// the scores are bit-identical at every pool size.
+    /// Scoring is row-independent, so a batch is split into one
+    /// contiguous row block per [`cnd_parallel::current`] pool thread
+    /// ([`cnd_parallel::ThreadPool::par_row_blocks`]); each tile of a
+    /// block runs the serial [`fre_rows_into`](Self::fre_rows_into)
+    /// against the pre-packed components, so the scores are
+    /// bit-identical at every pool size.
     ///
     /// # Errors
     ///
@@ -259,36 +277,81 @@ impl Pca {
     pub fn reconstruction_errors(&self, x: &Matrix) -> Result<Vec<f64>, MlError> {
         let _span = cnd_obs::span!("pca.score", rows = x.rows());
         self.check_dim(x)?;
-        if x.rows() == 0 {
-            return Ok(Vec::new());
-        }
         cnd_obs::counter_add("pca.score.rows.count", x.rows() as u64);
-        let pool = cnd_parallel::current();
-        let chunks = pool.par_chunks(x.rows(), SCORE_CHUNK_ROWS, |r| {
-            self.score_rows(x, r.start, r.end)
-        });
-        let mut scores = Vec::with_capacity(x.rows());
-        for chunk in chunks {
-            scores.extend(chunk?);
-        }
+        let mut scores = vec![0.0; x.rows()];
+        cnd_parallel::current().par_row_blocks(
+            &mut scores,
+            x.rows(),
+            |r, out, (centered, projected): &mut (Vec<f64>, Vec<f64>)| {
+                self.fre_rows_into(x.view().rows_view(r.start, r.end), centered, projected, out)
+                    .expect("dimension checked");
+            },
+        );
         Ok(scores)
     }
 
-    /// Serial FRE scores for rows `start..end` of `x`.
-    fn score_rows(&self, x: &Matrix, start: usize, end: usize) -> Result<Vec<f64>, MlError> {
-        let xb = x.slice_rows(start, end)?;
-        let projected = xb.sub_row_broadcast(&self.mean)?.matmul(&self.components)?;
-        // The reconstruction multiplies against Cᵀ as a transposed view;
-        // the packed GEMM handles the strided operand without a copy.
-        let reconstructed = projected
-            .view()
-            .matmul(&self.components.view().t())?
-            .add_row_broadcast(&self.mean)?;
-        let diff = xb.sub(&reconstructed)?;
-        Ok(diff
-            .iter_rows()
-            .map(|r| r.iter().map(|v| v * v).sum())
-            .collect())
+    /// Serial FRE of the rows of `h` into `out`, one score per row.
+    ///
+    /// Center → project → reconstruct (+ mean) → residual → Σv², in
+    /// that order for every row, so a row's score does not depend on
+    /// the rows beside it. `centered` and `projected` are scratch,
+    /// cleared and resized here, so a caller scoring many tiles
+    /// allocates them once.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MlError::DimensionMismatch`] unless `h` has
+    /// `n_features` columns and `out` has one slot per row of `h`.
+    pub fn fre_rows_into(
+        &self,
+        h: MatrixRef<'_, f64>,
+        centered: &mut Vec<f64>,
+        projected: &mut Vec<f64>,
+        out: &mut [f64],
+    ) -> Result<(), MlError> {
+        let (n, d, k) = (h.rows(), self.n_features(), self.n_components());
+        if h.cols() != d {
+            return Err(MlError::DimensionMismatch {
+                fitted: d,
+                given: h.cols(),
+            });
+        }
+        if out.len() != n {
+            return Err(MlError::DimensionMismatch {
+                fitted: n,
+                given: out.len(),
+            });
+        }
+        centered.clear();
+        for i in 0..n {
+            centered.extend(h.row(i).iter().zip(&self.mean).map(|(&v, &m)| v - m));
+        }
+        projected.resize(n * k, 0.0);
+        matmul_packed_into(
+            MatrixRef::from_slice(n, d, centered),
+            &self.packed_c,
+            projected,
+        )?;
+        // The reconstruction overwrites the centered rows, which the
+        // projection no longer needs.
+        matmul_packed_into(
+            MatrixRef::from_slice(n, k, projected),
+            &self.packed_ct,
+            centered,
+        )?;
+        for (i, score) in out.iter_mut().enumerate() {
+            let recon = &centered[i * d..(i + 1) * d];
+            *score = h
+                .row(i)
+                .iter()
+                .zip(recon.iter().zip(&self.mean))
+                .map(|(&v, (&r, &m))| {
+                    let diff = v - (r + m);
+                    diff * diff
+                })
+                .sum();
+        }
+        Ok(())
     }
 
     fn check_dim(&self, x: &Matrix) -> Result<(), MlError> {
@@ -452,6 +515,16 @@ mod tests {
         assert!(p.transform(&Matrix::zeros(3, 5)).is_err());
         assert!(p.inverse_transform(&Matrix::zeros(3, 3)).is_err());
         assert!(p.reconstruction_errors(&Matrix::zeros(3, 5)).is_err());
+        let (mut c, mut l) = (Vec::new(), Vec::new());
+        let mut out = [0.0; 2];
+        assert!(p.fre_rows_into(x.view(), &mut c, &mut l, &mut out).is_err());
+        let two = x.rows_view(0, 2).unwrap();
+        p.fre_rows_into(two, &mut c, &mut l, &mut out).unwrap();
+        assert_eq!(
+            out.to_vec(),
+            p.reconstruction_errors(&x.slice_rows(0, 2).unwrap())
+                .unwrap()
+        );
     }
 
     #[test]

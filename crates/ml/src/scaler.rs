@@ -5,7 +5,7 @@
 //! inputs before feeding them to a model — the paper's preprocessing
 //! implied by its use of MLPs and distance-based methods.
 
-use cnd_linalg::{stats, Matrix, MatrixF32};
+use cnd_linalg::{stats, Matrix, MatrixF32, MatrixRef};
 
 use crate::MlError;
 
@@ -79,20 +79,49 @@ impl StandardScaler {
     ///
     /// Returns [`MlError::DimensionMismatch`] on a feature-count mismatch.
     pub fn transform(&self, x: &Matrix) -> Result<Matrix, MlError> {
+        let mut out = Vec::new();
+        self.transform_rows_into(x.view(), &mut out)?;
+        Ok(Matrix::from_vec(x.rows(), x.cols(), out)?)
+    }
+
+    /// [`transform`](Self::transform) of a row block into a reused
+    /// buffer: `out` is cleared and refilled row-major with the scaled
+    /// rows of `x`. Each element is computed exactly as `transform`
+    /// computes it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MlError::DimensionMismatch`] on a feature-count mismatch.
+    pub fn transform_rows_into(
+        &self,
+        x: MatrixRef<'_, f64>,
+        out: &mut Vec<f64>,
+    ) -> Result<(), MlError> {
         if x.cols() != self.mean.len() {
             return Err(MlError::DimensionMismatch {
                 fitted: self.mean.len(),
                 given: x.cols(),
             });
         }
-        let mut out = x.sub_row_broadcast(&self.mean)?;
-        for row in 0..out.rows() {
-            let r = out.row_mut(row);
-            for (v, &s) in r.iter_mut().zip(&self.std) {
-                *v = if s > 1e-12 { *v / s } else { 0.0 };
-            }
+        out.clear();
+        out.reserve(x.rows() * x.cols());
+        for i in 0..x.rows() {
+            let scaled = x
+                .row(i)
+                .iter()
+                .zip(&self.mean)
+                .zip(&self.std)
+                .map(|((&v, &m), &s)| {
+                    let c = v - m;
+                    if s > 1e-12 {
+                        c / s
+                    } else {
+                        0.0
+                    }
+                });
+            out.extend(scaled);
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Convenience: fit on `x` then transform it.

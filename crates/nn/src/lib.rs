@@ -71,5 +71,5 @@ pub use activation::Activation;
 pub use error::NnError;
 pub use linear::Linear;
 pub use optim::{Adam, Optimizer, Sgd};
-pub use sequential::{Layer, Sequential};
+pub use sequential::{Layer, PackedSequential, Sequential};
 pub use sequential_f32::SequentialF32;

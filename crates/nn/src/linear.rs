@@ -1,4 +1,4 @@
-use cnd_linalg::{Matrix, MatrixRef};
+use cnd_linalg::Matrix;
 use rand::Rng;
 
 use crate::{init, NnError, Optimizer};
@@ -103,17 +103,6 @@ impl Linear {
     /// Returns an error if `x.cols() != fan_in`.
     pub fn forward_inference(&self, x: &Matrix) -> Result<Matrix, NnError> {
         Ok(x.matmul(&self.w)?.add_row_broadcast(&self.b)?)
-    }
-
-    /// Forward pass over a borrowed row window — the batch-parallel
-    /// inference path hands row chunks straight to the GEMM without
-    /// copying them into an owned `Matrix` first.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `x.cols() != fan_in`.
-    pub fn forward_inference_view(&self, x: MatrixRef<'_, f64>) -> Result<Matrix, NnError> {
-        Ok(x.matmul(&self.w.view())?.add_row_broadcast(&self.b)?)
     }
 
     /// Backward pass: accumulates `dW`, `db` and returns `dL/dx`.

@@ -1,16 +1,7 @@
-use cnd_linalg::{Matrix, MatrixRef};
+use cnd_linalg::{matmul_packed_into, Matrix, MatrixRef, PackedB};
 use rand::Rng;
 
 use crate::{Activation, Linear, NnError, Optimizer};
-
-/// Fixed row-chunk size for batch-parallel inference. Boundaries never
-/// depend on the pool size, and every per-row output is computed by the
-/// same serial kernel sequence, so batched parallel inference is
-/// bit-identical to the serial pass.
-const FORWARD_CHUNK_ROWS: usize = 64;
-
-/// Minimum batch rows before inference fans out over the pool.
-const PAR_FORWARD_MIN_ROWS: usize = 128;
 
 /// One layer of a [`Sequential`] network.
 #[derive(Debug, Clone)]
@@ -165,57 +156,18 @@ impl Sequential {
 
     /// Forward pass without caching (inference mode, `&self`).
     ///
-    /// Large batches are split into fixed [`FORWARD_CHUNK_ROWS`]-row
-    /// chunks scored concurrently on the [`cnd_parallel::current`] pool
-    /// and restacked in order; every row passes through the identical
-    /// serial layer sequence, so the output is bit-identical to a fully
-    /// serial pass at any `CND_THREADS`.
+    /// Packs every weight once for this call ([`PackedSequential`]),
+    /// then gives each [`cnd_parallel::current`] pool thread one
+    /// contiguous row block to run through the whole layer stack.
+    /// Every row passes through the identical serial layer sequence,
+    /// so the output is bit-identical to a fully serial pass at any
+    /// `CND_THREADS`.
     ///
     /// # Panics
     ///
     /// Panics if an internal shape mismatch occurs.
     pub fn forward_inference(&self, x: &Matrix) -> Matrix {
-        let pool = cnd_parallel::current();
-        if x.rows() >= PAR_FORWARD_MIN_ROWS && pool.threads() > 1 {
-            let outs = pool.par_chunks(x.rows(), FORWARD_CHUNK_ROWS, |r| {
-                let xb = x.rows_view(r.start, r.end).expect("chunk bounds in range");
-                self.forward_inference_view(xb)
-            });
-            return Matrix::vstack_all(&outs).expect("chunks share column count");
-        }
-        self.forward_inference_view(x.view())
-    }
-
-    /// Inference over a borrowed row window. The first linear layer
-    /// multiplies the view directly (the packed GEMM absorbs the
-    /// borrow), so chunked batch inference never copies its input
-    /// chunk — the old path cloned every `FORWARD_CHUNK_ROWS`-row
-    /// slice before the first product.
-    fn forward_inference_view(&self, x: MatrixRef<'_, f64>) -> Matrix {
-        let mut h: Option<Matrix> = None;
-        for layer in &self.layers {
-            let next = match (layer, h.take()) {
-                (Layer::Linear(lin), Some(hm)) => lin
-                    .forward_inference(&hm)
-                    .expect("sequential: layer widths are inconsistent"),
-                (Layer::Linear(lin), None) => lin
-                    .forward_inference_view(x)
-                    .expect("sequential: layer widths are inconsistent"),
-                (Layer::Activation { act, .. }, Some(mut hm)) => {
-                    let a = *act;
-                    hm.map_inplace(move |v| a.apply(v));
-                    hm
-                }
-                (Layer::Activation { act, .. }, None) => {
-                    let a = *act;
-                    let mut hm = x.to_matrix();
-                    hm.map_inplace(move |v| a.apply(v));
-                    hm
-                }
-            };
-            h = Some(next);
-        }
-        h.unwrap_or_else(|| x.to_matrix())
+        PackedSequential::new(self).forward(x)
     }
 
     /// Backward pass: takes `dL/d_output`, returns `dL/d_input`,
@@ -308,6 +260,134 @@ impl Sequential {
                 _ => panic!("copy_params_from: layer kind mismatch"),
             }
         }
+    }
+}
+
+/// The inference path of a [`Sequential`], with every `Linear` weight
+/// packed once for the GEMM.
+///
+/// A frozen scorer builds one at load and reuses it for every batch;
+/// [`Sequential::forward_inference`] builds one per call. It holds no
+/// reference to the network, so later training of the source network
+/// does not reach it.
+#[derive(Debug, Clone)]
+pub struct PackedSequential {
+    layers: Vec<PackedLayer>,
+}
+
+#[derive(Debug, Clone)]
+enum PackedLayer {
+    Linear { w: PackedB, b: Vec<f64> },
+    Activation(Activation),
+}
+
+impl PackedSequential {
+    /// Packs the weights of `net`.
+    pub fn new(net: &Sequential) -> Self {
+        let layers = net
+            .layers
+            .iter()
+            .map(|l| match l {
+                Layer::Linear(lin) => PackedLayer::Linear {
+                    w: PackedB::pack(lin.weights().view()),
+                    b: lin.bias().to_vec(),
+                },
+                Layer::Activation { act, .. } => PackedLayer::Activation(*act),
+            })
+            .collect();
+        PackedSequential { layers }
+    }
+
+    /// Output width for inputs `in_cols` wide: the last linear layer's
+    /// fan-out, or `in_cols` for a network without one.
+    pub(crate) fn out_cols(&self, in_cols: usize) -> usize {
+        self.layers
+            .iter()
+            .rev()
+            .find_map(|l| match l {
+                PackedLayer::Linear { w, .. } => Some(w.cols()),
+                PackedLayer::Activation(_) => None,
+            })
+            .unwrap_or(in_cols)
+    }
+
+    /// Inference over a batch, one contiguous row block per pool thread
+    /// ([`cnd_parallel::ThreadPool::par_row_blocks`]), each tile of a
+    /// block through [`forward_rows`](Self::forward_rows).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the layer widths do not chain from `x.cols()`.
+    pub(crate) fn forward(&self, x: &Matrix) -> Matrix {
+        let cols = self.out_cols(x.cols());
+        let mut out = Matrix::zeros(x.rows(), cols);
+        cnd_parallel::current().par_row_blocks(
+            out.as_mut_slice(),
+            x.rows(),
+            |r, tile, (h, tmp): &mut (Vec<f64>, Vec<f64>)| {
+                self.forward_rows(x.view().rows_view(r.start, r.end), h, tmp);
+                tile.copy_from_slice(h);
+            },
+        );
+        out
+    }
+
+    /// Serial inference over the rows of `x`. The output lands in `h`,
+    /// row-major, as wide as the last linear layer; `h` and `tmp` are
+    /// the two buffers the layers alternate between, resized here, so a
+    /// caller running many tiles allocates them once. The first linear
+    /// layer reads `x` in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the layer widths do not chain from `x.cols()`.
+    pub fn forward_rows(&self, x: MatrixRef<'_, f64>, h: &mut Vec<f64>, tmp: &mut Vec<f64>) {
+        let rows = x.rows();
+        let mut width = x.cols();
+        // Until the first layer writes `h`, the running activation is `x`.
+        let mut in_x = true;
+        for layer in &self.layers {
+            match layer {
+                PackedLayer::Linear { w, b } => {
+                    tmp.resize(rows * w.cols(), 0.0);
+                    let input = if in_x {
+                        x
+                    } else {
+                        MatrixRef::from_slice(rows, width, h)
+                    };
+                    matmul_packed_into(input, w, tmp)
+                        .expect("sequential: layer widths are inconsistent");
+                    width = w.cols();
+                    for row in tmp.chunks_exact_mut(width) {
+                        for (v, &bias) in row.iter_mut().zip(b) {
+                            *v += bias;
+                        }
+                    }
+                    std::mem::swap(h, tmp);
+                }
+                PackedLayer::Activation(act) => {
+                    if in_x {
+                        copy_rows(x, h);
+                    }
+                    let a = *act;
+                    for v in h.iter_mut() {
+                        *v = a.apply(*v);
+                    }
+                }
+            }
+            in_x = false;
+        }
+        if in_x {
+            copy_rows(x, h);
+        }
+    }
+}
+
+/// Copies the rows of `x` into `out`, row-major.
+fn copy_rows(x: MatrixRef<'_, f64>, out: &mut Vec<f64>) {
+    out.clear();
+    for i in 0..x.rows() {
+        out.extend_from_slice(x.row(i));
     }
 }
 

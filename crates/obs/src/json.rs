@@ -113,9 +113,17 @@ pub fn write_f64(f: f64, out: &mut String) {
     }
 }
 
+/// Deepest array/object nesting [`parse_json`] accepts. The parser
+/// recurses once per level, so without a bound a hostile line of
+/// `[[[[…` would overflow the stack and abort the process; our own
+/// documents nest a handful of levels.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -145,8 +153,12 @@ impl Parser<'_> {
     fn parse_value(&mut self) -> Result<Json, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )),
+            Some(b'{') => self.nested(Self::parse_object),
+            Some(b'[') => self.nested(Self::parse_array),
             Some(b'"') => Ok(Json::Str(self.parse_string()?)),
             Some(b't') => self.parse_lit("true", Json::Bool(true)),
             Some(b'f') => self.parse_lit("false", Json::Bool(false)),
@@ -154,6 +166,14 @@ impl Parser<'_> {
             Some(b'-' | b'0'..=b'9') => self.parse_number(),
             other => Err(format!("unexpected {other:?} at byte {}", self.pos)),
         }
+    }
+
+    /// Runs one array/object parser one nesting level deeper.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn parse_lit(&mut self, lit: &str, v: Json) -> Result<Json, String> {
@@ -280,10 +300,16 @@ impl Parser<'_> {
 }
 
 /// Parses one JSON document from `s` (trailing whitespace allowed).
+///
+/// # Errors
+///
+/// Returns a message for malformed input, trailing data, or arrays and
+/// objects nested deeper than [`MAX_DEPTH`].
 pub fn parse_json(s: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.parse_value()?;
     p.skip_ws();
@@ -319,6 +345,20 @@ mod tests {
         assert!(parse_json("{\"a\":tru}").is_err());
         assert!(parse_json("[1,]").is_err());
         assert!(parse_json("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let hostile = "[".repeat(200_000);
+        let err = parse_json(&hostile).expect_err("rejected");
+        assert!(err.contains("nesting deeper"), "{err}");
+        let deep_obj = "{\"a\":".repeat(MAX_DEPTH + 1);
+        assert!(parse_json(&deep_obj).is_err());
+        // The limit itself still parses.
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse_json(&at_limit).is_ok());
+        let over = format!("[{at_limit}]");
+        assert!(parse_json(&over).is_err());
     }
 
     #[test]

@@ -30,6 +30,10 @@
 //!   [`par_map_rows`](ThreadPool::par_map_rows) assign fixed, caller-stated
 //!   chunk boundaries and collect results in chunk order — parallelism only
 //!   changes *which thread* computes a chunk, never what is computed.
+//! * [`par_row_blocks`](ThreadPool::par_row_blocks) gives each thread one
+//!   contiguous row block, so its split *does* follow the pool size; it
+//!   is for per-row kernels (inference, scoring), whose rows never read
+//!   each other, so any split computes the same bits.
 //! * [`par_reduce`](ThreadPool::par_reduce) combines per-chunk partials
 //!   with an **ordered tree reduction** whose shape depends only on the
 //!   chunk count, so floating-point accumulation order is a pure function
@@ -62,6 +66,17 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::{self, JoinHandle};
+
+/// Rows below which [`ThreadPool::par_row_blocks`] keeps a batch on the
+/// calling thread. The server's batches (at most 64 rows by default)
+/// stay under it and never wait on a pool worker.
+const ROW_BLOCK_MIN_ROWS: usize = 128;
+
+/// Rows [`ThreadPool::par_row_blocks`] hands its callback at a time
+/// inside a block. A tile of the CND-IDS scoring path (58 inputs, two
+/// 116-wide layer buffers) needs about 600 KiB of scratch, which stays
+/// in L2 and bounds each thread's scratch whatever the batch size.
+const ROW_TILE: usize = 256;
 
 /// A queued unit of work, lifetime-erased by [`Scope::spawn`].
 type Job = Box<dyn FnOnce() + Send + 'static>;
@@ -506,6 +521,59 @@ impl ThreadPool {
         self.par_chunks_mut(data, block_rows * cols, |off, block| f(off / cols, block));
     }
 
+    /// Splits a row-major buffer of `rows` rows into **one contiguous row
+    /// block per pool thread**. Each block walks its rows in tiles of at
+    /// most 256 rows (`ROW_TILE`), calling `f(row_range, tile, scratch)` with
+    /// `tile` those rows' slice of `data` and one `scratch` value per
+    /// block, reused by every tile of that block.
+    ///
+    /// Batches under 128 rows (`ROW_BLOCK_MIN_ROWS`), a serial pool, and a
+    /// call from inside a pool job run as one block on the calling
+    /// thread. The split depends on the pool size, so `f` must compute
+    /// every row independently of which rows share its tile; that is
+    /// what makes per-row kernels (inference, scoring) bit-identical at
+    /// every pool size.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data.len()` is not a multiple of `rows`.
+    pub fn par_row_blocks<T, S, F>(&self, data: &mut [T], rows: usize, f: F)
+    where
+        T: Send,
+        S: Default,
+        F: Fn(Range<usize>, &mut [T], &mut S) + Sync,
+    {
+        if rows == 0 {
+            return;
+        }
+        let cols = data.len() / rows;
+        assert_eq!(
+            data.len(),
+            rows * cols,
+            "par_row_blocks: buffer is not a whole number of rows"
+        );
+        let block = |r: Range<usize>, data: &mut [T]| {
+            let mut scratch = S::default();
+            for_each_row_range(data, r, cols, ROW_TILE, |r, tile| f(r, tile, &mut scratch));
+        };
+        if rows < ROW_BLOCK_MIN_ROWS || self.threads <= 1 || in_pool() {
+            block(0..rows, data);
+            return;
+        }
+        self.scope(|s| {
+            let block = &block;
+            for_each_row_range(
+                data,
+                0..rows,
+                cols,
+                rows.div_ceil(self.threads),
+                |r, data| {
+                    s.spawn(move || block(r, data));
+                },
+            );
+        });
+    }
+
     /// Maps fixed chunks of `0..len` with `map` and combines the partials
     /// with an **ordered tree reduction**: partials pair up left-to-right,
     /// level by level, so the combination order depends only on the chunk
@@ -517,6 +585,24 @@ impl ThreadPool {
         C: Fn(R, R) -> R,
     {
         tree_reduce(self.par_chunks(len, min_chunk, map), combine)
+    }
+}
+
+/// Cuts `data`, the row-major buffer of `rows`, into runs of at most
+/// `step` rows and calls `f(row_range, run)` on each in order.
+fn for_each_row_range<'a, T>(
+    data: &'a mut [T],
+    rows: Range<usize>,
+    cols: usize,
+    step: usize,
+    mut f: impl FnMut(Range<usize>, &'a mut [T]),
+) {
+    let mut rest = data;
+    for start in rows.clone().step_by(step) {
+        let end = (start + step).min(rows.end);
+        let (run, tail) = std::mem::take(&mut rest).split_at_mut((end - start) * cols);
+        rest = tail;
+        f(start..end, run);
     }
 }
 
@@ -632,6 +718,47 @@ mod tests {
             let pool = ThreadPool::new(threads);
             let got = pool.par_chunks(10, 3, |r| (r.start, r.end));
             assert_eq!(got, vec![(0, 3), (3, 6), (6, 9), (9, 10)], "t={threads}");
+        }
+    }
+
+    #[test]
+    fn par_row_blocks_gives_each_thread_one_block_walked_in_tiles() {
+        /// Scratch that remembers where its block's previous tile ended.
+        #[derive(Default)]
+        struct Cursor(Option<usize>);
+        for threads in [1, 2, 3, 4, 7] {
+            let pool = ThreadPool::new(threads);
+            for rows in [0, 1, 127, 128, 129, 1000, 2 * ROW_TILE + 1] {
+                let mut data = vec![usize::MAX; rows * 2];
+                let tiles = Mutex::new(Vec::new());
+                pool.par_row_blocks(&mut data, rows, |r, tile, cursor: &mut Cursor| {
+                    assert!(r.len() <= ROW_TILE && !r.is_empty());
+                    assert_eq!(tile.len(), r.len() * 2);
+                    for (i, row) in tile.chunks_mut(2).enumerate() {
+                        row.fill(r.start + i);
+                    }
+                    // A fresh scratch value marks the start of a block.
+                    let block_start = cursor.0.is_none();
+                    if let Some(end) = cursor.0 {
+                        assert_eq!(end, r.start, "a block's tiles are contiguous");
+                    }
+                    cursor.0 = Some(r.end);
+                    tiles.lock().unwrap().push((r, block_start));
+                });
+                let mut tiles = tiles.into_inner().unwrap();
+                tiles.sort_by_key(|(r, _)| r.start);
+                let blocks = tiles.iter().filter(|(_, first)| *first).count();
+                let want = if rows < ROW_BLOCK_MIN_ROWS {
+                    1
+                } else {
+                    threads
+                };
+                assert_eq!(blocks, want.min(rows), "t={threads} rows={rows}");
+                let covered: Vec<usize> = tiles.iter().flat_map(|(r, _)| r.clone()).collect();
+                assert_eq!(covered, (0..rows).collect::<Vec<_>>());
+                let written: Vec<usize> = data.chunks(2).map(|row| row[0]).collect();
+                assert_eq!(written, (0..rows).collect::<Vec<_>>());
+            }
         }
     }
 

@@ -621,7 +621,7 @@ enum State {
     Probation {
         version: u32,
         tau: f64,
-        candidate: DeployedScorer,
+        candidate: Box<DeployedScorer>,
         prev_model: Box<CndIds>,
         scores: Vec<f64>,
         nonfinite: u64,
@@ -934,7 +934,7 @@ impl ContinualController {
                         &mut events,
                     );
                 } else {
-                    self.known_good.record(version, candidate);
+                    self.known_good.record(version, *candidate);
                     self.stats.probation_passes += 1;
                     self.stats.consecutive_failures = 0;
                     self.samples_until_retry = 0;
@@ -1251,7 +1251,7 @@ impl ContinualController {
                 self.state = State::Probation {
                     version,
                     tau: report.probation_tau,
-                    candidate,
+                    candidate: Box::new(candidate),
                     prev_model: Box::new(prev_model),
                     scores: Vec::new(),
                     nonfinite: 0,
@@ -1267,7 +1267,7 @@ impl ContinualController {
         server: &Server,
         version: u32,
         tau: f64,
-        candidate: DeployedScorer,
+        candidate: Box<DeployedScorer>,
         prev_model: Box<CndIds>,
         scores: Vec<f64>,
         nonfinite: u64,

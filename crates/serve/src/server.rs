@@ -29,7 +29,7 @@
 //!   the whole drain: an admitted request always gets its reply.
 
 use std::io::{self, BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -50,8 +50,11 @@ use crate::telemetry::{
 };
 use crate::ServeError;
 
-/// Idle poll interval for reader socket reads and the acceptor.
+/// Idle poll interval for reader socket reads.
 const POLL: Duration = Duration::from_millis(25);
+/// How long shutdown waits to connect to its own listener, the
+/// connection that wakes the acceptor out of its blocking `accept`.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 /// Once a frame has started arriving, allow this long for the rest.
 const FRAME_TIMEOUT: Duration = Duration::from_secs(2);
 /// Bytes a reader buffers from its socket; the complete frames in this
@@ -199,7 +202,7 @@ struct Shared {
 
 impl Shared {
     fn stopping(&self) -> bool {
-        self.stop.load(Ordering::Relaxed)
+        self.stop.load(Ordering::SeqCst)
     }
 }
 
@@ -231,7 +234,6 @@ impl Server {
         cfg.validate()?;
         let registry = ModelRegistry::open(model_path)?;
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
 
         // Pre-register the admission counters so a Prometheus scrape
@@ -354,9 +356,17 @@ impl Server {
         // once the readers are joined every admitted request has had
         // its reply. The acceptor goes first: after it is joined no new
         // reader can appear in `conn_threads`.
-        self.shared.stop.store(true, Ordering::Relaxed);
+        // SeqCst pairs with `stopping`: the acceptor reads the flag right
+        // after the wake connection below lands and must see it set.
+        self.shared.stop.store(true, Ordering::SeqCst);
         if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
+            // The acceptor blocks in `accept`: one connection to our own
+            // address wakes it to see the flag. Should that connect
+            // fail, the acceptor is left detached rather than joined; it
+            // exits at the next connection it accepts, without serving it.
+            if TcpStream::connect_timeout(&wake_addr(self.addr), WAKE_TIMEOUT).is_ok() {
+                let _ = h.join();
+            }
         }
         if let Some(h) = self.watcher.take() {
             let _ = h.join();
@@ -387,8 +397,11 @@ fn accept_loop(
     shared: Arc<Shared>,
     conn_threads: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
 ) {
-    while !shared.stopping() {
+    loop {
         match listener.accept() {
+            // The connection that wakes a shutdown, or one that raced
+            // it: either way, no new reader.
+            Ok(_) if shared.stopping() => break,
             Ok((conn, _)) => {
                 let shared = Arc::clone(&shared);
                 let spawned = std::thread::Builder::new()
@@ -411,10 +424,26 @@ fn accept_loop(
                         .push(h);
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(POLL),
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::Interrupted | io::ErrorKind::ConnectionAborted
+                ) => {}
             Err(_) => break,
         }
     }
+}
+
+/// The address shutdown connects to: the bound address, with an
+/// unspecified IP (`0.0.0.0`, `::`) replaced by loopback.
+fn wake_addr(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
 }
 
 /// Wait-free telemetry push; a `None` ring (telemetry off) is a no-op.
@@ -880,6 +909,42 @@ mod tests {
             }
         }
         drop(server);
+    }
+
+    #[test]
+    fn shutdown_wakes_the_blocking_acceptor() {
+        assert_eq!(
+            wake_addr("0.0.0.0:7178".parse().unwrap()),
+            "127.0.0.1:7178".parse().unwrap()
+        );
+        assert_eq!(
+            wake_addr("[::]:7178".parse().unwrap()),
+            "[::1]:7178".parse().unwrap()
+        );
+        assert_eq!(
+            wake_addr("10.1.2.3:7178".parse().unwrap()),
+            "10.1.2.3:7178".parse().unwrap()
+        );
+        // Bound to every interface, served, then shut down: the wake
+        // connection reaches the acceptor through loopback.
+        let scorer = trained_scorer(3);
+        let artifact = TempArtifact::new("server_wake", &scorer);
+        let server =
+            Server::start(artifact.path(), "0.0.0.0:0", ServeConfig::default()).expect("starts");
+        let mut c = ServeClient::connect(wake_addr(server.local_addr())).expect("connect");
+        assert!(matches!(
+            c.score(&[0.5; 6]).expect("scored"),
+            Reply::Score { .. }
+        ));
+        drop(c);
+        let t = Instant::now();
+        let stats = server.shutdown();
+        assert_eq!((stats.accepted, stats.scored), (1, 1));
+        assert!(
+            t.elapsed() < WAKE_TIMEOUT,
+            "shutdown waited {:?}",
+            t.elapsed()
+        );
     }
 
     #[test]

@@ -2,12 +2,18 @@
 //!
 //! The `cnd-parallel` pool promises that, in deterministic mode (the
 //! default), every parallelized kernel is **bit-identical** to its
-//! serial execution at any thread count: chunk boundaries are fixed
-//! (never derived from the pool size) and reductions combine partials
-//! with an ordered tree. These tests pin that guarantee across thread
-//! counts {1, 2, 4, 7} and adversarial shapes (empty, 1×N, N×1,
-//! non-multiples of the blocking factors).
+//! serial execution at any thread count. Reductions use fixed chunk
+//! boundaries (never derived from the pool size) and combine partials
+//! with an ordered tree; per-row kernels (GEMM, inference, PCA-FRE
+//! scoring) split rows into one block per thread, which is exact
+//! because no row's result depends on its neighbours. These tests pin
+//! that guarantee across thread counts {1, 2, 4, 7} ({1, 2, 3, 4, 7}
+//! for the deployed scorer) and adversarial shapes (empty, 1×N, N×1,
+//! non-multiples of the blocking factors, blocks straddling the
+//! parallel cut-off).
 
+use cnd_ids::core::deploy::DeployedScorer;
+use cnd_ids::core::{CndIds, CndIdsConfig};
 use cnd_ids::linalg::Matrix;
 use cnd_ids::ml::pca::{ComponentSelection, Pca};
 use cnd_ids::ml::KMeans;
@@ -167,9 +173,72 @@ fn matmul_adversarial_shapes_match_naive_at_every_thread_count() {
     }
 }
 
+/// Features of the synthetic flows the deployed-scorer test trains on.
+const FLOW_DIM: usize = 10;
+
+/// A flow matrix with a normal bulk and a shifted anomalous tail.
+fn flows(rows: usize, offset: usize) -> Matrix {
+    Matrix::from_fn(rows, FLOW_DIM, |i, j| {
+        let i = i + offset;
+        let base = ((i * 7 + j * 3) % 13) as f64 * 0.1 + ((i * j) as f64 * 0.37).sin() * 0.05;
+        if i.is_multiple_of(9) {
+            base + 2.5
+        } else {
+            base
+        }
+    })
+}
+
+#[test]
+fn deployed_scorer_bit_identical_across_pool_sizes_batches_and_reload() {
+    let mut model = CndIds::new(CndIdsConfig::fast(4), &flows(60, 0)).expect("builds");
+    model.train_experience(&flows(400, 100)).expect("trains");
+    let frozen = DeployedScorer::from_model(&model).expect("trained");
+    let mut artifact = Vec::new();
+    frozen.save(&mut artifact).expect("saves");
+    let reloaded = DeployedScorer::load(artifact.as_slice()).expect("loads");
+
+    // Batch sizes around the 128-row parallel cut-off and a large batch
+    // whose row blocks are uneven at 3 and 7 threads.
+    let x = flows(8193, 1000);
+    let batches = [0, 1, 63, 64, 127, 128, 129, 8193];
+    let reference: Vec<Vec<u64>> = {
+        let pool = ThreadPool::new(1);
+        pool.install(|| {
+            batches
+                .iter()
+                .map(|&n| {
+                    let xb = x.slice_rows(0, n).expect("rows in range");
+                    slice_bits(&frozen.anomaly_scores(&xb).expect("scores"))
+                })
+                .collect()
+        })
+    };
+    // The live model scores through `Sequential::forward_inference` and
+    // `Pca::reconstruction_errors`; the frozen scorer must match it.
+    let xb = x.slice_rows(0, 129).expect("rows in range");
+    assert_eq!(
+        slice_bits(&model.anomaly_scores(&xb).expect("scores")),
+        reference[6],
+        "frozen scorer diverged from the live model"
+    );
+    for t in [1, 2, 3, 4, 7] {
+        let pool = ThreadPool::new(t);
+        pool.install(|| {
+            for (&n, want) in batches.iter().zip(&reference) {
+                let xb = x.slice_rows(0, n).expect("rows in range");
+                for (name, scorer) in [("from_model", &frozen), ("save->load", &reloaded)] {
+                    let got = slice_bits(&scorer.anomaly_scores(&xb).expect("scores"));
+                    assert_eq!(&got, want, "{name}: {n} rows diverged at {t} threads");
+                }
+            }
+        });
+    }
+}
+
 #[test]
 fn pca_scoring_spans_many_chunks_bit_identically() {
-    // 1000 rows = four 256-row chunks, the last one partial.
+    // 1000 rows: uneven row blocks at 7 threads.
     let x = Matrix::from_fn(1000, 16, |i, j| ((i * 29 + j * 3) % 31) as f64 / 31.0);
     let pca = Pca::fit(&x, ComponentSelection::Fixed(8)).expect("fits");
     assert_pool_invariant(
