@@ -7,12 +7,14 @@
 //! L_CND = L_CS + λ_R · L_R + λ_CL · L_CL
 //! ```
 //!
-//! * **`L_CS` — cluster separation.** K-Means (elbow-selected `K`) is
-//!   fitted to the raw `X_train`; every cluster containing at least one
-//!   point of the clean normal subset `N_c` forms the "normal" cluster
-//!   set `CL_N`. Points in `CL_N` clusters get pseudo-label `0`, all
-//!   others `1`, and a squared-Euclidean triplet margin loss pushes the
-//!   two pseudo-classes apart in embedding space.
+//! * **`L_CS` — cluster separation.** K-Means is fitted to the raw
+//!   `X_train` with `K = min(max_k, round(√n))` (the paper selects `K`
+//!   by the elbow method; DESIGN.md §4 says why this code does not).
+//!   Every cluster containing at least one point of the clean normal
+//!   subset `N_c` forms the "normal" cluster set `CL_N`. Points in `CL_N`
+//!   clusters get pseudo-label `0`, all others `1`, and a
+//!   squared-Euclidean triplet margin loss pushes the two pseudo-classes
+//!   apart in embedding space.
 //! * **`L_R` — reconstruction.** MSE between the decoder output and the
 //!   input, keeping the embedding information-rich so PCA generalizes
 //!   across experiences.
@@ -25,7 +27,7 @@
 //! before a single encoder backward pass.
 
 use cnd_linalg::Matrix;
-use cnd_ml::{kmeans, KMeans};
+use cnd_ml::KMeans;
 use cnd_nn::{loss, Activation, Adam, Sequential};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -113,7 +115,8 @@ pub struct CfeConfig {
     pub lambda_cl: f64,
     /// Triplet margin `m` (paper: 2, "after careful experimentation").
     pub margin: f64,
-    /// Upper bound of the elbow search for the pseudo-label K-Means.
+    /// Cap on the pseudo-label K-Means' cluster count, which is
+    /// otherwise `round(√n)` for `n` training rows. Must be at least 2.
     pub max_k: usize,
     /// Active loss terms.
     pub losses: LossConfig,
@@ -196,7 +199,7 @@ impl CfeConfig {
         if self.max_k < 2 {
             return Err(CoreError::InvalidConfig {
                 name: "max_k",
-                constraint: "elbow search needs max_k >= 2",
+                constraint: "pseudo-label K cap needs max_k >= 2",
             });
         }
         if !(0.0..=1.0).contains(&self.replay_fraction) {
@@ -218,7 +221,8 @@ impl CfeConfig {
 /// Diagnostics returned by one experience of CFE training.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrainStats {
-    /// Elbow-selected number of K-Means clusters.
+    /// Pseudo-label K-Means cluster count, `min(max_k, round(√n))`
+    /// (at least 1); `0` when `L_CS` is off and no clustering ran.
     pub k_selected: usize,
     /// Fraction of training points pseudo-labelled anomalous.
     pub pseudo_anomalous_fraction: f64,
@@ -331,7 +335,8 @@ impl ContinualFeatureExtractor {
     }
 
     /// Computes the paper's pseudo-labels for `x_train` given `n_c`
-    /// (Section III-C steps 1–4).
+    /// (Section III-C steps 1–4), clustering with one K-Means fit at
+    /// K = min(`max_k`, round(√rows)), at least 1. Returns the labels and K.
     ///
     /// # Errors
     ///
@@ -342,15 +347,11 @@ impl ContinualFeatureExtractor {
         n_c: &Matrix,
     ) -> Result<(Vec<u8>, usize), CoreError> {
         let _span = cnd_obs::span!("cfe.pseudo_labels", rows = x_train.rows());
-        let upper = self.config.max_k.min(x_train.rows());
-        let elbow_k = kmeans::select_k_elbow(x_train, 1..=upper, 60, &mut self.rng)?;
-        // The geometric elbow under-selects K on smooth inertia curves
-        // (overlapping attack clusters), which collapses the pseudo-labels
-        // to all-normal. Flooring K at the classic sqrt(n) heuristic keeps
-        // cluster granularity near attack-class granularity; see
-        // DESIGN.md §4.
-        let sqrt_floor = ((x_train.rows() as f64).sqrt().round() as usize).min(upper);
-        let k = elbow_k.max(sqrt_floor).max(1);
+        // K = round(sqrt(n)), capped at max_k: cluster granularity near
+        // attack-class granularity without an elbow search (DESIGN.md §4).
+        // round(sqrt(n)) <= n for n >= 1, so K never exceeds the rows; an
+        // empty x_train reaches K-Means with K = 1 and gets its typed error.
+        let k = ((x_train.rows() as f64).sqrt().round() as usize).clamp(1, self.config.max_k);
         let km = KMeans::fit(x_train, k, 100, &mut self.rng)?;
         let train_clusters = km.predict(x_train)?;
         let nc_clusters = km.predict(n_c)?;
@@ -620,6 +621,33 @@ mod tests {
         let attack_anom: usize = labels[200..].iter().map(|&l| l as usize).sum();
         assert!(normal_anom < 40, "normal mislabeled: {normal_anom}/200");
         assert!(attack_anom > 80, "attack mislabeled: {attack_anom}/100");
+    }
+
+    #[test]
+    fn pseudo_label_k_is_sqrt_n_capped_at_max_k() {
+        // (n, max_k, K = min(max_k, n, max(1, round(√n)))). round(√n)
+        // first reaches the cap at n = 381 for max_k 20 and n = 553 for 24.
+        let cases = [
+            (1, 20, 1),
+            (2, 20, 1),
+            (5, 20, 2),
+            (100, 20, 10),
+            (380, 20, 19),
+            (381, 20, 20),
+            (1500, 20, 20),
+            (552, 24, 23),
+            (553, 24, 24),
+        ];
+        for (n, max_k, expected) in cases {
+            let x = Matrix::from_fn(n, 3, |i, j| ((i * 31 + j * 17) % 101) as f64);
+            let n_c = Matrix::from_fn(1, 3, |_, j| j as f64);
+            let mut cfg = CfeConfig::fast(4);
+            cfg.max_k = max_k;
+            let mut cfe = ContinualFeatureExtractor::new(3, cfg).unwrap();
+            let (labels, k) = cfe.pseudo_labels(&x, &n_c).unwrap();
+            assert_eq!(k, expected, "n = {n}, max_k = {max_k}");
+            assert_eq!(labels.len(), n);
+        }
     }
 
     /// Latent-FRE contrast: mean attack score / mean normal score when a

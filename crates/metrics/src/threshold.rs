@@ -1,4 +1,4 @@
-//! Best-F threshold selection (Su et al., KDD 2019 — the paper's [24]).
+//! Best-F threshold selection (Su et al., KDD 2019 — the paper's \[24\]).
 //!
 //! CND-IDS converts anomaly scores into attack/normal decisions with a
 //! threshold `τ` chosen to maximize F1 on the evaluation scores. The

@@ -5,7 +5,8 @@
 //! `X_train` and checking which clusters contain points of the clean
 //! normal subset `N_c` (paper Section III-C). The paper selects `K` with
 //! the elbow method (Section IV-A); [`select_k_elbow`] implements the
-//! standard distance-to-chord knee detector over the inertia curve.
+//! standard distance-to-chord knee detector over the inertia curve. The
+//! ADCN baseline uses it; the CFE fixes `K = min(max_k, round(√n))`.
 
 use cnd_linalg::{stats, vector, Matrix};
 use rand::Rng;

@@ -4,7 +4,9 @@
 //!
 //! * [`KMeans`] — Lloyd's algorithm with k-means++ seeding, plus the
 //!   *elbow method* ([`kmeans::select_k_elbow`]) the paper uses to choose
-//!   the number of clusters for pseudo-labelling (Section IV-A).
+//!   the number of clusters (Section IV-A). The ADCN baseline selects its
+//!   latent K with it; the CFE's pseudo-labelling uses `round(√n)`
+//!   instead (DESIGN.md §1).
 //! * [`Pca`] — principal component analysis with the explained-variance
 //!   component-selection rule (the paper keeps 95% of variance) and the
 //!   feature-reconstruction-error (FRE) anomaly score of Section III-D.

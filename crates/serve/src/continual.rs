@@ -51,7 +51,7 @@
 //!   `DeployedScorer`'s bit-exact text round-trip makes the restored
 //!   model score identically to the original.
 //! * **Fault injection.** The controller accepts a
-//!   [`FaultInjector`](cnd_core::resilience::FaultInjector) whose
+//!   [`FaultInjector`] whose
 //!   training/artifact/flow faults exercise every failure edge above
 //!   deterministically.
 //!

@@ -71,7 +71,8 @@ pub struct ServeConfig {
     pub queue_cap: usize,
     /// Explicit alert threshold τ. When `None` the server calibrates a
     /// per-model-version τ from the first [`calibrate`](Self::calibrate)
-    /// served scores via [`quantile_threshold`].
+    /// served scores via
+    /// [`quantile_threshold`](cnd_metrics::threshold::quantile_threshold).
     pub threshold: Option<f64>,
     /// Calibration quantile (used when `threshold` is `None`).
     pub quantile: f64,
