@@ -228,6 +228,18 @@ impl UclBaseline {
             .as_ref()
             .map(|c| c.kmeans.centroids().clone());
 
+        // The previous snapshot's output for every row, computed once per
+        // experience (per-row exact, so minibatch rows of it are the bits
+        // a per-minibatch forward would give): ADCN's latents, LwF's
+        // reconstructions.
+        let past_targets = self.past.as_ref().map(|(enc, dec)| {
+            let h = enc.forward_inference(&xs);
+            match self.method {
+                UclMethod::Adcn => h,
+                UclMethod::Lwf => dec.forward_inference(&h),
+            }
+        });
+
         let n = xs.rows();
         let mut order: Vec<usize> = (0..n).collect();
         for _epoch in 0..self.config.epochs {
@@ -237,7 +249,11 @@ impl UclBaseline {
             }
             for chunk in order.chunks(self.config.batch_size) {
                 let xb = xs.select_rows(chunk)?;
-                self.train_batch(&xb, prev_centroids.as_ref())?;
+                let past_b = past_targets
+                    .as_ref()
+                    .map(|t| t.select_rows(chunk))
+                    .transpose()?;
+                self.train_batch(&xb, past_b.as_ref(), prev_centroids.as_ref())?;
             }
         }
 
@@ -297,9 +313,12 @@ impl UclBaseline {
         Ok(())
     }
 
+    /// One optimization step on a mini-batch; `past` holds the previous
+    /// snapshot's output for its rows (absent in the first experience).
     fn train_batch(
         &mut self,
         xb: &Matrix,
+        past: Option<&Matrix>,
         prev_centroids: Option<&Matrix>,
     ) -> Result<(), CoreError> {
         self.encoder.zero_grad();
@@ -314,9 +333,8 @@ impl UclBaseline {
         match self.method {
             UclMethod::Adcn => {
                 // Latent regularization toward the previous encoder.
-                if let Some((past_enc, _)) = &self.past {
-                    let h_past = past_enc.forward_inference(xb);
-                    let (_l, g) = loss::mse(&h, &h_past)?;
+                if let Some(h_past) = past {
+                    let (_l, g) = loss::mse(&h, h_past)?;
                     d_h = d_h.add(&g.scale(self.config.lambda_cl))?;
                 }
                 // Pull-to-centroid clustering loss.
@@ -333,9 +351,8 @@ impl UclBaseline {
             }
             UclMethod::Lwf => {
                 // Distill the previous model's reconstruction.
-                if let Some((past_enc, past_dec)) = &self.past {
-                    let old_recon = past_dec.forward_inference(&past_enc.forward_inference(xb));
-                    let (_l, g) = loss::mse(&x_hat, &old_recon)?;
+                if let Some(old_recon) = past {
+                    let (_l, g) = loss::mse(&x_hat, old_recon)?;
                     // This gradient enters at the decoder output.
                     let extra_d_h = {
                         // Fresh backward through a cloned decoder to avoid

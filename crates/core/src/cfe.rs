@@ -26,6 +26,8 @@
 //! All three gradient streams meet at the encoder output and are summed
 //! before a single encoder backward pass.
 
+use std::borrow::Cow;
+
 use cnd_linalg::Matrix;
 use cnd_ml::KMeans;
 use cnd_nn::{loss, Activation, Adam, Sequential};
@@ -392,7 +394,7 @@ impl ContinualFeatureExtractor {
         }
         // Replay extension: augment the stream with reservoir rows.
         let x_train = self.augment_with_replay(x_train)?;
-        let x_train = &x_train;
+        let x_train: &Matrix = &x_train;
         let (pseudo, k_selected) = if self.config.losses.cluster_separation {
             self.pseudo_labels(x_train, n_c)?
         } else {
@@ -400,6 +402,16 @@ impl ContinualFeatureExtractor {
         };
         let pseudo_anomalous_fraction =
             pseudo.iter().filter(|&&l| l != 0).count() as f64 / pseudo.len().max(1) as f64;
+
+        // Each frozen snapshot's latents for every row, encoded once per
+        // experience: `forward_inference` is per-row exact, so a
+        // minibatch's rows of these are the bits a per-minibatch forward
+        // would give. `e · n · latent · 8` bytes, freed on return.
+        let past_latents: Vec<Matrix> = self
+            .past_encoders
+            .iter()
+            .map(|past| past.forward_inference(x_train))
+            .collect();
 
         let n = x_train.rows();
         let mut order: Vec<usize> = (0..n).collect();
@@ -417,7 +429,11 @@ impl ContinualFeatureExtractor {
             for chunk in order.chunks(self.config.batch_size) {
                 let xb = x_train.select_rows(chunk)?;
                 let yb: Vec<u8> = chunk.iter().map(|&i| pseudo[i]).collect();
-                let (cs, rec, cl) = self.train_batch(&xb, &yb)?;
+                let past_b = past_latents
+                    .iter()
+                    .map(|h| h.select_rows(chunk))
+                    .collect::<Result<Vec<_>, _>>()?;
+                let (cs, rec, cl) = self.train_batch(&xb, &yb, &past_b)?;
                 sums.0 += cs;
                 sums.1 += rec;
                 sums.2 += cl;
@@ -481,15 +497,18 @@ impl ContinualFeatureExtractor {
     }
 
     /// Returns `x_train` augmented with sampled reservoir rows when the
-    /// replay extension is active, otherwise a plain copy.
-    fn augment_with_replay(&mut self, x_train: &Matrix) -> Result<Matrix, CoreError> {
+    /// replay extension is active, otherwise `x_train` itself.
+    fn augment_with_replay<'a>(
+        &mut self,
+        x_train: &'a Matrix,
+    ) -> Result<Cow<'a, Matrix>, CoreError> {
         if self.config.replay_fraction <= 0.0 || self.reservoir.is_empty() {
-            return Ok(x_train.clone());
+            return Ok(Cow::Borrowed(x_train));
         }
         let want = ((x_train.rows() as f64) * self.config.replay_fraction).round() as usize;
         let want = want.min(self.reservoir.len());
         if want == 0 {
-            return Ok(x_train.clone());
+            return Ok(Cow::Borrowed(x_train));
         }
         let mut rows: Vec<Vec<f64>> = Vec::with_capacity(x_train.rows() + want);
         for r in x_train.iter_rows() {
@@ -499,7 +518,7 @@ impl ContinualFeatureExtractor {
             let i = self.rng.gen_range(0..self.reservoir.len());
             rows.push(self.reservoir[i].clone());
         }
-        Ok(Matrix::from_rows(&rows)?)
+        Ok(Cow::Owned(Matrix::from_rows(&rows)?))
     }
 
     /// Reservoir-samples the just-trained stream into the replay buffer.
@@ -522,9 +541,15 @@ impl ContinualFeatureExtractor {
         }
     }
 
-    /// One optimization step on a mini-batch; returns the three loss
-    /// values `(L_CS, L_R, L_CL)` before weighting.
-    fn train_batch(&mut self, xb: &Matrix, yb: &[u8]) -> Result<(f64, f64, f64), CoreError> {
+    /// One optimization step on a mini-batch, given each snapshot's
+    /// latents for its rows; returns the three loss values
+    /// `(L_CS, L_R, L_CL)` before weighting.
+    fn train_batch(
+        &mut self,
+        xb: &Matrix,
+        yb: &[u8],
+        past_latents: &[Matrix],
+    ) -> Result<(f64, f64, f64), CoreError> {
         let cfg = self.config;
         self.encoder.zero_grad();
         self.decoder.zero_grad();
@@ -549,14 +574,11 @@ impl ContinualFeatureExtractor {
             d_h = d_h.add(&d_from_decoder)?;
         }
 
-        if cfg.losses.continual && !self.past_encoders.is_empty() {
-            let scale = cfg.lambda_cl;
-            for past in &self.past_encoders {
-                let h_past = past.forward_inference(xb);
-                let (l, g) = loss::mse(&h, &h_past)?;
-                l_cl += l;
-                d_h = d_h.add(&g.scale(scale))?;
-            }
+        // Empty unless `L_CL` is on: snapshots are taken only then.
+        for h_past in past_latents {
+            let (l, g) = loss::mse(&h, h_past)?;
+            l_cl += l;
+            d_h = d_h.add(&g.scale(cfg.lambda_cl))?;
         }
 
         self.encoder.backward(&d_h)?;
@@ -814,6 +836,37 @@ mod tests {
         let mut cfg = CfeConfig::fast(0);
         cfg.replay_fraction = 1.5;
         assert!(ContinualFeatureExtractor::new(8, cfg).is_err());
+    }
+
+    /// FNV-1a over the bit patterns of every encoder weight and bias.
+    fn encoder_digest(cfe: &ContinualFeatureExtractor) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+        for lin in cfe.encoder().linear_layers() {
+            for v in lin.weights().iter().chain(lin.bias()) {
+                for byte in v.to_bits().to_le_bytes() {
+                    hash ^= u64::from(byte);
+                    hash = hash.wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+        }
+        hash
+    }
+
+    #[test]
+    fn three_experiences_reach_golden_encoder_bits() {
+        // Three experiences with L_CL on: the second trains against one
+        // snapshot, the third against two, and 210 rows leave a partial
+        // last minibatch. The digest pins every bit of the training path
+        // (forward, backward, snapshot latents, Adam); a change meant to
+        // be exact must keep it at any CND_THREADS and GEMM arm.
+        let (x, n_c) = toy_stream(150, 60, 6.0);
+        let mut cfe = ContinualFeatureExtractor::new(8, CfeConfig::fast(11)).unwrap();
+        for e in 0..3 {
+            let xe = x.map(|v| v + 0.3 * e as f64);
+            cfe.train_experience(&xe, &n_c).unwrap();
+        }
+        assert_eq!(cfe.past_encoders.len(), 3);
+        assert_eq!(encoder_digest(&cfe), 0x26b2_a830_785d_7dfb);
     }
 
     #[test]

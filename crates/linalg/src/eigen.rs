@@ -84,13 +84,15 @@ pub fn symmetric_eigen(a: &Matrix, tol: f64) -> Result<SymmetricEigen, LinalgErr
             m[(j, i)] = avg;
         }
     }
-    let mut v = Matrix::identity(n);
+    // Rows of `vt` are the eigenvector estimates: `Vᵀ`, so every
+    // rotation updates two contiguous rows.
+    let mut vt = Matrix::identity(n);
 
     let eps = 1e-14 * scale;
     for _sweep in 0..MAX_SWEEPS {
         let off = off_diagonal_norm(&m);
         if off <= eps * n as f64 {
-            return Ok(sort_descending(m, v));
+            return Ok(sort_descending(m, vt));
         }
         for p in 0..n {
             for q in (p + 1)..n {
@@ -110,13 +112,14 @@ pub fn symmetric_eigen(a: &Matrix, tol: f64) -> Result<SymmetricEigen, LinalgErr
                 let c = 1.0 / (1.0 + t * t).sqrt();
                 let s = t * c;
                 apply_rotation(&mut m, p, q, c, s);
-                rotate_columns(&mut v, p, q, c, s);
+                let (rp, rq) = two_rows(&mut vt, p, q);
+                rotate_pair(rp, rq, c, s);
             }
         }
     }
     // Final convergence check after the last sweep.
     if off_diagonal_norm(&m) <= eps * n as f64 * 10.0 {
-        return Ok(sort_descending(m, v));
+        return Ok(sort_descending(m, vt));
     }
     Err(LinalgError::NoConvergence {
         op: "symmetric_eigen",
@@ -136,41 +139,50 @@ fn off_diagonal_norm(m: &Matrix) -> f64 {
     acc.sqrt()
 }
 
+/// Rows `p < q` of `m`, both mutable.
+fn two_rows(m: &mut Matrix, p: usize, q: usize) -> (&mut [f64], &mut [f64]) {
+    let n = m.cols();
+    let (head, tail) = m.as_mut_slice().split_at_mut(q * n);
+    (&mut head[p * n..(p + 1) * n], &mut tail[..n])
+}
+
+/// Rotates the pair `(x, y)` elementwise: `x ← c·x − s·y`,
+/// `y ← s·x + c·y`.
+fn rotate_pair(x: &mut [f64], y: &mut [f64], c: f64, s: f64) {
+    for (xk, yk) in x.iter_mut().zip(y.iter_mut()) {
+        let (a, b) = (*xk, *yk);
+        *xk = c * a - s * b;
+        *yk = s * a + c * b;
+    }
+}
+
 /// Applies the two-sided Jacobi rotation J(p,q,θ)ᵀ M J(p,q,θ) in place.
+///
+/// `M` is exactly symmetric (every write is mirrored), so column `p` is
+/// row `p`: the rotation runs over the two contiguous rows, then copies
+/// them into the two columns. Entries `(p,p)`, `(q,q)` and `(p,q)` are
+/// set afterwards from the values read before, as the rotation of the
+/// other entries never reads them.
 fn apply_rotation(m: &mut Matrix, p: usize, q: usize, c: f64, s: f64) {
     let n = m.rows();
     let app = m[(p, p)];
     let aqq = m[(q, q)];
     let apq = m[(p, q)];
-    m[(p, p)] = c * c * app - 2.0 * s * c * apq + s * s * aqq;
-    m[(q, q)] = s * s * app + 2.0 * s * c * apq + c * c * aqq;
-    m[(p, q)] = 0.0;
-    m[(q, p)] = 0.0;
+    let (rp, rq) = two_rows(m, p, q);
+    rotate_pair(rp, rq, c, s);
+    rp[p] = c * c * app - 2.0 * s * c * apq + s * s * aqq;
+    rq[q] = s * s * app + 2.0 * s * c * apq + c * c * aqq;
+    rp[q] = 0.0;
+    rq[p] = 0.0;
     for k in 0..n {
-        if k != p && k != q {
-            let akp = m[(k, p)];
-            let akq = m[(k, q)];
-            m[(k, p)] = c * akp - s * akq;
-            m[(p, k)] = m[(k, p)];
-            m[(k, q)] = s * akp + c * akq;
-            m[(q, k)] = m[(k, q)];
-        }
+        m[(k, p)] = m[(p, k)];
+        m[(k, q)] = m[(q, k)];
     }
 }
 
-/// Post-multiplies `v` by the rotation (updates the eigenvector estimate).
-fn rotate_columns(v: &mut Matrix, p: usize, q: usize, c: f64, s: f64) {
-    let n = v.rows();
-    for k in 0..n {
-        let vkp = v[(k, p)];
-        let vkq = v[(k, q)];
-        v[(k, p)] = c * vkp - s * vkq;
-        v[(k, q)] = s * vkp + c * vkq;
-    }
-}
-
-/// Extracts eigenvalues from the diagonal and sorts pairs descending.
-fn sort_descending(m: Matrix, v: Matrix) -> SymmetricEigen {
+/// Extracts eigenvalues from the diagonal and sorts pairs descending;
+/// row `i` of `vt` is the eigenvector of `m[(i, i)]`.
+fn sort_descending(m: Matrix, vt: Matrix) -> SymmetricEigen {
     let n = m.rows();
     let mut idx: Vec<usize> = (0..n).collect();
     let diag: Vec<f64> = (0..n).map(|i| m[(i, i)]).collect();
@@ -181,9 +193,9 @@ fn sort_descending(m: Matrix, v: Matrix) -> SymmetricEigen {
     });
     let eigenvalues: Vec<f64> = idx.iter().map(|&i| diag[i]).collect();
     let mut eigenvectors = Matrix::zeros(n, n);
-    for (new_col, &old_col) in idx.iter().enumerate() {
-        for row in 0..n {
-            eigenvectors[(row, new_col)] = v[(row, old_col)];
+    for (new_col, &old_row) in idx.iter().enumerate() {
+        for (row, &v) in vt.row(old_row).iter().enumerate() {
+            eigenvectors[(row, new_col)] = v;
         }
     }
     SymmetricEigen {
@@ -195,6 +207,137 @@ fn sort_descending(m: Matrix, v: Matrix) -> SymmetricEigen {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Reference Jacobi that walks columns `p` and `q` of `M` and
+    /// accumulates `V` itself: the oracle the row-contiguous
+    /// [`symmetric_eigen`] must match bit for bit. Takes input that
+    /// `symmetric_eigen` accepts.
+    fn symmetric_eigen_by_columns(a: &Matrix) -> SymmetricEigen {
+        let n = a.rows();
+        let scale = a.iter().fold(0.0_f64, |m, v| m.max(v.abs())).max(1e-300);
+        let mut m = a.clone();
+        for i in 0..n {
+            for j in (i + 1)..n {
+                let avg = 0.5 * (m[(i, j)] + m[(j, i)]);
+                m[(i, j)] = avg;
+                m[(j, i)] = avg;
+            }
+        }
+        let mut v = Matrix::identity(n);
+        let eps = 1e-14 * scale;
+        for _sweep in 0..MAX_SWEEPS {
+            if off_diagonal_norm(&m) <= eps * n as f64 {
+                break;
+            }
+            for p in 0..n {
+                for q in (p + 1)..n {
+                    let apq = m[(p, q)];
+                    if apq.abs() <= eps {
+                        continue;
+                    }
+                    let app = m[(p, p)];
+                    let aqq = m[(q, q)];
+                    let theta = (aqq - app) / (2.0 * apq);
+                    let t = if theta >= 0.0 {
+                        1.0 / (theta + (1.0 + theta * theta).sqrt())
+                    } else {
+                        1.0 / (theta - (1.0 + theta * theta).sqrt())
+                    };
+                    let c = 1.0 / (1.0 + t * t).sqrt();
+                    let s = t * c;
+                    m[(p, p)] = c * c * app - 2.0 * s * c * apq + s * s * aqq;
+                    m[(q, q)] = s * s * app + 2.0 * s * c * apq + c * c * aqq;
+                    m[(p, q)] = 0.0;
+                    m[(q, p)] = 0.0;
+                    for k in 0..n {
+                        if k != p && k != q {
+                            let akp = m[(k, p)];
+                            let akq = m[(k, q)];
+                            m[(k, p)] = c * akp - s * akq;
+                            m[(p, k)] = m[(k, p)];
+                            m[(k, q)] = s * akp + c * akq;
+                            m[(q, k)] = m[(k, q)];
+                        }
+                    }
+                    for k in 0..n {
+                        let vkp = v[(k, p)];
+                        let vkq = v[(k, q)];
+                        v[(k, p)] = c * vkp - s * vkq;
+                        v[(k, q)] = s * vkp + c * vkq;
+                    }
+                }
+            }
+        }
+        sort_descending(m, v.transpose())
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn assert_matches_oracle(a: &Matrix) {
+        let got = symmetric_eigen(a, 1e-9).unwrap();
+        let want = symmetric_eigen_by_columns(a);
+        assert_eq!(
+            bits(&got.eigenvalues),
+            bits(&want.eigenvalues),
+            "eigenvalues"
+        );
+        assert_eq!(
+            bits(got.eigenvectors.as_slice()),
+            bits(want.eigenvectors.as_slice()),
+            "eigenvectors"
+        );
+    }
+
+    /// Symmetric `B + Bᵀ` (`psd == false`) or PSD `B·Bᵀ` of rank at most
+    /// `k`, `n × n` with `n ∈ 1..=130`.
+    fn eigen_input() -> impl Strategy<Value = Matrix> {
+        (1usize..=130, 0u8..2, 1usize..=8).prop_flat_map(|(n, kind, k)| {
+            let (psd, k) = (kind == 1, k.min(n));
+            prop::collection::vec(-3.0..3.0f64, n * n).prop_map(move |data| {
+                let b = Matrix::from_vec(n, n, data).expect("sized");
+                if psd {
+                    let bk = Matrix::from_fn(n, k, |i, j| b[(i, j)]);
+                    bk.matmul(&bk.transpose()).unwrap()
+                } else {
+                    b.add(&b.transpose()).unwrap()
+                }
+            })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn rows_in_place_match_column_oracle_bit_for_bit(a in eigen_input()) {
+            assert_matches_oracle(&a);
+        }
+    }
+
+    #[test]
+    fn edge_cases_match_column_oracle_bit_for_bit() {
+        let diagonal = Matrix::from_fn(5, 5, |i, j| if i == j { (i as f64) - 2.0 } else { 0.0 });
+        let ones = Matrix::filled(7, 7, 1.0);
+        let repeated = Matrix::identity(6)
+            .scale(2.0)
+            .add(&Matrix::filled(6, 6, 0.5))
+            .unwrap();
+        let cases = [
+            Matrix::from_rows(&[vec![4.2]]).unwrap(),
+            Matrix::zeros(1, 1),
+            Matrix::zeros(4, 4),
+            diagonal,
+            Matrix::identity(9).scale(3.0),
+            ones,
+            repeated,
+        ];
+        for a in &cases {
+            assert_matches_oracle(a);
+        }
+    }
 
     fn reconstruct(e: &SymmetricEigen) -> Matrix {
         let n = e.eigenvalues.len();

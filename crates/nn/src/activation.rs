@@ -1,8 +1,8 @@
 /// Elementwise activation functions.
 ///
-/// Each variant provides the forward map and its derivative; the
-/// derivative is evaluated at the *pre-activation* input, which the
-/// [`crate::Sequential`] caches during the forward pass.
+/// Each variant provides the forward map and its derivative at the
+/// *pre-activation* input. [`crate::Sequential`] backward takes tanh′ and
+/// σ′ from the output its forward pass cached, with the same bits.
 ///
 /// # Example
 ///
@@ -98,6 +98,28 @@ impl Activation {
                 s * (1.0 - s)
             }
             Activation::Identity => 1.0,
+        }
+    }
+
+    /// `true` if backward takes the derivative from the activation's
+    /// output: tanh′ = `1 − y·y` and σ′ = `y·(1 − y)` read the `y` the
+    /// forward pass already computed. The piecewise-linear activations
+    /// read their input, whose sign a negative-slope `LeakyRelu` output
+    /// does not keep.
+    pub(crate) fn backward_reads_output(self) -> bool {
+        matches!(self, Activation::Tanh | Activation::Sigmoid)
+    }
+
+    /// The derivative from the value backward cached: the output when
+    /// [`backward_reads_output`](Self::backward_reads_output), else the
+    /// input. Equal by bits to [`derivative`](Self::derivative) at the
+    /// input, which evaluates the same expressions after recomputing `y`
+    /// with [`apply`](Self::apply)'s.
+    pub(crate) fn derivative_cached(self, v: f64) -> f64 {
+        match self {
+            Activation::Tanh => 1.0 - v * v,
+            Activation::Sigmoid => v * (1.0 - v),
+            _ => self.derivative(v),
         }
     }
 }

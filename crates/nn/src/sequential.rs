@@ -8,13 +8,19 @@ use crate::{Activation, Linear, NnError, Optimizer};
 pub enum Layer {
     /// Fully connected layer.
     Linear(Linear),
-    /// Elementwise activation; caches its pre-activation input between
-    /// forward and backward.
+    /// Elementwise activation; caches between forward and backward what
+    /// its derivative reads. Tanh and sigmoid cache their output, so
+    /// backward takes `1 − y·y` and `y·(1 − y)` without a second `tanh`
+    /// or `exp`, bit-identical to the derivative at the input. The
+    /// piecewise-linear activations cache their input and keep the
+    /// derivative rule at it: a negative-slope `LeakyRelu` output does
+    /// not keep the input's sign.
     Activation {
         /// The activation function.
         act: Activation,
-        /// Cached pre-activation input from the last forward pass.
-        cached_input: Option<Matrix>,
+        /// The last forward pass's output (tanh, sigmoid) or input (the
+        /// piecewise-linear activations).
+        cached: Option<Matrix>,
     },
 }
 
@@ -91,10 +97,7 @@ impl Sequential {
 
     /// Appends an activation layer.
     pub fn push_activation(&mut self, act: Activation) {
-        self.layers.push(Layer::Activation {
-            act,
-            cached_input: None,
-        });
+        self.layers.push(Layer::Activation { act, cached: None });
     }
 
     /// Number of layers (linear and activation combined).
@@ -144,10 +147,15 @@ impl Sequential {
                 Layer::Linear(lin) => lin
                     .forward(&h)
                     .expect("sequential: layer widths are inconsistent"),
-                Layer::Activation { act, cached_input } => {
-                    *cached_input = Some(h.clone());
+                Layer::Activation { act, cached } => {
                     let a = *act;
-                    h.map(move |v| a.apply(v))
+                    let y = h.map(move |v| a.apply(v));
+                    *cached = Some(if a.backward_reads_output() {
+                        y.clone()
+                    } else {
+                        h
+                    });
+                    y
                 }
             };
         }
@@ -182,17 +190,20 @@ impl Sequential {
         for layer in self.layers.iter_mut().rev() {
             d = match layer {
                 Layer::Linear(lin) => lin.backward(&d)?,
-                Layer::Activation { act, cached_input } => {
-                    let x = cached_input.as_ref().ok_or(NnError::NoForwardPass)?;
-                    if x.shape() != d.shape() {
+                Layer::Activation { act, cached } => {
+                    let c = cached.as_ref().ok_or(NnError::NoForwardPass)?;
+                    if c.shape() != d.shape() {
                         return Err(NnError::BatchMismatch {
                             left: d.shape(),
-                            right: x.shape(),
+                            right: c.shape(),
                         });
                     }
                     let a = *act;
-                    let dact = x.map(move |v| a.derivative(v));
-                    d.hadamard(&dact)?
+                    // In place as `d * act′`, the operand order of `hadamard`.
+                    for (g, &v) in d.as_mut_slice().iter_mut().zip(c.as_slice()) {
+                        *g *= a.derivative_cached(v);
+                    }
+                    d
                 }
             };
         }
@@ -204,7 +215,7 @@ impl Sequential {
         for layer in &mut self.layers {
             match layer {
                 Layer::Linear(lin) => lin.zero_grad(),
-                Layer::Activation { cached_input, .. } => *cached_input = None,
+                Layer::Activation { cached, .. } => *cached = None,
             }
         }
     }
@@ -432,6 +443,119 @@ mod tests {
         let a = net.forward(&x);
         let b = net.forward_inference(&x);
         assert!(a.max_abs_diff(&b) < 1e-15);
+    }
+
+    /// Reference backward pass: each activation keeps its input and
+    /// multiplies the gradient by `derivative(x)` through `hadamard`.
+    /// Returns the input gradient and the linear layers with their
+    /// accumulated gradients.
+    fn backward_by_input_derivative(
+        net: &Sequential,
+        x: &Matrix,
+        d_out: &Matrix,
+    ) -> (Matrix, Vec<Linear>) {
+        enum Step {
+            Lin(Linear),
+            Act(Activation, Matrix),
+        }
+        let mut steps = Vec::new();
+        let mut h = x.clone();
+        for layer in net.layers() {
+            match layer {
+                Layer::Linear(lin) => {
+                    let mut lin = lin.clone();
+                    h = lin.forward(&h).unwrap();
+                    steps.push(Step::Lin(lin));
+                }
+                Layer::Activation { act, .. } => {
+                    let a = *act;
+                    let y = h.map(move |v| a.apply(v));
+                    steps.push(Step::Act(a, std::mem::replace(&mut h, y)));
+                }
+            }
+        }
+        let mut d = d_out.clone();
+        for step in steps.iter_mut().rev() {
+            d = match step {
+                Step::Lin(lin) => lin.backward(&d).unwrap(),
+                Step::Act(a, x) => {
+                    let a = *a;
+                    d.hadamard(&x.map(move |v| a.derivative(v))).unwrap()
+                }
+            };
+        }
+        let lins = steps
+            .into_iter()
+            .filter_map(|s| match s {
+                Step::Lin(lin) => Some(lin),
+                Step::Act(..) => None,
+            })
+            .collect();
+        (d, lins)
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn backward_matches_input_derivative_rule_bit_for_bit() {
+        // The first activation sees the input itself: ±0.0, the ReLU
+        // kink, saturated tanh and sigmoid, and products that underflow
+        // on the LeakyRelu negative side.
+        let x = Matrix::from_rows(&[
+            vec![0.0, -0.0, 25.0, -40.0],
+            vec![1e-300, -1e-300, 0.3, -2.5],
+            vec![-0.0, 700.0, -700.0, 0.0],
+            vec![1.5, -0.75, 19.0, -1e-9],
+        ])
+        .unwrap();
+        // Hidden column 0 has zero weights: its pre-activation sits at
+        // the kink. Column 1 is scaled into tanh/sigmoid saturation.
+        let mut w1 = Matrix::from_fn(4, 5, |i, j| ((i * 5 + j) % 7) as f64 * 0.3 - 0.9);
+        for i in 0..4 {
+            w1[(i, 0)] = 0.0;
+            w1[(i, 1)] *= 60.0;
+        }
+        let w2 = Matrix::from_fn(5, 3, |i, j| ((i * 3 + j) % 5) as f64 * 0.4 - 0.8);
+        let d_out = Matrix::from_fn(4, 3, |i, j| ((i + 2 * j) % 4) as f64 * 0.5 - 0.5);
+        for act in [
+            Activation::Relu,
+            Activation::LeakyRelu(0.01),
+            Activation::LeakyRelu(0.0),
+            Activation::LeakyRelu(-0.5),
+            Activation::Tanh,
+            Activation::Sigmoid,
+            Activation::Identity,
+        ] {
+            let mut net = Sequential::new();
+            net.push_activation(act);
+            net.push_layer(Linear::from_parts(
+                w1.clone(),
+                vec![-0.0, 0.0, 0.1, -0.2, 0.3],
+            ));
+            net.push_activation(act);
+            net.push_layer(Linear::from_parts(w2.clone(), vec![0.05, -0.05, 0.0]));
+            net.push_activation(act);
+            let (want_dx, want_lins) = backward_by_input_derivative(&net, &x, &d_out);
+            net.forward(&x);
+            let dx = net.backward(&d_out).unwrap();
+            assert_eq!(bits(dx.as_slice()), bits(want_dx.as_slice()), "{act:?} dx");
+            let lins: Vec<&Linear> = net.linear_layers().collect();
+            assert_eq!(lins.len(), want_lins.len());
+            for (got, want) in lins.iter().zip(&want_lins) {
+                assert_eq!(
+                    bits(got.grad_weights().as_slice()),
+                    bits(want.grad_weights().as_slice()),
+                    "{act:?} grad_weights"
+                );
+                assert_eq!(
+                    bits(got.grad_bias()),
+                    bits(want.grad_bias()),
+                    "{act:?} grad_bias"
+                );
+            }
+        }
     }
 
     #[test]

@@ -144,6 +144,39 @@ proptest! {
     }
 }
 
+/// The CFE encodes each frozen encoder snapshot over a whole experience
+/// once and trains on minibatch rows of the result, so a row's output
+/// must carry the same bits in any batch at any pool size: here rows of
+/// one 1500-row pass (uneven row blocks, several 256-row tiles) against
+/// shuffled minibatches of 1, 63 and 128 rows scored serially, at the
+/// CFE's X-IIoTID widths.
+#[test]
+fn forward_inference_rows_match_minibatch_rows_bit_for_bit() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+    let net = Sequential::mlp(&[58, 64, 116], Activation::Tanh, &mut rng);
+    let n = 1500;
+    let x = Matrix::from_fn(n, 58, |i, j| ((i * 37 + j * 11) % 41) as f64 / 8.0 - 2.5);
+    // 7919 is prime, so this visits every row once.
+    let order: Vec<usize> = (0..n).map(|i| (i * 7919) % n).collect();
+    let serial = ThreadPool::new(1);
+    for t in [1, 2, 3, 4, 7] {
+        let pool = ThreadPool::new(t);
+        let whole = pool.install(|| net.forward_inference(&x));
+        for batch in [1, 63, 128] {
+            for chunk in order.chunks(batch) {
+                let xb = x.select_rows(chunk).expect("rows in range");
+                let want = serial.install(|| net.forward_inference(&xb));
+                let got = whole.select_rows(chunk).expect("rows in range");
+                assert_eq!(
+                    matrix_bits(&got),
+                    matrix_bits(&want),
+                    "{batch}-row minibatch diverged from a {n}-row pass at {t} threads"
+                );
+            }
+        }
+    }
+}
+
 /// Shapes chosen to stress boundaries: empty, single row/column, and
 /// sizes that are not multiples of the 64/32 blocking factors.
 #[test]
