@@ -406,14 +406,24 @@ impl ContinualFeatureExtractor {
         // Each frozen snapshot's latents for every row, encoded once per
         // experience: `forward_inference` is per-row exact, so a
         // minibatch's rows of these are the bits a per-minibatch forward
-        // would give. `e · n · latent · 8` bytes, freed on return.
-        let past_latents: Vec<Matrix> = self
-            .past_encoders
-            .iter()
-            .map(|past| past.forward_inference(x_train))
-            .collect();
-
+        // would give. Snapshot `s` holds rows `s·n .. (s+1)·n` of one
+        // `e · n · latent · 8`-byte block, freed on return. One block
+        // rather than one matrix per snapshot: separate matrices settle
+        // into whatever heap holes earlier work left, and whether their
+        // release lets the allocator hand the pages back then varies from
+        // process to process (about 3 MiB of resident memory).
         let n = x_train.rows();
+        let latent = self.config.latent_dim;
+        let mut past_latents = Matrix::zeros(self.past_encoders.len() * n, latent);
+        for (past, block) in self.past_encoders.iter().zip(
+            past_latents
+                .as_mut_slice()
+                .chunks_exact_mut((n * latent).max(1)),
+        ) {
+            past.forward_inference_into(x_train, block);
+        }
+        let mut past_rows = Vec::with_capacity(self.config.batch_size);
+
         let mut order: Vec<usize> = (0..n).collect();
         let mut last_epoch = (0.0, 0.0, 0.0);
         let mut first_epoch_loss: Option<f64> = None;
@@ -429,9 +439,12 @@ impl ContinualFeatureExtractor {
             for chunk in order.chunks(self.config.batch_size) {
                 let xb = x_train.select_rows(chunk)?;
                 let yb: Vec<u8> = chunk.iter().map(|&i| pseudo[i]).collect();
-                let past_b = past_latents
-                    .iter()
-                    .map(|h| h.select_rows(chunk))
+                let past_b = (0..self.past_encoders.len())
+                    .map(|s| {
+                        past_rows.clear();
+                        past_rows.extend(chunk.iter().map(|&i| s * n + i));
+                        past_latents.select_rows(&past_rows)
+                    })
                     .collect::<Result<Vec<_>, _>>()?;
                 let (cs, rec, cl) = self.train_batch(&xb, &yb, &past_b)?;
                 sums.0 += cs;

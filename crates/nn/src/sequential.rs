@@ -178,6 +178,18 @@ impl Sequential {
         PackedSequential::new(self).forward(x)
     }
 
+    /// [`forward_inference`](Self::forward_inference) written into
+    /// `out`, row-major, `x.rows()` rows as wide as the last linear
+    /// layer: the same bits, into a buffer the caller owns.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` has another length or the layer widths do not
+    /// chain from `x.cols()`.
+    pub fn forward_inference_into(&self, x: &Matrix, out: &mut [f64]) {
+        PackedSequential::new(self).forward_into(x, out);
+    }
+
     /// Backward pass: takes `dL/d_output`, returns `dL/d_input`,
     /// accumulating parameter gradients in each linear layer.
     ///
@@ -330,17 +342,31 @@ impl PackedSequential {
     ///
     /// Panics if the layer widths do not chain from `x.cols()`.
     pub(crate) fn forward(&self, x: &Matrix) -> Matrix {
-        let cols = self.out_cols(x.cols());
-        let mut out = Matrix::zeros(x.rows(), cols);
+        let mut out = Matrix::zeros(x.rows(), self.out_cols(x.cols()));
+        self.forward_into(x, out.as_mut_slice());
+        out
+    }
+
+    /// [`forward`](Self::forward) into `out`, `x.rows()` output rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` has another length or the layer widths do not
+    /// chain from `x.cols()`.
+    pub(crate) fn forward_into(&self, x: &Matrix, out: &mut [f64]) {
+        assert_eq!(
+            out.len(),
+            x.rows() * self.out_cols(x.cols()),
+            "sequential: output buffer does not hold the batch"
+        );
         cnd_parallel::current().par_row_blocks(
-            out.as_mut_slice(),
+            out,
             x.rows(),
             |r, tile, (h, tmp): &mut (Vec<f64>, Vec<f64>)| {
                 self.forward_rows(x.view().rows_view(r.start, r.end), h, tmp);
                 tile.copy_from_slice(h);
             },
         );
-        out
     }
 
     /// Serial inference over the rows of `x`. The output lands in `h`,
@@ -443,6 +469,28 @@ mod tests {
         let a = net.forward(&x);
         let b = net.forward_inference(&x);
         assert!(a.max_abs_diff(&b) < 1e-15);
+    }
+
+    #[test]
+    fn inference_into_a_caller_block_matches_forward_inference() {
+        let mut r = rng();
+        let net = Sequential::mlp(&[4, 6, 3], Activation::Tanh, &mut r);
+        // 300 rows reach the pool's row blocks; the block sits between
+        // two sentinel rows that must stay untouched.
+        let x = Matrix::from_fn(300, 4, |i, j| ((i * 4 + j) as f64 * 0.37).sin());
+        let mut buf = vec![-1.0; 302 * 3];
+        net.forward_inference_into(&x, &mut buf[3..301 * 3]);
+        let want = net.forward_inference(&x);
+        assert_eq!(bits(&buf[3..301 * 3]), bits(want.as_slice()));
+        assert!(buf[..3].iter().chain(&buf[301 * 3..]).all(|&v| v == -1.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "output buffer")]
+    fn inference_into_rejects_a_short_block() {
+        let mut r = rng();
+        let net = Sequential::mlp(&[4, 6, 3], Activation::Tanh, &mut r);
+        net.forward_inference_into(&Matrix::zeros(2, 4), &mut [0.0; 5]);
     }
 
     /// Reference backward pass: each activation keeps its input and
