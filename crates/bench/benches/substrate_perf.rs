@@ -125,19 +125,9 @@ fn bench_matmul(n: usize, reps: usize, serial: &ThreadPool, parallel: &ThreadPoo
     bench_matmul_shape(n, n, n, reps, serial, parallel)
 }
 
-/// f64-vs-f32 end-to-end serve scoring on a frozen model. The schema is
-/// reused with a twist: `serial_*` measures the f64 scorer, `parallel_*`
-/// measures the quantized f32 twin (both on the serial pool — the
-/// comparison is precision, not thread fan-out), and `bit_identical`
-/// records whether every f32 score honoured the documented
-/// [`cnd_core::deploy::F32_SCORE_TOLERANCE`] relative bound.
-fn bench_serve_score_f32(
-    rows: usize,
-    cols: usize,
-    reps: usize,
-    serial: &ThreadPool,
-) -> Measurement {
-    use cnd_core::deploy::F32_SCORE_TOLERANCE;
+/// A fast-config model trained on one synthetic experience and frozen,
+/// plus `rows` flows to score with it.
+fn frozen_scorer_and_flows(rows: usize, cols: usize) -> (cnd_core::deploy::DeployedScorer, Matrix) {
     use cnd_core::{CndIds, CndIdsConfig};
 
     let normal = |i: usize, j: usize| ((i * 7 + j * 3) % 13) as f64 * 0.1;
@@ -152,32 +142,37 @@ fn bench_serve_score_f32(
     let mut model = CndIds::new(CndIdsConfig::fast(cnd_bench::BENCH_SEED), &n_c).expect("builds");
     model.train_experience(&train).expect("trains");
     let scorer = model.freeze().expect("freezes");
-    let twin = scorer.to_f32();
     let x = Matrix::from_fn(rows, cols, |i, j| {
         normal(i + 500, j) + ((i % 10) as f64) * 0.2
     });
+    (scorer, x)
+}
 
-    let s64 = serial.install(|| scorer.anomaly_scores(&x).expect("f64 scores"));
-    let s32 = serial.install(|| twin.anomaly_scores(&x).expect("f32 scores"));
-    let within_tolerance = s64
-        .iter()
-        .zip(&s32)
-        .all(|(a, b)| (a - b).abs() <= F32_SCORE_TOLERANCE * (1.0 + a.abs()));
+/// End-to-end scoring on a frozen model (scaler → packed encoder →
+/// PCA FRE), serially and on the pool; `bit_identical` records that
+/// the pooled scores are bitwise equal to the serial ones.
+fn bench_serve_score(
+    rows: usize,
+    cols: usize,
+    reps: usize,
+    serial: &ThreadPool,
+    parallel: &ThreadPool,
+) -> Measurement {
+    let (scorer, x) = frozen_scorer_and_flows(rows, cols);
 
-    let f64_secs = time_best(reps, || {
-        serial.install(|| scorer.anomaly_scores(&x).expect("f64 scores"))
-    });
-    let f32_secs = time_best(reps, || {
-        serial.install(|| twin.anomaly_scores(&x).expect("f32 scores"))
-    });
+    let score = |pool: &ThreadPool| pool.install(|| scorer.anomaly_scores(&x).expect("scores"));
+    let bits = |s: Vec<f64>| s.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+    let bit_identical = bits(score(serial)) == bits(score(parallel));
+    let serial_secs = time_best(reps, || score(serial));
+    let parallel_secs = time_best(reps, || score(parallel));
     Measurement {
-        name: format!("serve_score_f32_{rows}x{cols}"),
-        serial_secs: f64_secs,
-        parallel_secs: f32_secs,
+        name: format!("serve_score_{rows}x{cols}"),
+        serial_secs,
+        parallel_secs,
         rate_unit: "flows/s",
-        serial_rate: rows as f64 / f64_secs,
-        parallel_rate: rows as f64 / f32_secs,
-        bit_identical: within_tolerance,
+        serial_rate: rows as f64 / serial_secs,
+        parallel_rate: rows as f64 / parallel_secs,
+        bit_identical,
     }
 }
 
@@ -199,27 +194,12 @@ fn bench_store_stream(
     reps: usize,
     serial: &ThreadPool,
 ) -> [Measurement; 2] {
-    use cnd_core::{CndIds, CndIdsConfig};
     use cnd_store::{DType, FlowStore, StoreWriter};
 
     const CHUNK_ROWS: usize = 256;
     const MIB: f64 = 1024.0 * 1024.0;
 
-    let normal = |i: usize, j: usize| ((i * 7 + j * 3) % 13) as f64 * 0.1;
-    let n_c = Matrix::from_fn(50, cols, normal);
-    let train = Matrix::from_fn(300, cols, |i, j| {
-        if i < 240 {
-            normal(i + 100, j)
-        } else {
-            normal(i + 100, j) + 2.5
-        }
-    });
-    let mut model = CndIds::new(CndIdsConfig::fast(cnd_bench::BENCH_SEED), &n_c).expect("builds");
-    model.train_experience(&train).expect("trains");
-    let scorer = model.freeze().expect("freezes");
-    let x = Matrix::from_fn(rows, cols, |i, j| {
-        normal(i + 500, j) + ((i % 10) as f64) * 0.2
-    });
+    let (scorer, x) = frozen_scorer_and_flows(rows, cols);
 
     let path =
         std::env::temp_dir().join(format!("cnd_substrate_{}_{rows}.cnds", std::process::id()));
@@ -447,8 +427,8 @@ fn main() {
             bench_cfe_forward(score_rows, score_cols, reps, &serial, parallel)
         },
         {
-            let _s = cnd_obs::span!("bench.serve_score_f32");
-            bench_serve_score_f32(score_rows, score_cols, reps, &serial)
+            let _s = cnd_obs::span!("bench.serve_score");
+            bench_serve_score(score_rows, score_cols, reps, &serial, parallel)
         },
     ];
     {

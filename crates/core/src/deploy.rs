@@ -13,10 +13,10 @@
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
 
-use cnd_linalg::{Matrix, MatrixF32, MatrixRef};
-use cnd_ml::pca::{Pca, PcaF32};
-use cnd_ml::{MlError, StandardScaler, StandardScalerF32};
-use cnd_nn::{Activation, Layer, Linear, PackedSequential, Sequential, SequentialF32};
+use cnd_linalg::{Matrix, MatrixRef};
+use cnd_ml::pca::Pca;
+use cnd_ml::{MlError, StandardScaler};
+use cnd_nn::{Activation, Layer, Linear, PackedSequential, Sequential};
 
 use crate::{CndIds, CoreError};
 
@@ -62,8 +62,7 @@ const MAX_ELEMENTS: usize = 1 << 26;
 #[derive(Debug, Clone)]
 pub struct DeployedScorer {
     scaler: StandardScaler,
-    /// The encoder as trained, kept for [`save`](Self::save) and
-    /// [`to_f32`](Self::to_f32).
+    /// The encoder as trained, kept for [`save`](Self::save).
     encoder: Sequential,
     /// `encoder` packed once; the scoring path runs this.
     packed: PackedSequential,
@@ -156,18 +155,6 @@ impl DeployedScorer {
     /// Input feature dimensionality the scorer expects.
     pub fn n_features(&self) -> usize {
         self.scaler.mean().len()
-    }
-
-    /// Quantizes the frozen scorer to a single-precision twin.
-    ///
-    /// See [`DeployedScorerF32`] for the score-tolerance contract.
-    pub fn to_f32(&self) -> DeployedScorerF32 {
-        DeployedScorerF32 {
-            scaler: StandardScalerF32::from_f64(&self.scaler),
-            encoder: SequentialF32::from_f64(&self.encoder),
-            pca: PcaF32::from_f64(&self.pca),
-            n_features: self.n_features(),
-        }
     }
 
     /// Serializes the scorer.
@@ -334,62 +321,6 @@ impl DeployedScorer {
     }
 }
 
-/// Relative tolerance of the f32 scoring path against the f64 path.
-///
-/// An f32 score `s32` satisfies `|s32 − s64| ≤ TOL · (1 + |s64|)` against
-/// the f64 score `s64` of the same flow on the same frozen model. The
-/// bound is empirical with a wide safety margin: the CFE encoder and FRE
-/// pipeline are a handful of products and Lipschitz-≤1 activations deep,
-/// so relative error stays within a few ULP-multiples of f32 epsilon
-/// (~1e-7) per stage — orders of magnitude under this contract. The
-/// property tests in `tests/f32_tolerance.rs` enforce it on randomized
-/// models; `substrate_perf` re-checks it on every benchmark run.
-pub const F32_SCORE_TOLERANCE: f64 = 1e-3;
-
-/// A single-precision twin of a [`DeployedScorer`].
-///
-/// Built with [`DeployedScorer::to_f32`] — there is no direct
-/// persistence for the f32 form; artifacts stay f64 and hosts quantize
-/// after loading, so one shipped model serves both paths.
-///
-/// # Precision contract
-///
-/// Scores satisfy the [`F32_SCORE_TOLERANCE`] relative bound against
-/// [`DeployedScorer::anomaly_scores`]. Alert *decisions* must be made by
-/// comparing against a threshold in f64 (the serve layer does this);
-/// flows whose f64 score sits within the tolerance band around the
-/// threshold may flip under quantization, which is exactly the
-/// population whose classification was already at the mercy of
-/// calibration noise.
-#[derive(Debug, Clone)]
-pub struct DeployedScorerF32 {
-    scaler: StandardScalerF32,
-    encoder: SequentialF32,
-    pca: PcaF32,
-    n_features: usize,
-}
-
-impl DeployedScorerF32 {
-    /// Anomaly scores for a batch, computed in single precision and
-    /// widened to `f64` for threshold comparison.
-    ///
-    /// # Errors
-    ///
-    /// Propagates dimension mismatches.
-    pub fn anomaly_scores(&self, x: &Matrix) -> Result<Vec<f64>, CoreError> {
-        let xq = MatrixF32::from_f64(x);
-        let xs = self.scaler.transform(&xq)?;
-        let h = self.encoder.forward_inference(&xs)?;
-        let scores = self.pca.reconstruction_errors(&h)?;
-        Ok(scores.into_iter().map(f64::from).collect())
-    }
-
-    /// Input feature dimensionality the scorer expects.
-    pub fn n_features(&self) -> usize {
-        self.n_features
-    }
-}
-
 fn parse_err(reason: &'static str) -> CoreError {
     CoreError::CorruptModel { reason }
 }
@@ -500,23 +431,6 @@ mod tests {
             assert!((a - b).abs() < 1e-12);
         }
         assert_eq!(scorer.n_features(), 6);
-    }
-
-    #[test]
-    fn f32_twin_scores_within_documented_tolerance() {
-        let (model, test) = trained_model();
-        let scorer = DeployedScorer::from_model(&model).unwrap();
-        let twin = scorer.to_f32();
-        assert_eq!(twin.n_features(), scorer.n_features());
-        let s64 = scorer.anomaly_scores(&test).unwrap();
-        let s32 = twin.anomaly_scores(&test).unwrap();
-        assert_eq!(s64.len(), s32.len());
-        for (a, b) in s64.iter().zip(&s32) {
-            assert!(
-                (a - b).abs() <= F32_SCORE_TOLERANCE * (1.0 + a.abs()),
-                "f32 score out of tolerance: {a} vs {b}"
-            );
-        }
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub struct IngestOptions {
     /// Skip the first line as a header.
     pub has_header: bool,
     /// Element type of the output store (`F64` preserves bits; `F32`
-    /// halves the footprint at serving precision).
+    /// halves the footprint and is widened exactly on read).
     pub dtype: DType,
 }
 

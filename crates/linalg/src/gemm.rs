@@ -18,23 +18,21 @@
 //!   every [`matmul_packed_into`] call.
 //! * **Microkernel.** An `MR×NR` (4×8) register tile accumulates over
 //!   one k-block via `chunks_exact` slices, so LLVM keeps the tile in
-//!   vector registers and autovectorizes the `NR`-wide inner loop. The
-//!   same generic kernel is monomorphized for `f64` and `f32`.
+//!   vector registers and autovectorizes the `NR`-wide inner loop.
 //!
 //! # Dispatch
 //!
 //! [`active_kernel`] picks the widest implementation the CPU supports
 //! at runtime via `is_x86_feature_detected!`: an
 //! `#[target_feature(enable = "avx2,fma")]` recompilation of the same
-//! generic driver (4-lane f64 / 8-lane f32 ymm arithmetic), or the
-//! portable baseline build. `CND_GEMM_KERNEL=portable|avx2|auto`
-//! overrides the choice (CI uses it to exercise both arms on one
-//! machine); forcing `avx2` on a CPU without AVX2 falls back to
-//! portable rather than faulting.
+//! driver (4-lane f64 ymm arithmetic), or the portable baseline build.
+//! `CND_GEMM_KERNEL=portable|avx2|auto` overrides the choice (CI uses
+//! it to exercise both arms on one machine); forcing `avx2` on a CPU
+//! without AVX2 falls back to portable rather than faulting.
 //!
 //! # Bit-identity
 //!
-//! The f64 path keeps the workspace-wide determinism contract: every
+//! The kernel keeps the workspace-wide determinism contract: every
 //! output element accumulates its `a[i][k] * b[k][j]` terms over
 //! strictly ascending `k` with a separate multiply then add (never FMA,
 //! never split-`k` partial accumulators — k-blocks load, extend, and
@@ -54,7 +52,7 @@ use crate::Matrix;
 const MR: usize = 4;
 
 /// Microkernel tile width: columns of `B` held in registers
-/// (one 4-lane f64 ymm pair / one 8-lane f32 ymm per accumulator row).
+/// (one 4-lane f64 ymm pair per accumulator row).
 const NR: usize = 8;
 
 /// k-block depth: a `KC×NR` f64 panel of `B` is 16 KiB and a `KC×MR`
@@ -69,35 +67,10 @@ const PACK_MADDS_MIN: usize = 1 << 16;
 /// Minimum multiply-add count before the product fans out to the pool.
 const PAR_MADDS_MIN: usize = 1 << 17;
 
-/// Scalar element type the packed GEMM is generic over.
-///
-/// Sealed in spirit: `f64` (the training / deterministic path) and
-/// `f32` (the quantized inference path) are the only implementors.
-pub trait Scalar:
-    Copy
-    + Send
-    + Sync
-    + PartialEq
-    + std::ops::Add<Output = Self>
-    + std::ops::Mul<Output = Self>
-    + 'static
-{
-    /// Additive identity.
-    const ZERO: Self;
-}
-
-impl Scalar for f64 {
-    const ZERO: f64 = 0.0;
-}
-
-impl Scalar for f32 {
-    const ZERO: f32 = 0.0;
-}
-
 /// Which GEMM implementation the dispatcher selected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GemmKernel {
-    /// Baseline build of the generic driver (SSE2 on x86-64).
+    /// Baseline build of the row driver (SSE2 on x86-64).
     Portable,
     /// `#[target_feature(enable = "avx2,fma")]` build of the same
     /// driver; only ever selected when the CPU reports AVX2 + FMA.
@@ -148,15 +121,15 @@ fn avx2_available() -> bool {
 /// a row-major matrix. Build it once for an operand that does not
 /// change and pass it to [`matmul_packed_into`] for every product.
 #[derive(Clone, PartialEq)]
-pub struct PackedB<T = f64> {
-    data: Vec<T>,
+pub struct PackedB {
+    data: Vec<f64>,
     /// Elements per k-block: `panels * kc_slot * NR`.
     block_stride: usize,
     rows: usize,
     cols: usize,
 }
 
-impl<T> std::fmt::Debug for PackedB<T> {
+impl std::fmt::Debug for PackedB {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PackedB")
             .field("rows", &self.rows)
@@ -165,16 +138,16 @@ impl<T> std::fmt::Debug for PackedB<T> {
     }
 }
 
-impl<T: Scalar> PackedB<T> {
+impl PackedB {
     /// Packs `b` (any strides) into GEMM panels.
-    pub fn pack(b: MatrixRef<'_, T>) -> PackedB<T> {
+    pub fn pack(b: MatrixRef<'_>) -> PackedB {
         let (m, p) = b.shape();
         let (rs, cs) = b.strides();
         let panels = p.div_ceil(NR);
         let blocks = m.div_ceil(KC).max(1);
         let kc_slot = KC.min(m);
         let block_stride = panels * kc_slot * NR;
-        let mut data = vec![T::ZERO; blocks * block_stride];
+        let mut data = vec![0.0; blocks * block_stride];
         for (kb, k0) in (0..m).step_by(KC).enumerate() {
             let kc = KC.min(m - k0);
             for jp in 0..panels {
@@ -222,13 +195,13 @@ impl<T: Scalar> PackedB<T> {
 /// b_panel[k][j]` for one k-block, `k` ascending, multiply separate
 /// from add. `ap` is `kc * MR` k-major, `bp` is `kc * NR` k-major.
 #[inline(always)]
-fn microkernel<T: Scalar>(ap: &[T], bp: &[T], acc: &mut [[T; NR]; MR]) {
+fn microkernel(ap: &[f64], bp: &[f64], acc: &mut [[f64; NR]; MR]) {
     for (ak, bk) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)) {
         for i in 0..MR {
             let a = ak[i];
             let row = &mut acc[i];
             for (c, &b) in row.iter_mut().zip(bk.iter()) {
-                *c = *c + a * b;
+                *c += a * b;
             }
         }
     }
@@ -236,21 +209,21 @@ fn microkernel<T: Scalar>(ap: &[T], bp: &[T], acc: &mut [[T; NR]; MR]) {
 
 /// Packed product of output rows `r0..r1` into `out` (which holds
 /// exactly those rows, `(r1 - r0) * p` elements, pre-zeroed on the
-/// first k-block). Generic driver; monomorphic wrappers below
-/// recompile it per target feature set.
+/// first k-block). Always inlined, so the wrappers below recompile it
+/// per target feature set.
 ///
 /// The packed `B` buffer arrives as a raw slice + `block_stride`
-/// rather than `&PackedB<T>` on purpose: routing the loads through a
+/// rather than `&PackedB` on purpose: routing the loads through a
 /// struct field (one more pointer indirection) was observed to defeat
 /// LLVM's register promotion of the accumulator tile, scalarizing the
 /// whole microkernel (~3.4 GFLOP/s instead of ~15).
 #[inline(always)]
-fn gemm_rows_generic<T: Scalar>(
-    a: MatrixRef<'_, T>,
-    pbdata: &[T],
+fn gemm_rows(
+    a: MatrixRef<'_>,
+    pbdata: &[f64],
     block_stride: usize,
     p: usize,
-    out: &mut [T],
+    out: &mut [f64],
     r0: usize,
     r1: usize,
 ) {
@@ -258,7 +231,7 @@ fn gemm_rows_generic<T: Scalar>(
     let (ars, acs) = a.strides();
     let panels = p.div_ceil(NR);
     let panel_stride = block_stride / panels;
-    let mut ap = [T::ZERO; KC * MR];
+    let mut ap = [0.0; KC * MR];
     for (kb, k0) in (0..m).step_by(KC).enumerate() {
         let kc = KC.min(m - k0);
         let apk = kc * MR;
@@ -272,14 +245,14 @@ fn gemm_rows_generic<T: Scalar>(
                     ap[kk * MR + ii] = a.flat(src + ii * ars);
                 }
                 for slot in &mut ap[kk * MR + mv..kk * MR + MR] {
-                    *slot = T::ZERO;
+                    *slot = 0.0;
                 }
             }
             for jp in 0..panels {
                 let j0 = jp * NR;
                 let nv = NR.min(p - j0);
                 let bp = &pbdata[kb * block_stride + jp * panel_stride..][..kc * NR];
-                let mut acc = [[T::ZERO; NR]; MR];
+                let mut acc = [[0.0; NR]; MR];
                 // Load the current partial sums (exact f64 round-trip,
                 // so k-blocking preserves the ascending-k order).
                 for ii in 0..mv {
@@ -296,9 +269,9 @@ fn gemm_rows_generic<T: Scalar>(
     }
 }
 
-/// Monomorphic kernel entry points per scalar type and feature set.
+/// Kernel entry points per feature set.
 ///
-/// The AVX2 wrappers are the one place the crate needs `unsafe`: a
+/// The AVX2 wrapper is the one place the crate needs `unsafe`: a
 /// `#[target_feature]` function is unsafe to call because the caller
 /// must guarantee the CPU supports the features. [`active_kernel`]
 /// provides exactly that guarantee — `Avx2` is only ever returned after
@@ -307,8 +280,8 @@ fn gemm_rows_generic<T: Scalar>(
 mod arms {
     use super::*;
 
-    pub(super) fn rows_f64_portable(
-        a: MatrixRef<'_, f64>,
+    fn rows_portable(
+        a: MatrixRef<'_>,
         pbdata: &[f64],
         block_stride: usize,
         p: usize,
@@ -316,25 +289,16 @@ mod arms {
         r0: usize,
         r1: usize,
     ) {
-        gemm_rows_generic(a, pbdata, block_stride, p, out, r0, r1);
+        gemm_rows(a, pbdata, block_stride, p, out, r0, r1);
     }
 
-    pub(super) fn rows_f32_portable(
-        a: MatrixRef<'_, f32>,
-        pbdata: &[f32],
-        block_stride: usize,
-        p: usize,
-        out: &mut [f32],
-        r0: usize,
-        r1: usize,
-    ) {
-        gemm_rows_generic(a, pbdata, block_stride, p, out, r0, r1);
-    }
-
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn rows_f64_avx2(
-        a: MatrixRef<'_, f64>,
+    unsafe fn rows_avx2(
+        a: MatrixRef<'_>,
         pbdata: &[f64],
         block_stride: usize,
         p: usize,
@@ -342,34 +306,20 @@ mod arms {
         r0: usize,
         r1: usize,
     ) {
-        // No explicit intrinsics: the generic driver inlines here and
-        // LLVM re-vectorizes it for the enabled features. Rust never
+        // No explicit intrinsics: the row driver inlines here and LLVM
+        // re-vectorizes it for the enabled features. Rust never
         // contracts `mul` + `add` into FMA without fast-math flags, so
-        // the f64 results stay bit-identical to the portable build.
-        gemm_rows_generic(a, pbdata, block_stride, p, out, r0, r1);
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn rows_f32_avx2(
-        a: MatrixRef<'_, f32>,
-        pbdata: &[f32],
-        block_stride: usize,
-        p: usize,
-        out: &mut [f32],
-        r0: usize,
-        r1: usize,
-    ) {
-        gemm_rows_generic(a, pbdata, block_stride, p, out, r0, r1);
+        // the results stay bit-identical to the portable build.
+        gemm_rows(a, pbdata, block_stride, p, out, r0, r1);
     }
 
     /// Dispatches one row-block to the selected kernel arm. Called on
     /// pool worker threads, so the feature check rides in `kernel`.
     #[inline]
     #[allow(clippy::too_many_arguments)] // deliberate flat-slice signature (see module docs)
-    pub(super) fn rows_f64(
+    pub(super) fn rows(
         kernel: GemmKernel,
-        a: MatrixRef<'_, f64>,
+        a: MatrixRef<'_>,
         pbdata: &[f64],
         block_stride: usize,
         p: usize,
@@ -381,29 +331,8 @@ mod arms {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `Avx2` is only produced by `active_kernel` (or
             // the test hook) after runtime detection of avx2 + fma.
-            GemmKernel::Avx2 => unsafe { rows_f64_avx2(a, pbdata, block_stride, p, out, r0, r1) },
-            _ => rows_f64_portable(a, pbdata, block_stride, p, out, r0, r1),
-        }
-    }
-
-    /// f32 twin of [`rows_f64`].
-    #[inline]
-    #[allow(clippy::too_many_arguments)] // deliberate flat-slice signature (see module docs)
-    pub(super) fn rows_f32(
-        kernel: GemmKernel,
-        a: MatrixRef<'_, f32>,
-        pbdata: &[f32],
-        block_stride: usize,
-        p: usize,
-        out: &mut [f32],
-        r0: usize,
-        r1: usize,
-    ) {
-        match kernel {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: as in `rows_f64`.
-            GemmKernel::Avx2 => unsafe { rows_f32_avx2(a, pbdata, block_stride, p, out, r0, r1) },
-            _ => rows_f32_portable(a, pbdata, block_stride, p, out, r0, r1),
+            GemmKernel::Avx2 => unsafe { rows_avx2(a, pbdata, block_stride, p, out, r0, r1) },
+            _ => rows_portable(a, pbdata, block_stride, p, out, r0, r1),
         }
     }
 }
@@ -411,7 +340,7 @@ mod arms {
 /// Small-product fallback: per-element ascending-k loop straight off
 /// the (possibly strided) views. Bit-identical to `matmul_naive` by
 /// construction; used where packing costs more than it saves.
-fn simple_matmul<T: Scalar>(a: MatrixRef<'_, T>, b: MatrixRef<'_, T>, out: &mut [T]) {
+fn simple_matmul(a: MatrixRef<'_>, b: MatrixRef<'_>, out: &mut [f64]) {
     let (n, m) = a.shape();
     let p = b.cols();
     let (ars, acs) = a.strides();
@@ -424,42 +353,40 @@ fn simple_matmul<T: Scalar>(a: MatrixRef<'_, T>, b: MatrixRef<'_, T>, out: &mut 
     }
     for i in 0..n {
         for j in 0..p {
-            let mut acc = T::ZERO;
+            let mut acc = 0.0;
             for k in 0..m {
-                acc = acc + a.flat(i * ars + k * acs) * b.flat(k * brs + j * bcs);
+                acc += a.flat(i * ars + k * acs) * b.flat(k * brs + j * bcs);
             }
             out[i * p + j] = acc;
         }
     }
 }
 
-/// Full product driver: small-product fallback, packed serial, or
-/// packed pool-parallel, under the given kernel arm.
-fn matmul_into<T: GemmScalar>(
-    a: MatrixRef<'_, T>,
-    b: MatrixRef<'_, T>,
-    out: &mut [T],
-    kernel: GemmKernel,
-) {
+/// View product through the packed kernel (shape-checked by the
+/// caller): small-product fallback, packed serial, or packed
+/// pool-parallel, under the active kernel arm.
+pub(crate) fn matmul(a: MatrixRef<'_>, b: MatrixRef<'_>) -> Matrix {
     let (n, m) = a.shape();
     let p = b.cols();
     debug_assert_eq!(m, b.rows());
-    debug_assert_eq!(out.len(), n * p);
+    let mut result = Matrix::zeros(n, p);
     if n == 0 || m == 0 || p == 0 {
-        return;
+        return result;
     }
+    let out = result.as_mut_slice();
     let madds = n.saturating_mul(m).saturating_mul(p);
     if madds < PACK_MADDS_MIN {
         simple_matmul(a, b, out);
-        return;
+        return result;
     }
+    let kernel = active_kernel();
     let pb = PackedB::pack(b);
     let pool = cnd_parallel::current();
     if madds >= PAR_MADDS_MIN && pool.threads() > 1 && n > 1 {
         let min_rows = n.div_ceil(pool.threads()).max(MR * 2);
         pool.par_map_rows(out, n, p, min_rows, |r0, block| {
             let rows = block.len() / p;
-            T::rows(
+            arms::rows(
                 kernel,
                 a,
                 &pb.data,
@@ -471,70 +398,9 @@ fn matmul_into<T: GemmScalar>(
             );
         });
     } else {
-        T::rows(kernel, a, &pb.data, pb.block_stride, p, out, 0, n);
+        arms::rows(kernel, a, &pb.data, pb.block_stride, p, out, 0, n);
     }
-}
-
-/// Per-scalar hook used by [`matmul_into`] to reach the monomorphic
-/// dispatch arms.
-trait GemmScalar: Scalar {
-    #[allow(clippy::too_many_arguments)]
-    fn rows(
-        kernel: GemmKernel,
-        a: MatrixRef<'_, Self>,
-        pbdata: &[Self],
-        block_stride: usize,
-        p: usize,
-        out: &mut [Self],
-        r0: usize,
-        r1: usize,
-    );
-}
-
-impl GemmScalar for f64 {
-    fn rows(
-        kernel: GemmKernel,
-        a: MatrixRef<'_, f64>,
-        pbdata: &[f64],
-        block_stride: usize,
-        p: usize,
-        out: &mut [f64],
-        r0: usize,
-        r1: usize,
-    ) {
-        arms::rows_f64(kernel, a, pbdata, block_stride, p, out, r0, r1);
-    }
-}
-
-impl GemmScalar for f32 {
-    fn rows(
-        kernel: GemmKernel,
-        a: MatrixRef<'_, f32>,
-        pbdata: &[f32],
-        block_stride: usize,
-        p: usize,
-        out: &mut [f32],
-        r0: usize,
-        r1: usize,
-    ) {
-        arms::rows_f32(kernel, a, pbdata, block_stride, p, out, r0, r1);
-    }
-}
-
-/// f64 view product through the packed kernel (shape-checked by the
-/// caller).
-pub(crate) fn matmul_f64(a: MatrixRef<'_, f64>, b: MatrixRef<'_, f64>) -> Matrix {
-    let mut out = Matrix::zeros(a.rows(), b.cols());
-    matmul_into::<f64>(a, b, out.as_mut_slice(), active_kernel());
-    out
-}
-
-/// f32 view product through the packed kernel; returns the row-major
-/// output buffer (shape-checked by the caller).
-pub(crate) fn matmul_f32(a: MatrixRef<'_, f32>, b: MatrixRef<'_, f32>) -> Vec<f32> {
-    let mut out = vec![0.0f32; a.rows() * b.cols()];
-    matmul_into::<f32>(a, b, &mut out, active_kernel());
-    out
+    result
 }
 
 /// `out = a · b` against a pre-packed `b`, on the calling thread.
@@ -550,8 +416,8 @@ pub(crate) fn matmul_f32(a: MatrixRef<'_, f32>, b: MatrixRef<'_, f32>) -> Vec<f3
 /// Returns [`crate::LinalgError::ShapeMismatch`] unless
 /// `a.cols() == b.rows()` and `out.len() == a.rows() * b.cols()`.
 pub fn matmul_packed_into(
-    a: MatrixRef<'_, f64>,
-    b: &PackedB<f64>,
+    a: MatrixRef<'_>,
+    b: &PackedB,
     out: &mut [f64],
 ) -> Result<(), crate::LinalgError> {
     let (n, m, p) = (a.rows(), a.cols(), b.cols);
@@ -566,7 +432,7 @@ pub fn matmul_packed_into(
     if n == 0 || m == 0 || p == 0 {
         return Ok(());
     }
-    f64::rows(active_kernel(), a, &b.data, b.block_stride, p, out, 0, n);
+    arms::rows(active_kernel(), a, &b.data, b.block_stride, p, out, 0, n);
     Ok(())
 }
 
@@ -602,7 +468,7 @@ pub fn matmul_with_kernel(
         return Ok(out);
     }
     let pb = PackedB::pack(b.view());
-    f64::rows(
+    arms::rows(
         kernel,
         a.view(),
         &pb.data,
@@ -698,21 +564,5 @@ mod tests {
     #[test]
     fn active_kernel_is_stable() {
         assert_eq!(active_kernel(), active_kernel());
-    }
-
-    #[test]
-    fn f32_product_matches_f64_within_tolerance() {
-        let a = mat(20, 64, 3);
-        let b = mat(64, 12, 4);
-        let exact = a.matmul(&b).unwrap();
-        let a32: Vec<f32> = a.iter().map(|&v| v as f32).collect();
-        let b32: Vec<f32> = b.iter().map(|&v| v as f32).collect();
-        let got = matmul_f32(
-            MatrixRef::from_slice(20, 64, &a32),
-            MatrixRef::from_slice(64, 12, &b32),
-        );
-        for (g, e) in got.iter().zip(exact.iter()) {
-            assert!((*g as f64 - e).abs() <= 1e-4 * (1.0 + e.abs()));
-        }
     }
 }

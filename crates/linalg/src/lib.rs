@@ -22,8 +22,6 @@
 //!   bit-identity contract documented on the module. [`PackedB`] and
 //!   [`matmul_packed_into`] reuse a right operand packed once (frozen
 //!   inference weights) across products.
-//! * [`MatrixF32`] — single-precision inference-only matrix sharing the
-//!   packed kernel (the `--score-f32` serving path).
 //! * [`eigen::symmetric_eigen`] — cyclic Jacobi eigendecomposition of
 //!   symmetric matrices (used by PCA on covariance matrices).
 //! * [`stats`] — column means/variances, covariance matrices, pairwise
@@ -52,7 +50,6 @@
 
 mod error;
 mod matrix;
-mod matrix_f32;
 mod view;
 
 pub mod eigen;
@@ -61,7 +58,6 @@ pub mod stats;
 pub mod vector;
 
 pub use error::LinalgError;
-pub use gemm::{matmul_packed_into, GemmKernel, PackedB, Scalar};
+pub use gemm::{matmul_packed_into, GemmKernel, PackedB};
 pub use matrix::Matrix;
-pub use matrix_f32::MatrixF32;
 pub use view::{MatrixMut, MatrixRef};

@@ -399,7 +399,7 @@ impl Matrix {
                 op: "matmul",
             });
         }
-        Ok(crate::gemm::matmul_f64(self.view(), other.view()))
+        Ok(crate::gemm::matmul(self.view(), other.view()))
     }
 
     /// The original naive ijk triple-loop product, retained **only as a
@@ -646,10 +646,10 @@ const COL_SUM_CHUNK: usize = 512;
 /// Retained as the small-product path of [`crate::gemm`] (packing
 /// overhead beats the microkernel win below a few hundred-kiloflop
 /// products, e.g. single-flow serve scoring).
-pub(crate) fn matmul_block_into<T: crate::gemm::Scalar>(
-    a: &[T],
-    b: &[T],
-    out: &mut [T],
+pub(crate) fn matmul_block_into(
+    a: &[f64],
+    b: &[f64],
+    out: &mut [f64],
     r0: usize,
     r1: usize,
     m: usize,
@@ -666,7 +666,7 @@ pub(crate) fn matmul_block_into<T: crate::gemm::Scalar>(
                     let aik = arow[k];
                     let brow = &b[k * p..(k + 1) * p];
                     for (o, &bv) in orow.iter_mut().zip(brow) {
-                        *o = *o + aik * bv;
+                        *o += aik * bv;
                     }
                 }
             }

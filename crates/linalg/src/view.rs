@@ -12,9 +12,6 @@
 //! * **Row windows are free.** [`Matrix::rows_view`](crate::Matrix::rows_view)
 //!   borrows a chunk of rows in place, so batch-parallel scoring no
 //!   longer copies each chunk into a fresh `Matrix` before the kernel.
-//!
-//! Views are generic over the scalar (`f64` by default, `f32` for the
-//! quantized inference path) so the one packed kernel serves both.
 
 use crate::{LinalgError, Matrix};
 
@@ -23,21 +20,24 @@ use crate::{LinalgError, Matrix};
 /// `element(i, j)` lives at `data[i * row_stride + j * col_stride]`.
 /// Row-major contiguous views have `col_stride == 1`.
 #[derive(Debug, Clone, Copy)]
-pub struct MatrixRef<'a, T = f64> {
-    data: &'a [T],
+pub struct MatrixRef<'a> {
+    data: &'a [f64],
     rows: usize,
     cols: usize,
     row_stride: usize,
     col_stride: usize,
 }
 
-impl<'a, T: Copy> MatrixRef<'a, T> {
+// `#[inline]` lets the calling crates (cnd-nn, cnd-ml, cnd-core) inline
+// these small accessors into their per-row loops.
+impl<'a> MatrixRef<'a> {
     /// Builds a row-major contiguous view over `data`.
     ///
     /// # Panics
     ///
     /// Panics if `data.len() != rows * cols`.
-    pub fn from_slice(rows: usize, cols: usize, data: &'a [T]) -> Self {
+    #[inline]
+    pub fn from_slice(rows: usize, cols: usize, data: &'a [f64]) -> Self {
         assert_eq!(data.len(), rows * cols, "view shape mismatch");
         MatrixRef {
             data,
@@ -53,8 +53,9 @@ impl<'a, T: Copy> MatrixRef<'a, T> {
     /// # Panics
     ///
     /// Panics unless the last addressable element fits inside `data`.
+    #[inline]
     pub fn with_strides(
-        data: &'a [T],
+        data: &'a [f64],
         rows: usize,
         cols: usize,
         row_stride: usize,
@@ -74,22 +75,26 @@ impl<'a, T: Copy> MatrixRef<'a, T> {
     }
 
     /// Number of rows.
+    #[inline]
     pub fn rows(&self) -> usize {
         self.rows
     }
 
     /// Number of columns.
+    #[inline]
     pub fn cols(&self) -> usize {
         self.cols
     }
 
     /// `(rows, cols)` pair.
+    #[inline]
     pub fn shape(&self) -> (usize, usize) {
         (self.rows, self.cols)
     }
 
     /// The transposed view — dims and strides swap, nothing is copied.
-    pub fn t(&self) -> MatrixRef<'a, T> {
+    #[inline]
+    pub fn t(&self) -> MatrixRef<'a> {
         MatrixRef {
             data: self.data,
             rows: self.cols,
@@ -105,13 +110,14 @@ impl<'a, T: Copy> MatrixRef<'a, T> {
     ///
     /// Panics if the index is out of bounds.
     #[inline]
-    pub fn get(&self, i: usize, j: usize) -> T {
+    pub fn get(&self, i: usize, j: usize) -> f64 {
         assert!(i < self.rows && j < self.cols, "view index out of bounds");
         self.data[i * self.row_stride + j * self.col_stride]
     }
 
     /// `true` when rows are contiguous (`col_stride == 1`), which
     /// enables slice-based fast paths.
+    #[inline]
     pub fn is_row_contiguous(&self) -> bool {
         self.col_stride == 1
     }
@@ -122,7 +128,7 @@ impl<'a, T: Copy> MatrixRef<'a, T> {
     ///
     /// Panics if `i` is out of bounds or the view is strided in `j`.
     #[inline]
-    pub fn row(&self, i: usize) -> &'a [T] {
+    pub fn row(&self, i: usize) -> &'a [f64] {
         assert!(self.col_stride == 1, "row(): view is not row-contiguous");
         assert!(i < self.rows, "view row out of bounds");
         &self.data[i * self.row_stride..i * self.row_stride + self.cols]
@@ -133,7 +139,8 @@ impl<'a, T: Copy> MatrixRef<'a, T> {
     /// # Panics
     ///
     /// Panics if `end > rows` or `start > end`.
-    pub fn rows_view(&self, start: usize, end: usize) -> MatrixRef<'a, T> {
+    #[inline]
+    pub fn rows_view(&self, start: usize, end: usize) -> MatrixRef<'a> {
         assert!(end <= self.rows && start <= end, "rows_view out of bounds");
         let offset = start * self.row_stride;
         // An empty window may sit exactly at the end of the buffer.
@@ -153,23 +160,22 @@ impl<'a, T: Copy> MatrixRef<'a, T> {
 
     /// Raw element at a precomputed flat offset (packing fast path).
     #[inline(always)]
-    pub(crate) fn flat(&self, idx: usize) -> T {
+    pub(crate) fn flat(&self, idx: usize) -> f64 {
         self.data[idx]
     }
 
     /// The underlying buffer, starting at element `(0, 0)`.
     #[inline(always)]
-    pub(crate) fn raw(&self) -> &'a [T] {
+    pub(crate) fn raw(&self) -> &'a [f64] {
         self.data
     }
 
     /// The view's `(row_stride, col_stride)` pair.
+    #[inline]
     pub fn strides(&self) -> (usize, usize) {
         (self.row_stride, self.col_stride)
     }
-}
 
-impl MatrixRef<'_, f64> {
     /// Copies the viewed window into an owned [`Matrix`].
     pub fn to_matrix(&self) -> Matrix {
         Matrix::from_fn(self.rows, self.cols, |i, j| self.get(i, j))
@@ -185,7 +191,7 @@ impl MatrixRef<'_, f64> {
     ///
     /// Returns [`LinalgError::ShapeMismatch`] unless
     /// `self.cols() == other.rows()`.
-    pub fn matmul(&self, other: &MatrixRef<'_, f64>) -> Result<Matrix, LinalgError> {
+    pub fn matmul(&self, other: &MatrixRef<'_>) -> Result<Matrix, LinalgError> {
         if self.cols != other.rows {
             return Err(LinalgError::ShapeMismatch {
                 left: self.shape(),
@@ -193,39 +199,42 @@ impl MatrixRef<'_, f64> {
                 op: "matmul",
             });
         }
-        Ok(crate::gemm::matmul_f64(*self, *other))
+        Ok(crate::gemm::matmul(*self, *other))
     }
 }
 
 /// A borrowed, mutable, row-contiguous matrix window.
 ///
 /// The write half of the view pair: GEMM writes output row blocks
-/// through it, and callers can wrap any `&mut [T]` that holds
+/// through it, and callers can wrap any `&mut [f64]` that holds
 /// `rows * cols` row-major elements.
 #[derive(Debug)]
-pub struct MatrixMut<'a, T = f64> {
-    data: &'a mut [T],
+pub struct MatrixMut<'a> {
+    data: &'a mut [f64],
     rows: usize,
     cols: usize,
 }
 
-impl<'a, T: Copy> MatrixMut<'a, T> {
+impl<'a> MatrixMut<'a> {
     /// Builds a row-major mutable view over `data`.
     ///
     /// # Panics
     ///
     /// Panics if `data.len() != rows * cols`.
-    pub fn from_slice(rows: usize, cols: usize, data: &'a mut [T]) -> Self {
+    #[inline]
+    pub fn from_slice(rows: usize, cols: usize, data: &'a mut [f64]) -> Self {
         assert_eq!(data.len(), rows * cols, "mut view shape mismatch");
         MatrixMut { data, rows, cols }
     }
 
     /// Number of rows.
+    #[inline]
     pub fn rows(&self) -> usize {
         self.rows
     }
 
     /// Number of columns.
+    #[inline]
     pub fn cols(&self) -> usize {
         self.cols
     }
@@ -236,20 +245,21 @@ impl<'a, T: Copy> MatrixMut<'a, T> {
     ///
     /// Panics if `i` is out of bounds.
     #[inline]
-    pub fn row_mut(&mut self, i: usize) -> &mut [T] {
+    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
         assert!(i < self.rows, "mut view row out of bounds");
         &mut self.data[i * self.cols..(i + 1) * self.cols]
     }
 
     /// Read-only view of the same window.
-    pub fn as_ref(&self) -> MatrixRef<'_, T> {
+    #[inline]
+    pub fn as_ref(&self) -> MatrixRef<'_> {
         MatrixRef::from_slice(self.rows, self.cols, self.data)
     }
 }
 
 impl Matrix {
     /// Borrows the whole matrix as a [`MatrixRef`] view.
-    pub fn view(&self) -> MatrixRef<'_, f64> {
+    pub fn view(&self) -> MatrixRef<'_> {
         MatrixRef::from_slice(self.rows(), self.cols(), self.as_slice())
     }
 
@@ -260,7 +270,7 @@ impl Matrix {
     ///
     /// Returns [`LinalgError::IndexOutOfBounds`] if `end > rows` or
     /// `start > end`.
-    pub fn rows_view(&self, start: usize, end: usize) -> Result<MatrixRef<'_, f64>, LinalgError> {
+    pub fn rows_view(&self, start: usize, end: usize) -> Result<MatrixRef<'_>, LinalgError> {
         if end > self.rows() || start > end {
             return Err(LinalgError::IndexOutOfBounds {
                 index: end,
@@ -271,7 +281,7 @@ impl Matrix {
     }
 
     /// Borrows the whole matrix as a mutable row-major view.
-    pub fn view_mut(&mut self) -> MatrixMut<'_, f64> {
+    pub fn view_mut(&mut self) -> MatrixMut<'_> {
         let (rows, cols) = self.shape();
         MatrixMut::from_slice(rows, cols, self.as_mut_slice())
     }

@@ -47,5 +47,5 @@ pub mod scaler;
 
 pub use error::MlError;
 pub use kmeans::KMeans;
-pub use pca::{Pca, PcaF32};
-pub use scaler::{MinMaxScaler, StandardScaler, StandardScalerF32};
+pub use pca::Pca;
+pub use scaler::{MinMaxScaler, StandardScaler};

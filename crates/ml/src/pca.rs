@@ -6,7 +6,7 @@
 //! explained variance, and a test embedding `h` receives the anomaly
 //! score `FRE = ‖h − T⁻¹(T(h))‖²` where `T` is the PCA projection.
 
-use cnd_linalg::{eigen, matmul_packed_into, stats, Matrix, MatrixF32, MatrixRef, PackedB};
+use cnd_linalg::{eigen, matmul_packed_into, stats, Matrix, MatrixRef, PackedB};
 
 use crate::MlError;
 
@@ -304,7 +304,7 @@ impl Pca {
     /// `n_features` columns and `out` has one slot per row of `h`.
     pub fn fre_rows_into(
         &self,
-        h: MatrixRef<'_, f64>,
+        h: MatrixRef<'_>,
         centered: &mut Vec<f64>,
         projected: &mut Vec<f64>,
         out: &mut [f64],
@@ -362,66 +362,6 @@ impl Pca {
             });
         }
         Ok(())
-    }
-}
-
-/// Single-precision twin of a fitted [`Pca`] for the quantized
-/// inference path.
-///
-/// Holds `f32` copies of the mean and component matrix and computes FRE
-/// scores entirely in single precision: `‖c − (c·C)·Cᵀ‖²` on the
-/// *centered* embedding `c`, which is algebraically identical to the
-/// f64 pipeline's `‖h − T⁻¹(T(h))‖²` (the mean cancels) but skips the
-/// add-mean/re-subtract round trip. Scores carry the f32 tolerance
-/// contract documented on `cnd-core`'s deploy module.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PcaF32 {
-    mean: Vec<f32>,
-    components: MatrixF32,
-}
-
-impl PcaF32 {
-    /// Quantizes a fitted f64 PCA.
-    pub fn from_f64(pca: &Pca) -> Self {
-        PcaF32 {
-            mean: pca.mean().iter().map(|&m| m as f32).collect(),
-            components: MatrixF32::from_f64(pca.components()),
-        }
-    }
-
-    /// Number of retained components.
-    pub fn n_components(&self) -> usize {
-        self.components.cols()
-    }
-
-    /// Input feature dimensionality expected by the transform.
-    pub fn n_features(&self) -> usize {
-        self.components.rows()
-    }
-
-    /// Feature reconstruction errors per row, in single precision.
-    ///
-    /// Serial: the serve path scores small batches and the GEMM kernel
-    /// dominates; there is no bit-identity requirement to preserve on
-    /// the f32 path.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MlError::DimensionMismatch`] on a feature-count mismatch.
-    pub fn reconstruction_errors(&self, x: &MatrixF32) -> Result<Vec<f32>, MlError> {
-        if x.cols() != self.n_features() {
-            return Err(MlError::DimensionMismatch {
-                fitted: self.n_features(),
-                given: x.cols(),
-            });
-        }
-        if x.rows() == 0 {
-            return Ok(Vec::new());
-        }
-        let centered = x.sub_row_broadcast(&self.mean)?;
-        let projected = centered.matmul(&self.components)?;
-        let reconstructed = projected.matmul_view(self.components.view().t())?;
-        Ok(centered.row_sq_diff_sums(&reconstructed)?)
     }
 }
 
@@ -541,42 +481,6 @@ mod tests {
         let x = planar_data();
         let p = Pca::fit(&x, ComponentSelection::Fixed(10)).unwrap();
         assert_eq!(p.n_components(), 4);
-    }
-
-    #[test]
-    fn f32_twin_tracks_f64_scores() {
-        let x = planar_data();
-        let p = Pca::fit(&x, ComponentSelection::VarianceFraction(0.999)).unwrap();
-        let q = PcaF32::from_f64(&p);
-        assert_eq!(q.n_components(), p.n_components());
-        assert_eq!(q.n_features(), p.n_features());
-        // Score points both on and off the manifold.
-        let mut probe = x.slice_rows(0, 10).unwrap();
-        probe = probe
-            .vstack(&Matrix::from_rows(&[vec![1.0, 1.0, 50.0, 4.0]]).unwrap())
-            .unwrap();
-        let s64 = p.reconstruction_errors(&probe).unwrap();
-        let s32 = q
-            .reconstruction_errors(&MatrixF32::from_f64(&probe))
-            .unwrap();
-        for (a, b) in s64.iter().zip(&s32) {
-            let b = *b as f64;
-            assert!(
-                (a - b).abs() <= 1e-3 * (1.0 + a.abs()),
-                "f32 FRE drifted: {a} vs {b}"
-            );
-        }
-    }
-
-    #[test]
-    fn f32_twin_dimension_check() {
-        let x = planar_data();
-        let q = PcaF32::from_f64(&Pca::fit(&x, ComponentSelection::Fixed(2)).unwrap());
-        assert!(q.reconstruction_errors(&MatrixF32::zeros(2, 5)).is_err());
-        assert_eq!(
-            q.reconstruction_errors(&MatrixF32::zeros(0, 4)).unwrap(),
-            Vec::<f32>::new()
-        );
     }
 
     #[test]

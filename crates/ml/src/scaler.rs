@@ -5,7 +5,7 @@
 //! inputs before feeding them to a model — the paper's preprocessing
 //! implied by its use of MLPs and distance-based methods.
 
-use cnd_linalg::{stats, Matrix, MatrixF32, MatrixRef};
+use cnd_linalg::{stats, Matrix, MatrixRef};
 
 use crate::MlError;
 
@@ -92,11 +92,7 @@ impl StandardScaler {
     /// # Errors
     ///
     /// Returns [`MlError::DimensionMismatch`] on a feature-count mismatch.
-    pub fn transform_rows_into(
-        &self,
-        x: MatrixRef<'_, f64>,
-        out: &mut Vec<f64>,
-    ) -> Result<(), MlError> {
+    pub fn transform_rows_into(&self, x: MatrixRef<'_>, out: &mut Vec<f64>) -> Result<(), MlError> {
         if x.cols() != self.mean.len() {
             return Err(MlError::DimensionMismatch {
                 fitted: self.mean.len(),
@@ -133,61 +129,6 @@ impl StandardScaler {
         let sc = Self::fit(x)?;
         let z = sc.transform(x)?;
         Ok((sc, z))
-    }
-}
-
-/// Single-precision twin of a fitted [`StandardScaler`] for the
-/// quantized inference path.
-///
-/// The reciprocal of each standard deviation is precomputed at
-/// quantization time (zero for constant features), so the transform is a
-/// subtract-and-multiply per element — no division and no branch in the
-/// hot loop. Scores produced downstream of this twin carry the f32
-/// tolerance contract documented on `cnd-core`'s deploy module, not the
-/// f64 bit-identity contract.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StandardScalerF32 {
-    mean: Vec<f32>,
-    inv_std: Vec<f32>,
-}
-
-impl StandardScalerF32 {
-    /// Quantizes a fitted f64 scaler.
-    ///
-    /// The zero-variance cutoff (`std <= 1e-12`) is evaluated on the f64
-    /// values *before* rounding, so the twin maps exactly the same
-    /// feature set to zero as its f64 source.
-    pub fn from_f64(sc: &StandardScaler) -> Self {
-        StandardScalerF32 {
-            mean: sc.mean().iter().map(|&m| m as f32).collect(),
-            inv_std: sc
-                .std()
-                .iter()
-                .map(|&s| if s > 1e-12 { (1.0 / s) as f32 } else { 0.0 })
-                .collect(),
-        }
-    }
-
-    /// Applies `(x - mean) / std` per column in single precision.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MlError::DimensionMismatch`] on a feature-count mismatch.
-    pub fn transform(&self, x: &MatrixF32) -> Result<MatrixF32, MlError> {
-        if x.cols() != self.mean.len() {
-            return Err(MlError::DimensionMismatch {
-                fitted: self.mean.len(),
-                given: x.cols(),
-            });
-        }
-        let mut out = x.sub_row_broadcast(&self.mean)?;
-        let cols = self.mean.len().max(1);
-        for row in out.as_mut_slice().chunks_mut(cols) {
-            for (v, &s) in row.iter_mut().zip(&self.inv_std) {
-                *v *= s;
-            }
-        }
-        Ok(out)
     }
 }
 
@@ -283,32 +224,6 @@ mod tests {
     #[test]
     fn standard_scaler_empty_rejected() {
         assert!(StandardScaler::fit(&Matrix::zeros(0, 2)).is_err());
-    }
-
-    #[test]
-    fn f32_scaler_tracks_f64_transform() {
-        let x = Matrix::from_fn(20, 3, |i, j| (i as f64) * (j + 1) as f64 * 0.37 - 2.0);
-        let sc = StandardScaler::fit(&x).unwrap();
-        let q = StandardScalerF32::from_f64(&sc);
-        let z64 = sc.transform(&x).unwrap();
-        let z32 = q.transform(&MatrixF32::from_f64(&x)).unwrap();
-        assert_eq!(z32.shape(), z64.shape());
-        for (a, b) in z64.iter().zip(z32.as_slice()) {
-            assert!((a - *b as f64).abs() < 1e-5, "{a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn f32_scaler_constant_features_and_dim_check() {
-        let x = Matrix::from_fn(5, 2, |i, j| if j == 0 { 7.0 } else { i as f64 });
-        let sc = StandardScaler::fit(&x).unwrap();
-        let q = StandardScalerF32::from_f64(&sc);
-        let z = q.transform(&MatrixF32::from_f64(&x)).unwrap();
-        // Constant column maps to exactly zero, same as the f64 scaler.
-        for i in 0..5 {
-            assert_eq!(z.row(i)[0], 0.0);
-        }
-        assert!(q.transform(&MatrixF32::zeros(2, 3)).is_err());
     }
 
     #[test]

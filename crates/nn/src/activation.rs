@@ -45,30 +45,6 @@ impl Activation {
         }
     }
 
-    /// Applies the activation to a single `f32` value — the quantized
-    /// inference path ([`crate::SequentialF32`]).
-    ///
-    /// Evaluated natively in `f32` (not widen-apply-narrow): the error
-    /// against the f64 path is then bounded by the activation's
-    /// Lipschitz constant (≤ 1 for every variant except
-    /// `LeakyRelu(a > 1)`) times the accumulated input error, which the
-    /// deploy-level tolerance contract accounts for.
-    pub fn apply_f32(self, x: f32) -> f32 {
-        match self {
-            Activation::Relu => x.max(0.0),
-            Activation::LeakyRelu(a) => {
-                if x >= 0.0 {
-                    x
-                } else {
-                    a as f32 * x
-                }
-            }
-            Activation::Tanh => x.tanh(),
-            Activation::Sigmoid => 1.0 / (1.0 + (-x).exp()),
-            Activation::Identity => x,
-        }
-    }
-
     /// Derivative of the activation evaluated at pre-activation `x`.
     ///
     /// At the ReLU kink (`x == 0`) the subgradient `0` is used, matching

@@ -62,7 +62,6 @@ mod error;
 mod linear;
 mod optim;
 mod sequential;
-mod sequential_f32;
 
 pub mod init;
 pub mod loss;
@@ -72,4 +71,3 @@ pub use error::NnError;
 pub use linear::Linear;
 pub use optim::{Adam, Optimizer, Sgd};
 pub use sequential::{Layer, PackedSequential, Sequential};
-pub use sequential_f32::SequentialF32;

@@ -378,7 +378,7 @@ impl PackedSequential {
     /// # Panics
     ///
     /// Panics if the layer widths do not chain from `x.cols()`.
-    pub fn forward_rows(&self, x: MatrixRef<'_, f64>, h: &mut Vec<f64>, tmp: &mut Vec<f64>) {
+    pub fn forward_rows(&self, x: MatrixRef<'_>, h: &mut Vec<f64>, tmp: &mut Vec<f64>) {
         let rows = x.rows();
         let mut width = x.cols();
         // Until the first layer writes `h`, the running activation is `x`.
@@ -421,7 +421,7 @@ impl PackedSequential {
 }
 
 /// Copies the rows of `x` into `out`, row-major.
-fn copy_rows(x: MatrixRef<'_, f64>, out: &mut Vec<f64>) {
+fn copy_rows(x: MatrixRef<'_>, out: &mut Vec<f64>) {
     out.clear();
     for i in 0..x.rows() {
         out.extend_from_slice(x.row(i));

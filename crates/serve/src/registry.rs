@@ -16,7 +16,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use cnd_core::deploy::{DeployedScorer, DeployedScorerF32};
+use cnd_core::deploy::DeployedScorer;
 use cnd_metrics::threshold::quantile_threshold;
 
 use crate::ServeError;
@@ -28,11 +28,6 @@ pub struct VersionedModel {
     pub version: u32,
     /// The frozen scorer.
     pub scorer: DeployedScorer,
-    /// Single-precision twin, quantized once at load/reload so the
-    /// `--score-f32` path never pays quantization per batch. Artifacts
-    /// stay f64 on disk; both precisions always come from the same
-    /// loaded weights.
-    pub scorer_f32: DeployedScorerF32,
     /// Alert threshold τ calibrated from this version's served scores;
     /// set once, so a hot swap recalibrates for the new weights.
     tau: OnceLock<f64>,
@@ -42,11 +37,9 @@ pub struct VersionedModel {
 
 impl VersionedModel {
     fn new(version: u32, scorer: DeployedScorer) -> Self {
-        let scorer_f32 = scorer.to_f32();
         VersionedModel {
             version,
             scorer,
-            scorer_f32,
             tau: OnceLock::new(),
             calibration: Mutex::new(Vec::new()),
         }

@@ -85,12 +85,6 @@ pub struct ServeConfig {
     /// pushed into this bounded mirror for the closed continual-serving
     /// loop ([`crate::continual`]) to drain.
     pub mirror: Option<TrafficMirror>,
-    /// Score batches on the single-precision twin of the model
-    /// (`--score-f32`). Scores then carry the relative tolerance
-    /// documented at [`cnd_core::deploy::F32_SCORE_TOLERANCE`] instead
-    /// of the f64 bit-identity contract; threshold calibration and the
-    /// alert comparison still happen in f64 on the widened scores.
-    pub score_f32: bool,
     /// Request-lifecycle telemetry ([`crate::telemetry`]): per-stage
     /// latency histograms, shed attribution, and SLO burn-rate
     /// tracking. On the hot path this costs one wait-free ring push
@@ -108,7 +102,6 @@ impl Default for ServeConfig {
             calibrate: 512,
             watch: None,
             mirror: None,
-            score_f32: false,
             telemetry: true,
         }
     }
@@ -665,11 +658,7 @@ fn answer_round(
         let x = Matrix::from_vec(n, shared.n_features, data)
             .expect("admitted rows are dimension-checked");
         let formed = Instant::now();
-        let result = if shared.cfg.score_f32 {
-            model.scorer_f32.anomaly_scores(&x)
-        } else {
-            model.scorer.anomaly_scores(&x)
-        };
+        let result = model.scorer.anomaly_scores(&x);
         let (form_us, score_us) = (micros(formed - batch_started), micros(formed.elapsed()));
         for _ in 0..n {
             push_rec(ring, stage_record(Stage::BatchForm, form_us));
@@ -856,60 +845,6 @@ mod tests {
                 "row {i}: batch composition changed the score bits"
             );
         }
-    }
-
-    #[test]
-    fn f32_serving_scores_within_tolerance_with_identical_verdicts() {
-        use cnd_core::deploy::F32_SCORE_TOLERANCE;
-
-        let scorer = trained_scorer(3);
-        let d = scorer.n_features();
-        let artifact = TempArtifact::new("server_f32", &scorer);
-        // A fixed threshold well clear of the tolerance band so both
-        // precisions must agree on every verdict.
-        let probe: Vec<Vec<f64>> = (0..16)
-            .map(|i| {
-                (0..d)
-                    .map(|j| ((i * 5 + j * 3) % 11) as f64 * 0.3 - 1.0)
-                    .collect()
-            })
-            .collect();
-        let probe_m = Matrix::from_rows(&probe).unwrap();
-        let s64 = scorer.anomaly_scores(&probe_m).unwrap();
-        let mid = {
-            let mut sorted = s64.clone();
-            sorted.sort_by(f64::total_cmp);
-            (sorted[7] + sorted[8]) / 2.0
-        };
-        let server = Server::start(
-            artifact.path(),
-            "127.0.0.1:0",
-            ServeConfig {
-                threshold: Some(mid),
-                score_f32: true,
-                ..ServeConfig::default()
-            },
-        )
-        .expect("starts");
-        let mut c = ServeClient::connect(server.local_addr()).expect("connect");
-        for (row, &expected) in probe.iter().zip(&s64) {
-            match c.score(row).expect("scored") {
-                Reply::Score { score, verdict, .. } => {
-                    assert!(
-                        (score - expected).abs() <= F32_SCORE_TOLERANCE * (1.0 + expected.abs()),
-                        "f32 serve score out of tolerance: {score} vs {expected}"
-                    );
-                    let want = if expected > mid {
-                        Verdict::Alert
-                    } else {
-                        Verdict::Normal
-                    };
-                    assert_eq!(verdict, want, "verdict flipped under f32 scoring");
-                }
-                other => panic!("expected a score reply, got {other:?}"),
-            }
-        }
-        drop(server);
     }
 
     #[test]

@@ -39,9 +39,9 @@ pub const MAX_DIM: usize = 1 << 16;
 
 /// Feature storage width of a store file.
 ///
-/// Compute in this workspace is f64 (with an explicit f32 serving path);
-/// `F32` halves the disk footprint for archival mirrors at the cost of a
-/// lossy narrow on write. Readers always widen to f64.
+/// Compute in this workspace is f64 end to end; `F32` halves the disk
+/// footprint for archival mirrors at the cost of a lossy narrow on
+/// write. Readers always widen to f64.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DType {
     /// 8-byte features; write→read round trips are bitwise lossless.

@@ -28,16 +28,15 @@
 //!   pipeline's final health report.
 //! * `serve <model.txt> [--addr A] [--max-batch N] [--queue-cap N]
 //!   [--threshold T | --quantile Q --calibrate N]
-//!   [--watch [--watch-interval-ms MS]] [--score-f32] [--no-telemetry]
+//!   [--watch [--watch-interval-ms MS]] [--no-telemetry]
 //!   [--runtime-s S]`
 //!   — serve the frozen model over the `cnd-serve` TCP wire protocol;
 //!   each connection's reader scores the frames it has buffered as one
 //!   batch (`--max-batch` caps it), with hot-swap reload and admission
 //!   control (`--queue-cap` bounds in-flight rows across connections);
-//!   `--score-f32` scores on the single-precision twin (threshold
-//!   decisions stay in f64); `--no-telemetry` disables the per-stage
-//!   lifecycle telemetry (rings + SLO tracking), which exists mainly
-//!   to measure its own overhead. With
+//!   `--no-telemetry` disables the per-stage lifecycle telemetry
+//!   (rings + SLO tracking), which exists mainly to measure its own
+//!   overhead. With
 //!   `--continual --data <labelled.csv>` the process also runs the
 //!   closed continual loop: live traffic is mirrored into a training
 //!   buffer, score drift triggers a background retrain, candidates are
@@ -147,7 +146,7 @@ const USAGE: &str = "usage:
   cnd-ids-cli train <data.csv|data.cnds> <model.txt> [--experiences M] [--seed N] [--clean-cap N] [--train-cap N] [--chunk-rows N]
   cnd-ids-cli score <model.txt> <data.csv|data.cnds> [--quantile Q] [--chunk-rows N]
   cnd-ids-cli stream <data.csv> [--experiences M] [--seed N] [--chunk N] [--fault-rate R] [--health]
-  cnd-ids-cli serve <model.txt> [--addr 127.0.0.1:7071] [--max-batch N] [--queue-cap N] [--threshold T] [--quantile Q] [--calibrate N] [--watch] [--watch-interval-ms MS] [--score-f32] [--no-telemetry] [--runtime-s S] [--continual --data <labelled.csv|.cnds> [--experiences M] [--seed N] [--drift-window N] [--min-retrain N] [--probation N] [--ledger <path>] [--flight-dump <path>] [--mirror-spill <out.cnds>]]
+  cnd-ids-cli serve <model.txt> [--addr 127.0.0.1:7071] [--max-batch N] [--queue-cap N] [--threshold T] [--quantile Q] [--calibrate N] [--watch] [--watch-interval-ms MS] [--no-telemetry] [--runtime-s S] [--continual --data <labelled.csv|.cnds> [--experiences M] [--seed N] [--drift-window N] [--min-retrain N] [--probation N] [--ledger <path>] [--flight-dump <path>] [--mirror-spill <out.cnds>]]
   cnd-ids-cli loadgen <addr> [--flows N] [--concurrency C] [--rate R] [--seed N] [--reload-midway] [--tag T] [--out <path>] [--append]
   cnd-ids-cli observe <trace.jsonl> [--top [N]] [--latency] [--timeline]
   cnd-ids-cli bench-check <current> [--baseline <path>] [--update] [--tolerance T]
@@ -562,7 +561,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             .any(|a| a == "--watch")
             .then(|| std::time::Duration::from_millis(watch_interval_ms.max(10))),
         mirror: mirror.clone(),
-        score_f32: args.iter().any(|a| a == "--score-f32"),
         telemetry: !args.iter().any(|a| a == "--no-telemetry"),
     };
     // Make sure the counters the server records are live so a
