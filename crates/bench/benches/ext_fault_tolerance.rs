@@ -13,9 +13,9 @@
 //! under 10%, with zero panics and every reported score finite.
 
 use cnd_bench::{banner, row, standard_split, BENCH_SEED};
-use cnd_core::resilience::{Mode, ResilientConfig, ResilientStreamingCndIds, ScriptedFaults};
+use cnd_core::resilience::{ResilientConfig, ResilientStreamingCndIds, ScriptedFaults};
 use cnd_core::runner::evaluate_resilient_streaming;
-use cnd_core::streaming::StreamingConfig;
+use cnd_core::streaming::{Mode, StreamingConfig};
 use cnd_core::{CndIds, CndIdsConfig};
 use cnd_datasets::DatasetProfile;
 
@@ -32,8 +32,6 @@ fn main() {
             bootstrap_batch: 600,
             min_batch: 200,
             drift_window: 100,
-            drift_threshold: 3.0,
-            reservoir_seed: 42,
         },
         ..ResilientConfig::default()
     };

@@ -183,11 +183,12 @@ fn bench_serve_score(
 ///   on the serial pool — the comparison is data plane, not thread
 ///   fan-out); `bit_identical` records that the streamed f64 scores are
 ///   bitwise equal to the in-memory ones.
-/// * `store_peak_alloc_<shape>` — the same two passes measured once
-///   through the counting allocator; `serial_rate`/`parallel_rate` are
-///   peak extra MiB allocated by the in-memory vs streamed pass, and
-///   `bit_identical` asserts the streamed pass never out-allocated the
-///   in-memory one (the memory-boundedness claim of the data plane).
+/// * `store_stream_flat_peak_<shape>` — the data plane's memory claim:
+///   when the capture grows 4×, the streamed pass's peak extra
+///   allocation (measured once through the counting allocator), minus
+///   the score vector it returns, does not grow. `serial_*`/`parallel_*`
+///   are the streamed pass over `rows` and `4 · rows` flows (flows/s);
+///   `bit_identical` records that the bound held.
 fn bench_store_stream(
     rows: usize,
     cols: usize,
@@ -200,49 +201,67 @@ fn bench_store_stream(
     const MIB: f64 = 1024.0 * 1024.0;
 
     let (scorer, x) = frozen_scorer_and_flows(rows, cols);
+    let x4 = Matrix::vstack_all(vec![&x; 4]).expect("same width");
+    let store_of = |m: &Matrix, tag: &str| {
+        let path = std::env::temp_dir().join(format!(
+            "cnd_substrate_{}_{tag}_{rows}.cnds",
+            std::process::id()
+        ));
+        let mut writer =
+            StoreWriter::create(&path, cols, DType::F64, false).expect("store is writable");
+        writer.push_matrix(m, &[]).expect("rows append");
+        writer.finalize().expect("store finalizes");
+        path
+    };
+    let (path, path4) = (store_of(&x, "x1"), store_of(&x4, "x4"));
 
-    let path =
-        std::env::temp_dir().join(format!("cnd_substrate_{}_{rows}.cnds", std::process::id()));
-    let mut writer =
-        StoreWriter::create(&path, cols, DType::F64, false).expect("store is writable");
-    writer.push_matrix(&x, &[]).expect("rows append");
-    writer.finalize().expect("store finalizes");
-
-    let stream_pass = || {
-        let store = FlowStore::open(&path).expect("store opens");
+    let stream_pass = |path: &std::path::Path| {
+        let store = FlowStore::open(path).expect("store opens");
         let chunks = store.chunks(CHUNK_ROWS).expect("chunk iter opens");
-        let mut scores = Vec::with_capacity(rows);
+        let mut scores = Vec::with_capacity(store.len() as usize);
         for part in scorer.score_chunks(chunks) {
             scores.extend(part.expect("chunk scores").scores);
         }
         scores
     };
-
-    // Peak-allocation proxy, measured once per path (not in the timing
-    // loop, so the warmup cannot inflate the high-water mark).
-    let base = reset_peak_to_live();
-    let mem_secs_once = Instant::now();
+    // Peak extra allocation of one streamed pass, less the 8-byte score
+    // per row it returns. Measured once, outside the timing loop, so a
+    // warmup cannot inflate the high-water mark, and with tracing off,
+    // because the trace buffer grows with the number of chunk spans.
+    let working_set = |path: &std::path::Path| {
+        cnd_obs::set_enabled(false);
+        let base = reset_peak_to_live();
+        let scores = serial.install(|| stream_pass(path));
+        let peak = PEAK.load(Ordering::Relaxed).saturating_sub(base);
+        cnd_obs::set_enabled(true);
+        (peak.saturating_sub(scores.len() * 8), scores)
+    };
+    let (flat1, s_stream) = working_set(&path);
+    let (flat4, _) = working_set(&path4);
     let s_mem = serial.install(|| scorer.anomaly_scores(&x).expect("scores"));
-    let mem_once = mem_secs_once.elapsed().as_secs_f64();
-    let mem_peak = PEAK.load(Ordering::Relaxed).saturating_sub(base);
-
-    let base = reset_peak_to_live();
-    let stream_secs_once = Instant::now();
-    let s_stream = serial.install(stream_pass);
-    let stream_once = stream_secs_once.elapsed().as_secs_f64();
-    let stream_peak = PEAK.load(Ordering::Relaxed).saturating_sub(base);
-
     let bitwise = s_mem.len() == s_stream.len()
         && s_mem
             .iter()
             .zip(&s_stream)
             .all(|(a, b)| a.to_bits() == b.to_bits());
+    println!(
+        "store_stream_flat_peak: {:.3} MiB at {rows} rows, {:.3} MiB at {} rows (peak less returned scores)",
+        flat1 as f64 / MIB,
+        flat4 as f64 / MIB,
+        4 * rows,
+    );
+    assert!(
+        flat4 <= flat1,
+        "streaming a 4x capture grew the working set from {flat1} to {flat4} bytes"
+    );
 
     let mem_secs = time_best(reps, || {
         serial.install(|| scorer.anomaly_scores(&x).expect("scores"))
     });
-    let stream_secs = time_best(reps, || serial.install(stream_pass));
+    let stream_secs = time_best(reps, || serial.install(|| stream_pass(&path)));
+    let stream4_secs = time_best(reps, || serial.install(|| stream_pass(&path4)));
     let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(&path4);
 
     [
         Measurement {
@@ -255,13 +274,13 @@ fn bench_store_stream(
             bit_identical: bitwise,
         },
         Measurement {
-            name: format!("store_peak_alloc_{rows}x{cols}"),
-            serial_secs: mem_once,
-            parallel_secs: stream_once,
-            rate_unit: "MiB peak",
-            serial_rate: mem_peak as f64 / MIB,
-            parallel_rate: stream_peak as f64 / MIB,
-            bit_identical: stream_peak <= mem_peak,
+            name: format!("store_stream_flat_peak_{rows}x{cols}"),
+            serial_secs: stream_secs,
+            parallel_secs: stream4_secs,
+            rate_unit: "flows/s",
+            serial_rate: rows as f64 / stream_secs,
+            parallel_rate: (4 * rows) as f64 / stream4_secs,
+            bit_identical: flat4 <= flat1,
         },
     ]
 }
@@ -438,7 +457,7 @@ fn main() {
     cnd_obs::set_enabled(false);
     let phases = cnd_obs::phase_report(&cnd_obs::snapshot_jsonl()).expect("bench trace parses");
 
-    let widths = [22, 12, 12, 9, 14, 14, 9];
+    let widths = [30, 12, 12, 9, 14, 14, 9];
     println!(
         "{}",
         cnd_bench::row(

@@ -492,8 +492,6 @@ mod tests {
                     bootstrap_batch: 200,
                     min_batch: 100,
                     drift_window: 50,
-                    drift_threshold: 3.0,
-                    reservoir_seed: 42,
                 },
                 ..ResilientConfig::default()
             },

@@ -1,178 +1,69 @@
-//! Streaming deployment of CND-IDS with automatic experience detection.
+//! The continual-learning core that every retrain loop shares.
 //!
 //! The paper defines an experience as "a shift in the data stream
-//! distribution" (Section I) but assumes the experience boundaries are
-//! given. In a live deployment nobody announces them. This module closes
-//! that gap: [`StreamingCndIds`] buffers incoming flows, monitors the
-//! *model's own anomaly-score distribution* with a two-window drift
-//! detector, and triggers a training experience when the score
-//! distribution shifts (or when the buffer fills, whichever comes
-//! first). The underlying update is exactly Algorithm 1's per-experience
-//! step, so all of the paper's machinery — pseudo-labels, `L_CND`,
-//! snapshot regularization, PCA refit — is reused unchanged.
+//! distribution" (Section I) but assumes the boundaries are given. A
+//! deployment has to find them. [`ContinualCore`] makes the decisions
+//! such a loop needs, and only those: it owns no model, no thread and no
+//! clock, so each host drives it from its own I/O.
+//!
+//! 1. **Input guard** ([`InputGuard`]): every flow is checked for
+//!    non-finite values, a wrong width, and |z| beyond
+//!    [`MAX_ABS_SCALED`] under the fitted scaler; offenders go to a
+//!    bounded quarantine with per-reason counters.
+//! 2. **Drift policy**: `ln(1 + score)` of the serving model's scores
+//!    fills fixed-size windows of a [`cnd_obs::DriftMonitor`]; a window
+//!    whose PSI / symmetric-KL verdict crosses the default thresholds
+//!    arms a retrain.
+//! 3. **Replay reservoir**: accepted flows feed a seeded Algorithm-R
+//!    sample of at most `max_buffer` rows; the triggers count *offered*
+//!    flows, so memory stays bounded however long a retrain is held off.
+//! 4. **Retry, backoff and degraded mode** ([`RetryPolicy`], [`Mode`]):
+//!    failed attempts back off exponentially in accepted flows (no wall
+//!    clock), and `max_attempts` consecutive failures enter degraded mode.
+//! 5. **The training attempt** ([`train_attempt`]): Algorithm 1's
+//!    per-experience update on the reservoir, with the scripted
+//!    [`TrainingFault`]s applied.
+//!
+//! Two hosts drive the core. `ResilientStreamingCndIds` (the `stream`
+//! CLI) trains in-process and rolls back to a model snapshot;
+//! `cnd_serve::ContinualController` (`serve --continual`) trains on a
+//! background thread behind a shadow gate, canary swap and probation.
 
 use std::collections::VecDeque;
+use std::fmt;
 
-use cnd_linalg::{vector, Matrix};
+use cnd_linalg::Matrix;
+use cnd_ml::StandardScaler;
+use cnd_obs::{DriftMonitor, DriftVerdict};
 use cnd_store::ReservoirBuffer;
 
 use crate::cfe::TrainStats;
 use crate::{CndIds, CoreError};
 
-/// Two-window mean-shift drift detector over a scalar signal.
-///
-/// A *reference* window summarizes the signal right after the last
-/// (re)training; a rolling *current* window tracks the live signal.
-/// Drift fires when the current mean deviates from the reference mean by
-/// more than `threshold` reference standard deviations.
-///
-/// # Example
-///
-/// ```
-/// use cnd_core::streaming::DriftDetector;
-///
-/// let mut det = DriftDetector::new(50, 3.0);
-/// // Calibrate on a stationary signal...
-/// for i in 0..50 {
-///     assert!(!det.observe(((i * 7) % 10) as f64 * 0.1));
-/// }
-/// // ...a large sustained shift fires within one window.
-/// let fired = (0..50).any(|i| det.observe(10.0 + ((i * 3) % 10) as f64 * 0.1));
-/// assert!(fired);
-/// ```
-#[derive(Debug, Clone)]
-pub struct DriftDetector {
-    window: usize,
-    threshold: f64,
-    reference: Vec<f64>,
-    reference_mean: f64,
-    reference_std: f64,
-    calibrated: bool,
-    current: VecDeque<f64>,
-    /// Running sum of `current`, so the rolling mean is O(1) per
-    /// observation instead of O(window).
-    current_sum: f64,
-    fired: bool,
-    rejected: u64,
-    /// Observed twin: full log-bucketed distributions of the same
-    /// signal, rotated at each [`DriftDetector::reset`], so a retrain
-    /// trigger is explainable post-hoc (PSI / symmetric KL between the
-    /// regime before and after — see DESIGN.md §9).
-    monitor: cnd_obs::DriftMonitor,
-}
+/// The guard rejects a flow when any feature's |z-score| under the
+/// fitted scaler exceeds this. Legitimate drift moves means by a few
+/// standard deviations; exporter garbage moves them by millions.
+pub const MAX_ABS_SCALED: f64 = 1e6;
 
-impl DriftDetector {
-    /// Creates a detector with the given window length and threshold
-    /// (in reference standard deviations; `3.0` is a sensible default).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window < 2` or `threshold <= 0`.
-    pub fn new(window: usize, threshold: f64) -> Self {
-        assert!(window >= 2, "drift window must be >= 2");
-        assert!(threshold > 0.0, "drift threshold must be > 0");
-        DriftDetector {
-            window,
-            threshold,
-            reference: Vec::with_capacity(window),
-            reference_mean: 0.0,
-            reference_std: 0.0,
-            calibrated: false,
-            current: VecDeque::with_capacity(window),
-            current_sum: 0.0,
-            fired: false,
-            rejected: 0,
-            monitor: cnd_obs::DriftMonitor::default(),
-        }
-    }
+/// Quarantined flows kept for inspection; older ones are evicted and
+/// counted.
+pub const QUARANTINE_CAPACITY: usize = 1024;
 
-    /// `true` once the reference window is full.
-    pub fn is_calibrated(&self) -> bool {
-        self.calibrated
-    }
+/// Finite score given to rows the guard rejects at scoring time: large
+/// enough to always rank as anomalous, finite so metrics never see NaN.
+pub const QUARANTINE_SCORE: f64 = 1e12;
 
-    /// Non-finite observations rejected (and ignored) so far.
-    pub fn rejected(&self) -> u64 {
-        self.rejected
-    }
+/// Seed of the replay reservoir.
+const RESERVOIR_SEED: u64 = 42;
 
-    /// Discards all state (called after retraining so the detector
-    /// re-calibrates on the new regime). The observed twin rotates its
-    /// window here: the distribution that led to this reset becomes the
-    /// reference the next regime is compared against, and the verdict
-    /// (PSI / symmetric KL) is published as metrics and kept for
-    /// [`DriftDetector::last_verdict`].
-    pub fn reset(&mut self) {
-        self.reference.clear();
-        self.current.clear();
-        self.current_sum = 0.0;
-        self.calibrated = false;
-        self.fired = false;
-        if let Some(v) = self.monitor.rotate() {
-            cnd_obs::histogram_record("stream.drift.psi.value", v.psi);
-            cnd_obs::histogram_record("stream.drift.sym_kl.value", v.sym_kl);
-            if v.drifted {
-                cnd_obs::counter_add("stream.drift.confirmed.count", 1);
-            }
-        }
-    }
-
-    /// The distribution-level verdict from the most recent reset that
-    /// had a reference regime to compare against (`None` until the
-    /// second reset). This is the post-hoc explanation of the last
-    /// retrain trigger: how far the score distribution actually moved.
-    pub fn last_verdict(&self) -> Option<cnd_obs::DriftVerdict> {
-        self.monitor.last_verdict()
-    }
-
-    /// Feeds one observation; returns `true` when drift fires. After a
-    /// firing the detector keeps reporting `true` until [`reset`](Self::reset).
-    ///
-    /// Non-finite observations are rejected (counted, otherwise ignored):
-    /// a single NaN score would otherwise poison the reference mean/std
-    /// permanently during calibration, or the rolling sum afterwards.
-    pub fn observe(&mut self, value: f64) -> bool {
-        if !value.is_finite() {
-            self.rejected += 1;
-            cnd_obs::counter_add("stream.drift.rejected.count", 1);
-            return self.fired;
-        }
-        self.monitor.observe(value);
-        if !self.calibrated {
-            self.reference.push(value);
-            if self.reference.len() == self.window {
-                self.reference_mean = vector::mean(&self.reference);
-                self.reference_std = vector::std_dev(&self.reference).max(1e-9);
-                self.calibrated = true;
-            }
-            return false;
-        }
-        self.current.push_back(value);
-        self.current_sum += value;
-        if self.current.len() > self.window {
-            if let Some(evicted) = self.current.pop_front() {
-                self.current_sum -= evicted;
-            }
-        }
-        if self.current.len() < self.window / 2 {
-            return self.fired;
-        }
-        let mean = self.current_sum / self.current.len() as f64;
-        if (mean - self.reference_mean).abs() > self.threshold * self.reference_std {
-            self.fired = true;
-        }
-        self.fired
-    }
-}
-
-/// Why a streaming training step was triggered.
+/// Why a training step was triggered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Trigger {
-    /// The score-distribution drift detector fired.
+    /// A drift window's verdict armed a retrain.
     DriftDetected,
     /// The buffer reached its configured capacity.
     BufferFull,
-    /// The caller forced a flush ([`StreamingCndIds::flush`]).
+    /// The caller forced a flush.
     Manual,
 }
 
@@ -187,48 +78,21 @@ impl Trigger {
     }
 }
 
-/// The outcome of pushing a batch of flows into the stream.
-#[derive(Debug, Clone, PartialEq)]
-pub enum StreamEvent {
-    /// Flows were buffered; no training occurred.
-    Buffered {
-        /// Current buffer fill level.
-        buffered: usize,
-    },
-    /// A training experience was executed on the buffered flows.
-    ExperienceTrained {
-        /// Number of flows consumed by the experience.
-        samples: usize,
-        /// What triggered the training step.
-        trigger: Trigger,
-        /// CFE training diagnostics.
-        stats: TrainStats,
-    },
-}
-
-/// Configuration for [`StreamingCndIds`].
+/// Buffering and trigger sizes of a [`ContinualCore`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamingConfig {
-    /// Train at the latest when this many flows are buffered.
+    /// Reservoir capacity; a retrain is due at the latest once this many
+    /// flows have been offered.
     pub max_buffer: usize,
     /// Train the *first* experience as soon as this many flows are
-    /// buffered (the model cannot score — and therefore cannot detect
-    /// drift — until it has trained once, so the bootstrap threshold is
-    /// smaller than `max_buffer`).
+    /// offered (an untrained model cannot score, so it cannot see drift).
     pub bootstrap_batch: usize,
-    /// Never train on fewer flows than this (drift firings on a nearly
-    /// empty buffer wait until the minimum accumulates).
+    /// Never train on fewer offered flows than this (a drift verdict on
+    /// a nearly empty buffer waits until the minimum accumulates).
     pub min_batch: usize,
-    /// Drift-detector window length (scores).
+    /// Scores per drift window; a verdict is taken each time a batch
+    /// brings the window to at least this many.
     pub drift_window: usize,
-    /// Drift threshold in reference standard deviations.
-    pub drift_threshold: f64,
-    /// Seed for the bounded flow-memory reservoir (Algorithm R). The
-    /// stream buffer retains at most `max_buffer` flows as a seeded
-    /// uniform sample of everything pushed since the last training
-    /// step, so memory stays O(`max_buffer`) even when drift gating
-    /// keeps a regime buffered for a long time.
-    pub reservoir_seed: u64,
 }
 
 impl Default for StreamingConfig {
@@ -238,162 +102,546 @@ impl Default for StreamingConfig {
             bootstrap_batch: 800,
             min_batch: 200,
             drift_window: 100,
-            drift_threshold: 3.0,
-            reservoir_seed: 42,
         }
     }
 }
 
-/// CND-IDS wrapped for online consumption of an unlabelled flow stream.
-///
-/// # Example
-///
-/// A bounded ingest loop (every line compiles under doctests; `no_run`
-/// only skips execution, since `fast` training is still too slow for
-/// the doctest budget):
-///
-/// ```no_run
-/// use cnd_core::streaming::{StreamEvent, StreamingCndIds, StreamingConfig};
-/// use cnd_core::{CndIds, CndIdsConfig};
-/// use cnd_linalg::Matrix;
-///
-/// fn main() -> Result<(), Box<dyn std::error::Error>> {
-///     let clean_normal = Matrix::from_fn(60, 6, |i, j| ((i * 13 + j * 7) % 17) as f64 / 17.0);
-///     let model = CndIds::new(CndIdsConfig::fast(7), &clean_normal)?;
-///     let mut stream = StreamingCndIds::new(model, StreamingConfig::default());
-///     for batch in 0..10usize {
-///         let flows = Matrix::from_fn(100, 6, |i, j| {
-///             (((i + batch * 100) * 13 + j * 7) % 17) as f64 / 17.0
-///         });
-///         match stream.push_flows(&flows)? {
-///             StreamEvent::ExperienceTrained { samples, trigger, .. } => {
-///                 println!("retrained on {samples} flows ({trigger:?})");
-///             }
-///             StreamEvent::Buffered { buffered } => {
-///                 println!("buffered: {buffered}");
-///             }
-///         }
-///     }
-///     Ok(())
-/// }
-/// ```
+/// Why the input guard rejected a flow.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RejectReason {
+    /// The flow contained a NaN or infinite value.
+    NonFinite,
+    /// The flow's feature count did not match the fitted model.
+    DimensionMismatch,
+    /// A value's |z-score| exceeded [`MAX_ABS_SCALED`].
+    OutOfRange,
+}
+
+impl fmt::Display for RejectReason {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RejectReason::NonFinite => write!(f, "non-finite value"),
+            RejectReason::DimensionMismatch => write!(f, "dimension mismatch"),
+            RejectReason::OutOfRange => write!(f, "out of scaled range"),
+        }
+    }
+}
+
+/// Counters for flows rejected by the input guard.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct QuarantineStats {
+    /// Flows rejected for NaN/Inf values.
+    pub non_finite: u64,
+    /// Flows rejected for a wrong feature count.
+    pub dimension_mismatch: u64,
+    /// Flows rejected for implausible magnitude after scaling.
+    pub out_of_range: u64,
+    /// Quarantined flows evicted because the quarantine buffer was full.
+    pub evicted: u64,
+}
+
+impl QuarantineStats {
+    /// Total flows quarantined (evictions not double-counted).
+    pub fn total(&self) -> u64 {
+        self.non_finite + self.dimension_mismatch + self.out_of_range
+    }
+}
+
+/// Validates incoming flows against the fitted scaler and quarantines
+/// offenders (bounded, with counters).
 #[derive(Debug, Clone)]
-pub struct StreamingCndIds {
-    model: CndIds,
-    config: StreamingConfig,
-    /// Bounded replay memory: a seeded Algorithm-R uniform sample of
-    /// the flows pushed since the last training step, never more than
-    /// `config.max_buffer` rows. Training triggers count *offered*
-    /// flows ([`ReservoirBuffer::seen`]), so trigger timing matches the
-    /// old unbounded-buffer behaviour exactly until the cap is hit.
-    buffer: ReservoirBuffer<Vec<f64>>,
-    drift: DriftDetector,
+pub struct InputGuard {
+    mean: Vec<f64>,
+    std: Vec<f64>,
+    quarantine: VecDeque<(Vec<f64>, RejectReason)>,
+    stats: QuarantineStats,
 }
 
-impl StreamingCndIds {
-    /// Wraps a (possibly untrained) model for streaming consumption.
-    pub fn new(model: CndIds, config: StreamingConfig) -> Self {
-        let drift = DriftDetector::new(config.drift_window.max(2), config.drift_threshold);
-        StreamingCndIds {
-            model,
-            config,
-            buffer: ReservoirBuffer::new(config.max_buffer.max(1), config.reservoir_seed),
-            drift,
+impl InputGuard {
+    /// Builds a guard around the pipeline's fitted input scaler.
+    pub fn new(scaler: &StandardScaler) -> Self {
+        InputGuard {
+            mean: scaler.mean().to_vec(),
+            std: scaler.std().to_vec(),
+            quarantine: VecDeque::new(),
+            stats: QuarantineStats::default(),
         }
     }
 
-    /// Borrow of the wrapped model (e.g. for scoring).
-    pub fn model(&self) -> &CndIds {
-        &self.model
-    }
-
-    /// Flows awaiting the next training step (offered since the last
-    /// one; at most `max_buffer` of them are physically retained).
-    pub fn buffered(&self) -> usize {
-        self.buffer.seen() as usize
-    }
-
-    /// Pushes a batch of flows into the stream.
-    ///
-    /// Flows are buffered; if the model is already trained they are also
-    /// scored and fed to the drift detector. Training triggers when the
-    /// detector fires (with at least `min_batch` flows buffered) or the
-    /// buffer reaches `max_buffer`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates scoring/training failures.
-    pub fn push_flows(&mut self, x: &Matrix) -> Result<StreamEvent, CoreError> {
-        let mut drifted = false;
-        if self.model.experiences_trained() > 0 {
-            let scores = self.model.anomaly_scores(x)?;
-            for s in scores {
-                // FRE scores are heavy-tailed; the log transform keeps a
-                // few extreme flows from swamping the window means.
-                drifted |= self.drift.observe((1.0 + s.max(0.0)).ln());
+    /// Pure validation: `None` means the row is acceptable.
+    pub fn check(&self, row: &[f64]) -> Option<RejectReason> {
+        if row.len() != self.mean.len() {
+            return Some(RejectReason::DimensionMismatch);
+        }
+        if row.iter().any(|v| !v.is_finite()) {
+            return Some(RejectReason::NonFinite);
+        }
+        for ((v, m), s) in row.iter().zip(&self.mean).zip(&self.std) {
+            if ((v - m) / s.max(1e-9)).abs() > MAX_ABS_SCALED {
+                return Some(RejectReason::OutOfRange);
             }
         }
-        for row in x.iter_rows() {
-            self.buffer.offer(row.to_vec());
+        None
+    }
+
+    /// Validates a row; on rejection the row is quarantined and the
+    /// reason returned.
+    pub fn admit(&mut self, row: &[f64]) -> Option<RejectReason> {
+        let reason = self.check(row)?;
+        cnd_obs::counter_add("resilience.quarantine.count", 1);
+        match reason {
+            RejectReason::NonFinite => {
+                self.stats.non_finite += 1;
+                cnd_obs::counter_add("resilience.quarantine.non_finite.count", 1);
+            }
+            RejectReason::DimensionMismatch => {
+                self.stats.dimension_mismatch += 1;
+                cnd_obs::counter_add("resilience.quarantine.dimension_mismatch.count", 1);
+            }
+            RejectReason::OutOfRange => {
+                self.stats.out_of_range += 1;
+                cnd_obs::counter_add("resilience.quarantine.out_of_range.count", 1);
+            }
         }
-        let pending = self.buffer.seen() as usize;
-        let bootstrap =
-            self.model.experiences_trained() == 0 && pending >= self.config.bootstrap_batch;
-        let full = pending >= self.config.max_buffer;
-        let drift_ready = drifted && pending >= self.config.min_batch;
-        if bootstrap || full || drift_ready {
-            let trigger = if drift_ready && !full {
-                Trigger::DriftDetected
-            } else {
-                Trigger::BufferFull
-            };
-            self.train_on_buffer(trigger)
-        } else {
-            Ok(StreamEvent::Buffered { buffered: pending })
+        self.quarantine.push_back((row.to_vec(), reason));
+        if self.quarantine.len() > QUARANTINE_CAPACITY {
+            self.quarantine.pop_front();
+            self.stats.evicted += 1;
+            cnd_obs::counter_add("resilience.quarantine.evicted.count", 1);
+        }
+        Some(reason)
+    }
+
+    /// Rejection counters so far.
+    pub fn stats(&self) -> QuarantineStats {
+        self.stats
+    }
+
+    /// Flows currently held in quarantine (oldest first).
+    pub fn quarantined(&self) -> impl Iterator<Item = (&[f64], RejectReason)> {
+        self.quarantine.iter().map(|(row, r)| (row.as_slice(), *r))
+    }
+
+    /// Removes and returns all quarantined flows (counters are kept).
+    pub fn drain_quarantine(&mut self) -> Vec<(Vec<f64>, RejectReason)> {
+        self.quarantine.drain(..).collect()
+    }
+}
+
+/// Retry/backoff policy for failed training attempts, measured in
+/// accepted-flow counts (deterministic, no wall clock).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RetryPolicy {
+    /// Consecutive failures tolerated before entering
+    /// [`Mode::Degraded`]. Retries continue even in degraded mode (at
+    /// the capped backoff) so a later success can restore normal
+    /// operation.
+    pub max_attempts: u32,
+    /// Accepted flows to wait before the first retry; doubles per
+    /// consecutive failure.
+    pub backoff_base_flows: usize,
+    /// Upper bound on the backoff interval.
+    pub max_backoff_flows: usize,
+}
+
+impl Default for RetryPolicy {
+    fn default() -> Self {
+        RetryPolicy {
+            max_attempts: 3,
+            backoff_base_flows: 500,
+            max_backoff_flows: 16_000,
+        }
+    }
+}
+
+impl RetryPolicy {
+    /// Flows to wait after the `consecutive_failures`-th failure:
+    /// `base · 2^(failures−1)`, capped at `max_backoff_flows`.
+    pub fn backoff_flows(&self, consecutive_failures: u32) -> usize {
+        let exp = consecutive_failures.saturating_sub(1).min(16);
+        self.backoff_base_flows
+            .saturating_mul(1usize << exp)
+            .min(self.max_backoff_flows)
+    }
+}
+
+/// Operating mode of a continual loop.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Mode {
+    /// Training and scoring are both healthy.
+    Normal,
+    /// Repeated training failures: scoring continues on the
+    /// last-known-good frozen scorer; retraining keeps retrying at the
+    /// capped backoff interval.
+    Degraded,
+}
+
+impl fmt::Display for Mode {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Mode::Normal => write!(f, "normal"),
+            Mode::Degraded => write!(f, "degraded"),
+        }
+    }
+}
+
+/// A fault injected into a training attempt.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TrainingFault {
+    /// Poison the training batch so the CFE loss goes non-finite,
+    /// exercising the divergence watchdog end to end.
+    NanLoss,
+    /// Fail the attempt outright with a synthetic error before training
+    /// starts.
+    Error,
+    /// Crash the trainer mid-attempt. A host that trains on its own
+    /// thread turns this into a real `panic!` and contains it via the
+    /// join; [`train_attempt`] maps it to an error so an in-process
+    /// host can never abort the whole process.
+    Panic,
+}
+
+/// A fault injected into a candidate model *artifact* on its way to
+/// disk, exercising the swap-validation and post-swap rollback paths of
+/// a model registry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ArtifactFault {
+    /// Replace the artifact bytes with garbage that cannot parse, so a
+    /// validating loader must refuse the swap outright.
+    Garbage,
+    /// Keep the artifact parseable but silently wreck its weights, so
+    /// the swap succeeds and only *post-swap* quality monitoring can
+    /// catch it and roll back.
+    DegradedWeights,
+}
+
+/// Deterministic fault source for exercising recovery paths.
+///
+/// The core calls `corrupt_flow` for every incoming flow *before* the
+/// input guard (so the guard is tested against the corruption), and
+/// `training_fault` / `artifact_fault` once per training attempt.
+pub trait FaultInjector {
+    /// May corrupt the given flow in place (`flow_index` counts all
+    /// flows ever screened, 0-based). Default: no-op.
+    fn corrupt_flow(&mut self, flow_index: u64, row: &mut Vec<f64>) {
+        let _ = (flow_index, row);
+    }
+
+    /// May fail the given training attempt (`attempt` counts all
+    /// attempts, 1-based). Default: no fault.
+    fn training_fault(&mut self, attempt: u64) -> Option<TrainingFault> {
+        let _ = attempt;
+        None
+    }
+
+    /// May corrupt the candidate artifact produced by the given training
+    /// attempt (`attempt` counts all attempts, 1-based) as it is written
+    /// to disk. Default: no fault.
+    fn artifact_fault(&mut self, attempt: u64) -> Option<ArtifactFault> {
+        let _ = attempt;
+        None
+    }
+}
+
+/// One training attempt handed out by [`ContinualCore::begin_attempt`].
+#[derive(Debug, Clone)]
+pub struct Attempt {
+    /// 1-based attempt number.
+    pub number: u64,
+    /// Injected training fault, if any.
+    pub fault: Option<TrainingFault>,
+    /// Injected artifact fault, if any.
+    pub artifact_fault: Option<ArtifactFault>,
+    /// The reservoir's rows, in slot order.
+    pub batch: Matrix,
+}
+
+/// Runs one training experience on `batch` with `fault` applied.
+/// [`TrainingFault::Panic`] becomes an error here; a threaded host
+/// panics for real before calling this.
+///
+/// # Errors
+///
+/// The injected failure, or whatever `train_experience` returns
+/// (an injected NaN batch trips [`CoreError::TrainingDiverged`]).
+pub fn train_attempt(
+    model: &mut CndIds,
+    batch: &Matrix,
+    fault: Option<TrainingFault>,
+) -> Result<TrainStats, CoreError> {
+    let injected = |constraint| CoreError::InvalidConfig {
+        name: "fault-injection",
+        constraint,
+    };
+    match fault {
+        Some(TrainingFault::Error) => Err(injected("injected training failure")),
+        Some(TrainingFault::Panic) => Err(injected("injected trainer panic")),
+        Some(TrainingFault::NanLoss) => {
+            // Poison a copy *after* the guard, so the CFE's own
+            // divergence watchdog is what trips.
+            let mut poisoned = batch.clone();
+            if poisoned.rows() > 0 && poisoned.cols() > 0 {
+                poisoned[(0, 0)] = f64::NAN;
+            }
+            model.train_experience(&poisoned)
+        }
+        None => model.train_experience(batch),
+    }
+}
+
+/// The guard, drift, reservoir, backoff and fault decisions of one
+/// continual loop (see the [module docs](self)).
+pub struct ContinualCore {
+    config: StreamingConfig,
+    retry: RetryPolicy,
+    guard: InputGuard,
+    drift: DriftMonitor,
+    window: usize,
+    armed: bool,
+    last_verdict: Option<DriftVerdict>,
+    drift_rejections: u64,
+    buffer: ReservoirBuffer<Vec<f64>>,
+    flows_seen: u64,
+    flows_dropped: u64,
+    attempts: u64,
+    mode: Mode,
+    consecutive_failures: u32,
+    total_failures: u64,
+    flows_until_retry: usize,
+    injector: Option<Box<dyn FaultInjector + Send>>,
+}
+
+impl ContinualCore {
+    /// A core guarding inputs with `scaler`'s fitted statistics.
+    pub fn new(scaler: &StandardScaler, config: StreamingConfig, retry: RetryPolicy) -> Self {
+        ContinualCore {
+            config,
+            retry,
+            guard: InputGuard::new(scaler),
+            drift: DriftMonitor::default(),
+            window: 0,
+            armed: false,
+            last_verdict: None,
+            drift_rejections: 0,
+            buffer: ReservoirBuffer::new(config.max_buffer, RESERVOIR_SEED),
+            flows_seen: 0,
+            flows_dropped: 0,
+            attempts: 0,
+            mode: Mode::Normal,
+            consecutive_failures: 0,
+            total_failures: 0,
+            flows_until_retry: 0,
+            injector: None,
         }
     }
 
-    /// Forces a training experience on whatever is buffered.
+    /// Installs a fault injector (tests, benches, fire drills).
+    pub fn set_fault_injector(&mut self, injector: Box<dyn FaultInjector + Send>) {
+        self.injector = Some(injector);
+    }
+
+    /// Applies injected corruption to `row`, then the input guard.
+    /// `Some` means the row was quarantined and must go no further.
+    pub fn screen(&mut self, row: &mut Vec<f64>) -> Option<RejectReason> {
+        let index = self.flows_seen;
+        self.flows_seen += 1;
+        if let Some(inj) = self.injector.as_mut() {
+            inj.corrupt_flow(index, row);
+        }
+        self.guard.admit(row)
+    }
+
+    /// Offers an accepted row to the replay reservoir and counts it
+    /// against the retry backoff. Returns `true` when the full
+    /// reservoir dropped a row (this one or a displaced one).
+    pub fn offer(&mut self, row: Vec<f64>) -> bool {
+        self.flows_until_retry = self.flows_until_retry.saturating_sub(1);
+        let dropped = self.buffer.offer(row).is_some();
+        self.flows_dropped += u64::from(dropped);
+        dropped
+    }
+
+    /// Adds one serving-model score to the current drift window.
+    /// Returns `false` when the score was rejected as non-finite.
+    pub fn observe_score(&mut self, score: f64) -> bool {
+        // FRE scores are heavy-tailed; the log keeps a few extreme flows
+        // from owning the histogram.
+        let value = (1.0 + score.max(0.0)).ln();
+        self.window += 1;
+        if !value.is_finite() {
+            self.drift_rejections += 1;
+            return false;
+        }
+        self.drift.observe(value);
+        true
+    }
+
+    /// Closes the drift window once it holds `drift_window` scores and
+    /// returns its verdict against the previous window (`None` while the
+    /// window is filling, and for the first window after a reset). A
+    /// drifted verdict arms a retrain until [`reset_drift`](Self::reset_drift).
+    pub fn close_window(&mut self) -> Option<DriftVerdict> {
+        if self.window < self.config.drift_window {
+            return None;
+        }
+        self.window = 0;
+        let verdict = self.drift.rotate()?;
+        self.armed |= verdict.drifted;
+        self.last_verdict = Some(verdict);
+        Some(verdict)
+    }
+
+    /// Forgets the score distribution (after a new model goes live): the
+    /// next window becomes the reference and any armed drift is cleared.
+    pub fn reset_drift(&mut self) {
+        self.drift = DriftMonitor::default();
+        self.window = 0;
+        self.armed = false;
+    }
+
+    /// `true` when drift is armed, enough flows were offered, and no
+    /// backoff is pending.
+    pub fn drift_ready(&self) -> bool {
+        self.armed && self.pending() >= self.config.min_batch && self.flows_until_retry == 0
+    }
+
+    /// The trigger of a retrain that is due now, if any: bootstrap (for
+    /// an untrained model) or a full buffer ([`Trigger::BufferFull`]),
+    /// else ready drift ([`Trigger::DriftDetected`]).
+    pub fn due(&self, trained: bool) -> Option<Trigger> {
+        if self.flows_until_retry > 0 {
+            return None;
+        }
+        let pending = self.pending();
+        let full = pending >= self.config.max_buffer
+            || (!trained && pending >= self.config.bootstrap_batch);
+        if full {
+            Some(Trigger::BufferFull)
+        } else if self.drift_ready() {
+            Some(Trigger::DriftDetected)
+        } else {
+            None
+        }
+    }
+
+    /// Numbers the next attempt, asks the injector for its faults, and
+    /// stacks the reservoir into its batch.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidConfig`] when the buffer is empty;
-    /// propagates training failures.
-    pub fn flush(&mut self) -> Result<StreamEvent, CoreError> {
-        if self.buffer.is_empty() {
-            return Err(CoreError::InvalidConfig {
-                name: "buffer",
-                constraint: "cannot flush an empty stream buffer",
-            });
-        }
-        self.train_on_buffer(Trigger::Manual)
-    }
-
-    fn train_on_buffer(&mut self, trigger: Trigger) -> Result<StreamEvent, CoreError> {
-        let _span = cnd_obs::span!(
-            "stream.retrain",
-            samples = self.buffer.len(),
-            trigger = trigger.as_str(),
-        );
-        let x = self.buffer.to_matrix().ok_or(CoreError::InvalidConfig {
+    /// [`CoreError::InvalidConfig`] when the reservoir is empty.
+    pub fn begin_attempt(&mut self) -> Result<Attempt, CoreError> {
+        let batch = self.buffer.to_matrix().ok_or(CoreError::InvalidConfig {
             name: "buffer",
             constraint: "cannot train on an empty stream buffer",
         })?;
-        let stats = self.model.train_experience(&x)?;
-        let samples = x.rows();
-        cnd_obs::counter_add("stream.retrain.count", 1);
-        match trigger {
-            Trigger::DriftDetected => cnd_obs::counter_add("stream.retrain.drift.count", 1),
-            Trigger::BufferFull => cnd_obs::counter_add("stream.retrain.buffer_full.count", 1),
-            Trigger::Manual => cnd_obs::counter_add("stream.retrain.manual.count", 1),
-        }
-        self.buffer.clear();
-        self.drift.reset();
-        Ok(StreamEvent::ExperienceTrained {
-            samples,
-            trigger,
-            stats,
+        self.attempts += 1;
+        let number = self.attempts;
+        let (fault, artifact_fault) = match self.injector.as_mut() {
+            Some(inj) => (inj.training_fault(number), inj.artifact_fault(number)),
+            None => (None, None),
+        };
+        Ok(Attempt {
+            number,
+            fault,
+            artifact_fault,
+            batch,
         })
+    }
+
+    /// Empties the reservoir (its rows became a model).
+    pub fn clear_buffer(&mut self) {
+        self.buffer.clear();
+    }
+
+    /// Records a successful cycle: failures and backoff reset. Returns
+    /// `true` when this left [`Mode::Degraded`].
+    pub fn succeeded(&mut self) -> bool {
+        let recovered = self.mode == Mode::Degraded;
+        self.mode = Mode::Normal;
+        self.consecutive_failures = 0;
+        self.flows_until_retry = 0;
+        recovered
+    }
+
+    /// Records a failed cycle and arms the backoff. Returns `true` when
+    /// this entered [`Mode::Degraded`].
+    pub fn failed(&mut self) -> bool {
+        self.consecutive_failures = self.consecutive_failures.saturating_add(1);
+        self.total_failures += 1;
+        self.flows_until_retry = self.retry.backoff_flows(self.consecutive_failures);
+        let entered =
+            self.mode == Mode::Normal && self.consecutive_failures >= self.retry.max_attempts;
+        if entered {
+            self.mode = Mode::Degraded;
+        }
+        entered
+    }
+
+    /// The input guard (quarantine inspection).
+    pub fn guard(&self) -> &InputGuard {
+        &self.guard
+    }
+
+    /// Input-guard rejection counters.
+    pub fn quarantine(&self) -> QuarantineStats {
+        self.guard.stats()
+    }
+
+    /// Flows ever screened (accepted + quarantined).
+    pub fn flows_seen(&self) -> u64 {
+        self.flows_seen
+    }
+
+    /// Accepted flows the full reservoir did not keep.
+    pub fn flows_dropped(&self) -> u64 {
+        self.flows_dropped
+    }
+
+    /// Flows offered since the last [`clear_buffer`](Self::clear_buffer).
+    pub fn pending(&self) -> usize {
+        self.buffer.seen() as usize
+    }
+
+    /// Rows the reservoir holds (at most `max_buffer`).
+    pub fn buffered(&self) -> usize {
+        self.buffer.len()
+    }
+
+    /// Whether a drift verdict has armed a retrain.
+    pub fn drift_armed(&self) -> bool {
+        self.armed
+    }
+
+    /// The most recent window verdict; survives [`reset_drift`](Self::reset_drift)
+    /// so the verdict behind the last retrain stays readable.
+    pub fn last_verdict(&self) -> Option<DriftVerdict> {
+        self.last_verdict
+    }
+
+    /// Non-finite scores rejected by the drift policy.
+    pub fn drift_rejections(&self) -> u64 {
+        self.drift_rejections
+    }
+
+    /// Current operating mode.
+    pub fn mode(&self) -> Mode {
+        self.mode
+    }
+
+    /// Failures since the last success.
+    pub fn consecutive_failures(&self) -> u32 {
+        self.consecutive_failures
+    }
+
+    /// Failed cycles in total.
+    pub fn total_failures(&self) -> u64 {
+        self.total_failures
+    }
+
+    /// Accepted flows to offer before the next attempt (0 = ready).
+    pub fn flows_until_retry(&self) -> usize {
+        self.flows_until_retry
     }
 }
 
@@ -408,146 +656,138 @@ mod tests {
         })
     }
 
-    fn stream(max_buffer: usize) -> StreamingCndIds {
-        let n_c = flows(60, 0.0, 900);
-        let model = CndIds::new(CndIdsConfig::fast(5), &n_c).expect("builds");
-        StreamingCndIds::new(
-            model,
-            StreamingConfig {
-                max_buffer,
-                bootstrap_batch: max_buffer,
-                min_batch: 50,
-                drift_window: 40,
-                drift_threshold: 3.0,
-                reservoir_seed: 42,
-            },
-        )
+    fn model() -> CndIds {
+        CndIds::new(CndIdsConfig::fast(5), &flows(60, 0.0, 900)).expect("builds")
+    }
+
+    fn core(max_buffer: usize) -> ContinualCore {
+        let config = StreamingConfig {
+            max_buffer,
+            bootstrap_batch: max_buffer,
+            min_batch: 50,
+            drift_window: 40,
+        };
+        ContinualCore::new(model().scaler(), config, RetryPolicy::default())
+    }
+
+    fn offer_all(c: &mut ContinualCore, x: &Matrix) {
+        for row in x.iter_rows() {
+            c.offer(row.to_vec());
+        }
+    }
+
+    /// Feeds one full drift window of the 8-value cycle `base + k/10`
+    /// and closes it.
+    fn window(c: &mut ContinualCore, base: f64) -> Option<DriftVerdict> {
+        for i in 0..40 {
+            c.observe_score(base + (i % 8) as f64 * 0.1);
+        }
+        c.close_window()
     }
 
     #[test]
     fn drift_detector_fires_on_shift_not_on_stationary() {
-        let mut det = DriftDetector::new(30, 3.0);
-        let mut fired_stationary = false;
-        for i in 0..200 {
-            fired_stationary |= det.observe(((i * 7) % 13) as f64 * 0.1);
+        let mut c = core(100_000);
+        assert!(
+            window(&mut c, 0.0).is_none(),
+            "first window is the reference"
+        );
+        for _ in 0..4 {
+            let v = window(&mut c, 0.0).expect("verdict");
+            assert!(!v.drifted, "stationary windows must not drift: {v:?}");
         }
-        assert!(!fired_stationary, "stationary signal must not fire");
-        let mut fired_shift = false;
-        for i in 0..60 {
-            fired_shift |= det.observe(5.0 + ((i * 7) % 13) as f64 * 0.1);
-        }
-        assert!(fired_shift, "sustained large shift must fire");
+        assert!(!c.drift_armed());
+        let v = window(&mut c, 500.0).expect("verdict");
+        assert!(v.drifted && v.psi > 0.25, "{v:?}");
+        assert!(c.drift_armed());
+        // Armed drift stays armed until a reset.
+        window(&mut c, 500.0);
+        assert!(c.drift_armed());
     }
 
     #[test]
     fn drift_detector_reset_recalibrates() {
-        let mut det = DriftDetector::new(10, 3.0);
-        for i in 0..10 {
-            det.observe(i as f64 * 0.01);
-        }
-        assert!(det.is_calibrated());
-        det.reset();
-        assert!(!det.is_calibrated());
-        // New regime becomes the reference after reset.
-        for i in 0..10 {
-            assert!(!det.observe(100.0 + (i % 5) as f64 * 0.2));
-        }
-        assert!(det.is_calibrated());
-        let fired = (0..10).any(|i| det.observe(100.0 + (i % 5) as f64 * 0.2));
-        assert!(!fired, "same regime after recalibration must not fire");
+        let mut c = core(100_000);
+        window(&mut c, 0.0);
+        window(&mut c, 500.0);
+        assert!(c.drift_armed());
+        c.reset_drift();
+        assert!(!c.drift_armed());
+        let v = c.last_verdict().expect("the arming verdict stays readable");
+        assert!(v.drifted);
+        // The new regime becomes the reference after a reset.
+        assert!(window(&mut c, 500.0).is_none());
+        let v = window(&mut c, 500.0).expect("verdict");
+        assert!(!v.drifted, "same regime after reset must not drift");
+        assert!(!c.drift_armed());
     }
 
     #[test]
-    #[should_panic(expected = "window must be >= 2")]
-    fn drift_detector_validates_window() {
-        DriftDetector::new(1, 3.0);
-    }
-
-    #[test]
-    fn drift_detector_observed_twin_explains_resets() {
-        let mut det = DriftDetector::new(10, 3.0);
-        assert!(det.last_verdict().is_none());
-        for i in 0..20 {
-            det.observe(1.0 + (i % 4) as f64 * 0.1);
+    fn non_finite_scores_are_rejected_but_fill_the_window() {
+        let mut c = core(100_000);
+        for _ in 0..39 {
+            assert!(c.observe_score(1.0));
         }
-        det.reset(); // first rotation stores the reference, no verdict
-        assert!(det.last_verdict().is_none());
-        for i in 0..20 {
-            det.observe(1.0 + (i % 4) as f64 * 0.1);
-        }
-        det.reset();
-        let v = det.last_verdict().expect("second reset compares regimes");
-        assert!(!v.drifted, "same regime: {v:?}");
-        for _ in 0..20 {
-            det.observe(500.0);
-        }
-        det.reset();
-        let v = det.last_verdict().expect("verdict after shifted regime");
-        assert!(v.drifted, "large shift must be confirmed: {v:?}");
-        assert!(v.psi > 0.25);
+        assert!(!c.observe_score(f64::INFINITY));
+        assert_eq!(c.drift_rejections(), 1);
+        assert!(
+            c.close_window().is_none(),
+            "the first window is the reference"
+        );
+        assert!(window(&mut c, 0.0).is_some(), "so the second one compares");
     }
 
     #[test]
     fn buffer_full_triggers_training() {
-        let mut s = stream(100);
-        let mut trained = false;
-        for phase in 0..5 {
-            match s.push_flows(&flows(30, 0.0, phase * 30)).unwrap() {
-                StreamEvent::ExperienceTrained {
-                    trigger, samples, ..
-                } => {
-                    assert_eq!(trigger, Trigger::BufferFull);
-                    assert!(samples >= 100);
-                    trained = true;
-                    break;
-                }
-                StreamEvent::Buffered { .. } => {}
-            }
+        let mut c = core(100);
+        for phase in 0..3 {
+            offer_all(&mut c, &flows(30, 0.0, phase * 30));
+            assert_eq!(c.due(false), None);
         }
-        assert!(trained);
-        assert_eq!(s.model().experiences_trained(), 1);
-        assert_eq!(s.buffered(), 0);
+        offer_all(&mut c, &flows(30, 0.0, 90));
+        assert_eq!(c.due(false), Some(Trigger::BufferFull));
+        assert_eq!(c.pending(), 120);
+        assert_eq!(c.buffered(), 100, "the reservoir keeps max_buffer rows");
+        assert_eq!(c.flows_dropped(), 20);
+        let attempt = c.begin_attempt().expect("non-empty");
+        assert_eq!((attempt.number, attempt.batch.rows()), (1, 100));
+        let mut m = model();
+        train_attempt(&mut m, &attempt.batch, attempt.fault).expect("trains");
+        assert_eq!(m.experiences_trained(), 1);
+        c.clear_buffer();
+        assert_eq!((c.pending(), c.buffered()), (0, 0));
     }
 
     #[test]
     fn drift_triggers_training_before_buffer_full() {
-        let mut s = stream(100_000); // effectively no buffer limit
-                                     // First experience: bootstrap via manual flush.
-        s.push_flows(&flows(300, 0.0, 0)).unwrap();
-        matches!(s.flush().unwrap(), StreamEvent::ExperienceTrained { .. });
-
-        // Same regime: no drift trigger.
-        for phase in 0..4 {
-            let ev = s.push_flows(&flows(50, 0.0, phase * 50)).unwrap();
-            assert!(matches!(ev, StreamEvent::Buffered { .. }), "{ev:?}");
-        }
-
-        // Shifted regime: anomaly scores jump, drift fires once enough
-        // samples accumulate.
-        let mut drift_trained = false;
-        for phase in 0..10 {
-            if let StreamEvent::ExperienceTrained { trigger, .. } =
-                s.push_flows(&flows(50, 8.0, phase * 50)).unwrap()
-            {
-                assert_eq!(trigger, Trigger::DriftDetected);
-                drift_trained = true;
-                break;
-            }
-        }
-        assert!(drift_trained, "drift should trigger a training experience");
+        let mut c = core(100_000);
+        window(&mut c, 0.0);
+        window(&mut c, 0.0);
+        offer_all(&mut c, &flows(40, 0.0, 0));
+        assert_eq!(c.due(true), None, "no drift, buffer far from full");
+        window(&mut c, 500.0);
+        assert_eq!(c.due(true), None, "armed drift waits for min_batch");
+        offer_all(&mut c, &flows(10, 0.0, 40));
+        assert_eq!(c.due(true), Some(Trigger::DriftDetected));
+        assert!(c.drift_ready());
     }
 
     #[test]
     fn flush_empty_is_an_error() {
-        let mut s = stream(100);
-        assert!(matches!(s.flush(), Err(CoreError::InvalidConfig { .. })));
+        let mut c = core(100);
+        assert!(matches!(
+            c.begin_attempt(),
+            Err(CoreError::InvalidConfig { .. })
+        ));
     }
 
     #[test]
     fn scores_available_after_first_experience() {
-        let mut s = stream(100);
-        s.push_flows(&flows(120, 0.0, 0)).unwrap();
-        let q = flows(10, 0.0, 500);
-        assert!(s.model().anomaly_scores(&q).is_ok());
+        let mut c = core(100);
+        offer_all(&mut c, &flows(120, 0.0, 0));
+        let attempt = c.begin_attempt().expect("non-empty");
+        let mut m = model();
+        train_attempt(&mut m, &attempt.batch, None).expect("trains");
+        assert!(m.anomaly_scores(&flows(10, 0.0, 500)).is_ok());
     }
 }

@@ -159,10 +159,11 @@ pub fn compare(previous: &Histogram, current: &Histogram, th: DriftThresholds) -
 /// current histogram and, on [`DriftMonitor::rotate`], compares it
 /// against the previous window's histogram.
 ///
-/// This is the *observed twin* of the streaming `DriftDetector`: the
-/// detector decides when to retrain from a mean shift, while the
-/// monitor keeps the full distributions so the trigger is explainable
-/// after the fact (which buckets moved, by how much).
+/// The continual core (`cnd_core::streaming::ContinualCore`) rotates
+/// one every drift window and retrains on its verdicts; the runner
+/// rotates one per experience. Keeping the full distributions makes
+/// each verdict explainable after the fact (which buckets moved, by how
+/// much).
 #[derive(Debug, Clone, PartialEq)]
 pub struct DriftMonitor {
     thresholds: DriftThresholds,

@@ -5,7 +5,7 @@ use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-use cnd_core::resilience::RetryPolicy;
+use cnd_core::streaming::RetryPolicy;
 
 use crate::protocol::{read_reply, write_request, FrameError, Reply, Request, ServerInfo};
 

@@ -31,9 +31,11 @@
 //!   (features + score + model version) into a bounded [`TrafficMirror`];
 //!   beyond capacity the oldest samples are dropped and counted. The
 //!   controller drains the mirror on every [`ContinualController::step`].
-//! * **Drift trigger.** Live scores feed a [`DriftMonitor`] in
-//!   fixed-size windows; a PSI / symmetric-KL verdict over threshold
-//!   marks the traffic as drifted and arms retraining.
+//! * **Continual core.** Drained samples go through a
+//!   [`ContinualCore`]: its input guard quarantines poisoned samples,
+//!   live scores fill its PSI / symmetric-KL drift windows (a drifted
+//!   verdict arms retraining), accepted samples feed its replay
+//!   reservoir, and it counts the retry backoff.
 //! * **Background retrain.** A clone of the trainable model learns the
 //!   mirrored (drifted) traffic as a new experience on a dedicated
 //!   thread — a trainer panic or error is contained by the join and
@@ -56,7 +58,7 @@
 //!   deterministically.
 //!
 //! Failed cycles back off exponentially (measured in accepted mirror
-//! samples, reusing [`RetryPolicy`]) so a persistently failing
+//! samples, by the core's [`RetryPolicy`]) so a persistently failing
 //! environment cannot hot-loop retraining.
 
 use std::collections::VecDeque;
@@ -64,8 +66,10 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 use cnd_core::deploy::DeployedScorer;
-use cnd_core::resilience::{
-    ArtifactFault, FaultInjector, LastKnownGood, RetryPolicy, TrainingFault,
+use cnd_core::resilience::LastKnownGood;
+use cnd_core::streaming::{
+    train_attempt, ArtifactFault, ContinualCore, FaultInjector, RetryPolicy, StreamingConfig,
+    TrainingFault,
 };
 use cnd_core::{CndIds, CoreError};
 use cnd_linalg::Matrix;
@@ -74,15 +78,11 @@ use cnd_metrics::threshold::{best_f1_threshold, quantile_threshold};
 use cnd_obs::ledger::{
     Disposition, DriftProvenance, EntryDraft, Ledger, SampleProvenance, ShadowProvenance,
 };
-use cnd_obs::{DriftMonitor, DriftThresholds, DriftVerdict};
-use cnd_store::{ReservoirBuffer, StoreMeta, StoreWriter};
+use cnd_obs::DriftVerdict;
+use cnd_store::{StoreMeta, StoreWriter};
 
 use crate::server::Server;
 use crate::ServeError;
-
-/// Features with any |value| above this are treated as poisoned even
-/// when finite (an exporter emitting 1e30 is garbage, not traffic).
-const MAX_ABS_FEATURE: f64 = 1e9;
 
 /// One scored flow captured from the serving hot path.
 #[derive(Debug, Clone)]
@@ -272,11 +272,11 @@ pub struct ContinualConfig {
     /// Live scores per drift window; a PSI/KL verdict is computed every
     /// time this many scores from the serving model have been observed.
     pub drift_window: usize,
-    /// PSI / symmetric-KL levels above which a window counts as drifted.
-    pub drift_thresholds: DriftThresholds,
     /// Mirrored samples required before a retrain may start.
     pub min_retrain_samples: usize,
-    /// Cap on buffered training samples (oldest are dropped beyond it).
+    /// Capacity of the replay reservoir: a seeded uniform sample of the
+    /// traffic accepted since the last swap, so long drift episodes do
+    /// not silently forget their early flows.
     pub max_train_samples: usize,
     /// Shadow gate: candidate F1 must be at least `live F1 − this`.
     pub f1_tolerance: f64,
@@ -299,19 +299,12 @@ pub struct ContinualConfig {
     /// samples (`max_attempts` is not used by the loop — it retries
     /// indefinitely with capped backoff).
     pub retry: RetryPolicy,
-    /// Seed for the bounded training-memory reservoir. The replay
-    /// buffer holds a seeded Algorithm-R uniform sample of the traffic
-    /// accepted since the last swap (capacity `max_train_samples`)
-    /// instead of just the most recent window, so long drift episodes
-    /// do not silently forget their early flows.
-    pub reservoir_seed: u64,
 }
 
 impl Default for ContinualConfig {
     fn default() -> Self {
         ContinualConfig {
             drift_window: 256,
-            drift_thresholds: DriftThresholds::default(),
             min_retrain_samples: 256,
             max_train_samples: 4096,
             f1_tolerance: 0.05,
@@ -321,7 +314,6 @@ impl Default for ContinualConfig {
             probation_max_alert_rate: 0.5,
             probation_max_errors: 10,
             retry: RetryPolicy::default(),
-            reservoir_seed: 42,
         }
     }
 }
@@ -407,8 +399,8 @@ pub struct ShadowReport {
 pub struct ContinualStats {
     /// Mirrored samples drained from the serving path.
     pub samples_seen: u64,
-    /// Samples rejected as poisoned (non-finite / wrong width /
-    /// implausible magnitude).
+    /// Samples the input guard quarantined (non-finite / wrong width /
+    /// |z| beyond the guard's bound).
     pub poisoned_rejected: u64,
     /// Drift verdicts over threshold.
     pub drift_detections: u64,
@@ -614,7 +606,7 @@ enum State {
     Retraining {
         handle: JoinHandle<TrainOutcome>,
         artifact_fault: Option<ArtifactFault>,
-        shadow_rows: Vec<Vec<f64>>,
+        shadow: Matrix,
         attempt: u64,
     },
     /// A freshly swapped canary is serving under observation.
@@ -660,14 +652,8 @@ pub struct ContinualController {
     cycles_minted: u64,
     cycle_parent: u64,
     armed_verdict: Option<DriftVerdict>,
-    drift: DriftMonitor,
-    window_count: usize,
-    drift_pending: bool,
-    buffer: ReservoirBuffer<Vec<f64>>,
+    core: ContinualCore,
     state: State,
-    injector: Option<Box<dyn FaultInjector + Send>>,
-    attempts: u64,
-    samples_until_retry: usize,
     stats: ContinualStats,
     live_scorer: DeployedScorer,
     live_version: u32,
@@ -711,8 +697,14 @@ impl ContinualController {
         ] {
             cnd_obs::counter_add_volatile(name, 0);
         }
-        let drift = DriftMonitor::new(cfg.drift_thresholds);
-        let buffer = ReservoirBuffer::new(cfg.max_train_samples, cfg.reservoir_seed);
+        let streaming = StreamingConfig {
+            max_buffer: cfg.max_train_samples,
+            // The served model is already trained: no bootstrap trigger.
+            bootstrap_batch: cfg.max_train_samples,
+            min_batch: cfg.min_retrain_samples,
+            drift_window: cfg.drift_window,
+        };
+        let core = ContinualCore::new(model.scaler(), streaming, cfg.retry);
         Ok(ContinualController {
             cfg,
             model,
@@ -724,14 +716,8 @@ impl ContinualController {
             cycles_minted: 0,
             cycle_parent: 0,
             armed_verdict: None,
-            drift,
-            window_count: 0,
-            drift_pending: false,
-            buffer,
+            core,
             state: State::Stable,
-            injector: None,
-            attempts: 0,
-            samples_until_retry: 0,
             stats: ContinualStats::default(),
             live_scorer,
             live_version: 0,
@@ -742,12 +728,17 @@ impl ContinualController {
     /// Installs a deterministic fault source (mirror poisoning, trainer
     /// faults, artifact corruption) for tests and fire drills.
     pub fn set_fault_injector(&mut self, injector: Box<dyn FaultInjector + Send>) {
-        self.injector = Some(injector);
+        self.core.set_fault_injector(injector);
     }
 
     /// Counter snapshot.
     pub fn stats(&self) -> ContinualStats {
-        self.stats
+        ContinualStats {
+            samples_seen: self.core.flows_seen(),
+            poisoned_rejected: self.core.quarantine().total(),
+            consecutive_failures: self.core.consecutive_failures(),
+            ..self.stats
+        }
     }
 
     /// Current state machine position (`stable` / `retraining` /
@@ -786,7 +777,7 @@ impl ContinualController {
 
     /// Mirrored samples currently buffered for the next retrain.
     pub fn buffered_samples(&self) -> usize {
-        self.buffer.len()
+        self.core.buffered()
     }
 
     /// Pumps the loop once: drains the mirror, advances the state
@@ -822,17 +813,19 @@ impl ContinualController {
             State::Retraining {
                 handle,
                 artifact_fault,
-                shadow_rows,
+                shadow,
                 attempt,
             } => {
                 // Keep the mirror bounded while training runs; the
-                // drained traffic still feeds the sample buffer.
-                self.ingest_passive();
+                // drained traffic still feeds the reservoir.
+                for sample in self.drain_sanitized() {
+                    self.core.offer(sample.features);
+                }
                 if !handle.is_finished() {
                     self.state = State::Retraining {
                         handle,
                         artifact_fault,
-                        shadow_rows,
+                        shadow,
                         attempt,
                     };
                     return events;
@@ -845,7 +838,7 @@ impl ContinualController {
                         self.record_disposition(
                             Disposition::TrainerFailed,
                             0,
-                            Some(shadow_rows.len()),
+                            Some(shadow.rows()),
                             None,
                             &reason,
                         );
@@ -862,7 +855,7 @@ impl ContinualController {
                         self.record_disposition(
                             Disposition::TrainerFailed,
                             0,
-                            Some(shadow_rows.len()),
+                            Some(shadow.rows()),
                             None,
                             &reason,
                         );
@@ -878,7 +871,7 @@ impl ContinualController {
                             new_model,
                             candidate,
                             artifact_fault,
-                            &shadow_rows,
+                            &shadow,
                             &mut events,
                         );
                     }
@@ -936,8 +929,7 @@ impl ContinualController {
                 } else {
                     self.known_good.record(version, *candidate);
                     self.stats.probation_passes += 1;
-                    self.stats.consecutive_failures = 0;
-                    self.samples_until_retry = 0;
+                    self.core.succeeded();
                     cnd_obs::counter_add_volatile("continual.probation_pass.count", 1);
                     self.record_disposition(
                         Disposition::ProbationPassed,
@@ -958,97 +950,60 @@ impl ContinualController {
         events
     }
 
-    /// Drains the mirror, applies injected corruption, and filters out
-    /// poisoned samples.
+    /// Drains the mirror through the core's fault injector and input
+    /// guard, keeping the samples it accepts.
     fn drain_sanitized(&mut self) -> Vec<MirrorSample> {
-        let d = self.live_scorer.n_features();
-        let mut kept = Vec::new();
-        for mut sample in self.mirror.drain() {
-            let index = self.stats.samples_seen;
-            self.stats.samples_seen += 1;
-            if let Some(inj) = self.injector.as_mut() {
-                inj.corrupt_flow(index, &mut sample.features);
-            }
-            let poisoned = sample.features.len() != d
-                || sample
-                    .features
-                    .iter()
-                    .any(|v| !v.is_finite() || v.abs() > MAX_ABS_FEATURE);
+        let mut samples = self.mirror.drain();
+        samples.retain_mut(|sample| {
+            let poisoned = self.core.screen(&mut sample.features).is_some();
             if poisoned {
-                self.stats.poisoned_rejected += 1;
                 cnd_obs::counter_add_volatile("continual.poisoned.count", 1);
-                continue;
             }
-            kept.push(sample);
-        }
-        kept
-    }
-
-    fn buffer_sample(&mut self, features: Vec<f64>) {
-        // Algorithm-R replay memory: bounded at `max_train_samples`, a
-        // uniform (seeded, deterministic) sample of everything accepted
-        // since the last clear rather than a most-recent window.
-        self.buffer.offer(features);
+            !poisoned
+        });
+        samples
     }
 
     fn ingest_stable(&mut self, events: &mut Vec<ContinualEvent>) {
         let live_version = self.live_version;
+        let was_armed = self.core.drift_armed();
         for sample in self.drain_sanitized() {
             if sample.model_version == live_version {
-                self.drift.observe((1.0 + sample.score.max(0.0)).ln());
-                self.window_count += 1;
+                self.core.observe_score(sample.score);
             }
-            self.samples_until_retry = self.samples_until_retry.saturating_sub(1);
-            self.buffer_sample(sample.features);
+            self.core.offer(sample.features);
         }
-        if self.window_count >= self.cfg.drift_window {
-            self.window_count = 0;
-            if let Some(verdict) = self.drift.rotate() {
-                cnd_obs::gauge_set_volatile("continual.drift.psi", verdict.psi);
-                cnd_obs::gauge_set_volatile("continual.drift.sym_kl", verdict.sym_kl);
-                if verdict.drifted && !self.drift_pending {
-                    self.drift_pending = true;
-                    self.stats.drift_detections += 1;
-                    cnd_obs::counter_add_volatile("continual.drift.count", 1);
-                    // Mint the cycle id that threads this drift episode
-                    // through every event, span, and ledger entry until
-                    // it reaches a terminal outcome.
-                    self.cycles_minted += 1;
-                    self.cycle = self.cycles_minted;
-                    self.cycle_parent = u64::from(self.live_version);
-                    self.armed_verdict = Some(verdict);
-                    events.push(ContinualEvent::DriftDetected {
-                        cycle: self.cycle,
-                        verdict,
-                    });
-                }
-            }
-        }
-    }
-
-    /// Mirror drain for states where drift accounting is paused.
-    fn ingest_passive(&mut self) {
-        for sample in self.drain_sanitized() {
-            self.samples_until_retry = self.samples_until_retry.saturating_sub(1);
-            self.buffer_sample(sample.features);
+        let Some(verdict) = self.core.close_window() else {
+            return;
+        };
+        cnd_obs::gauge_set_volatile("continual.drift.psi", verdict.psi);
+        cnd_obs::gauge_set_volatile("continual.drift.sym_kl", verdict.sym_kl);
+        if verdict.drifted && !was_armed {
+            self.stats.drift_detections += 1;
+            cnd_obs::counter_add_volatile("continual.drift.count", 1);
+            // Mint the cycle id that threads this drift episode through
+            // every event, span, and ledger entry until it reaches a
+            // terminal outcome.
+            self.cycles_minted += 1;
+            self.cycle = self.cycles_minted;
+            self.cycle_parent = u64::from(self.live_version);
+            self.armed_verdict = Some(verdict);
+            events.push(ContinualEvent::DriftDetected {
+                cycle: self.cycle,
+                verdict,
+            });
         }
     }
 
     fn maybe_start_retrain(&mut self, events: &mut Vec<ContinualEvent>) {
-        if !self.drift_pending
-            || self.buffer.len() < self.cfg.min_retrain_samples
-            || self.samples_until_retry > 0
-        {
+        if !self.core.drift_ready() {
             return;
         }
-        self.attempts += 1;
-        let attempt = self.attempts;
-        let (fault, artifact_fault) = match self.injector.as_mut() {
-            Some(inj) => (inj.training_fault(attempt), inj.artifact_fault(attempt)),
-            None => (None, None),
+        let Ok(attempt) = self.core.begin_attempt() else {
+            return;
         };
-        let rows: Vec<Vec<f64>> = self.buffer.items().to_vec();
-        let shadow_rows = rows.clone();
+        let (number, fault) = (attempt.number, attempt.fault);
+        let batch = attempt.batch.clone();
         let mut model = self.model.clone();
         let cycle = self.cycle;
         // Breadcrumb BEFORE the spawn: the trainer may die (or be
@@ -1059,33 +1014,16 @@ impl ContinualController {
             "continual",
             "retrain_spawning",
             Some(cycle),
-            &format!("attempt {attempt}, {} samples", rows.len()),
+            &format!("attempt {number}, {} samples", batch.rows()),
         );
         let spawned = std::thread::Builder::new()
             .name("cnd-continual-train".into())
             .spawn(move || -> TrainOutcome {
                 let _span = cnd_obs::span!("continual.retrain", cycle = cycle);
-                match fault {
-                    Some(TrainingFault::Panic) => panic!("injected trainer panic"),
-                    Some(TrainingFault::Error) => {
-                        return Err(CoreError::InvalidConfig {
-                            name: "fault-injection",
-                            constraint: "injected training failure",
-                        })
-                    }
-                    Some(TrainingFault::NanLoss) => {
-                        let mut rows = rows;
-                        if let Some(v) = rows.first_mut().and_then(|r| r.first_mut()) {
-                            *v = f64::NAN;
-                        }
-                        let x = Matrix::from_rows(&rows).map_err(CoreError::from)?;
-                        model.train_experience(&x)?;
-                    }
-                    None => {
-                        let x = Matrix::from_rows(&rows).map_err(CoreError::from)?;
-                        model.train_experience(&x)?;
-                    }
+                if fault == Some(TrainingFault::Panic) {
+                    panic!("injected trainer panic");
                 }
+                train_attempt(&mut model, &batch, fault)?;
                 let scorer = model.freeze()?;
                 Ok((model, scorer))
             });
@@ -1095,14 +1033,14 @@ impl ContinualController {
                 cnd_obs::counter_add_volatile("continual.retrain.count", 1);
                 events.push(ContinualEvent::RetrainStarted {
                     cycle: self.cycle,
-                    samples: shadow_rows.len(),
-                    attempt,
+                    samples: attempt.batch.rows(),
+                    attempt: number,
                 });
                 self.state = State::Retraining {
                     handle,
-                    artifact_fault,
-                    shadow_rows,
-                    attempt,
+                    artifact_fault: attempt.artifact_fault,
+                    shadow: attempt.batch,
+                    attempt: number,
                 };
             }
             Err(e) => {
@@ -1124,12 +1062,12 @@ impl ContinualController {
         new_model: CndIds,
         candidate: DeployedScorer,
         artifact_fault: Option<ArtifactFault>,
-        shadow_rows: &[Vec<f64>],
+        shadow: &Matrix,
         events: &mut Vec<ContinualEvent>,
     ) {
         let report = {
             let _span = cnd_obs::span!("continual.shadow", cycle = self.cycle);
-            self.shadow_evaluate(&candidate, shadow_rows)
+            self.shadow_evaluate(&candidate, shadow)
         };
         let report = match report {
             Ok(r) => r,
@@ -1140,7 +1078,7 @@ impl ContinualController {
                 self.record_disposition(
                     Disposition::TrainerFailed,
                     0,
-                    Some(shadow_rows.len()),
+                    Some(shadow.rows()),
                     None,
                     &reason,
                 );
@@ -1158,7 +1096,7 @@ impl ContinualController {
             self.record_disposition(
                 Disposition::ShadowRejected,
                 0,
-                Some(shadow_rows.len()),
+                Some(shadow.rows()),
                 Some(&report),
                 "candidate behind live model on validation set",
             );
@@ -1191,7 +1129,7 @@ impl ContinualController {
             self.record_disposition(
                 Disposition::SwapRefused,
                 0,
-                Some(shadow_rows.len()),
+                Some(shadow.rows()),
                 Some(&report),
                 &reason,
             );
@@ -1213,7 +1151,7 @@ impl ContinualController {
                 self.record_disposition(
                     Disposition::SwapRefused,
                     0,
-                    Some(shadow_rows.len()),
+                    Some(shadow.rows()),
                     Some(&report),
                     &reason,
                 );
@@ -1230,7 +1168,7 @@ impl ContinualController {
                 self.record_disposition(
                     Disposition::Swapped,
                     u64::from(version),
-                    Some(shadow_rows.len()),
+                    Some(shadow.rows()),
                     Some(&report),
                     "shadow gate passed; canary promoted to probation",
                 );
@@ -1238,10 +1176,8 @@ impl ContinualController {
                 self.live_scorer = candidate.clone();
                 // The swap resets drift accounting: the new model's
                 // score distribution becomes the reference.
-                self.drift = DriftMonitor::new(self.cfg.drift_thresholds);
-                self.window_count = 0;
-                self.drift_pending = false;
-                self.buffer.clear();
+                self.core.reset_drift();
+                self.core.clear_buffer();
                 let baseline_errors = error_snapshot(server);
                 events.push(ContinualEvent::Swapped {
                     cycle: self.cycle,
@@ -1294,14 +1230,8 @@ impl ContinualController {
                 self.live_scorer = good.clone();
                 self.known_good.record(restored_version, good);
                 self.model = *prev_model;
-                self.stats.consecutive_failures = self.stats.consecutive_failures.saturating_add(1);
-                self.samples_until_retry = self
-                    .cfg
-                    .retry
-                    .backoff_flows(self.stats.consecutive_failures);
-                self.drift = DriftMonitor::new(self.cfg.drift_thresholds);
-                self.window_count = 0;
-                self.drift_pending = false;
+                self.core.failed();
+                self.core.reset_drift();
                 self.record_disposition(
                     Disposition::RolledBack,
                     u64::from(version),
@@ -1341,11 +1271,7 @@ impl ContinualController {
     /// A failed attempt backs off but keeps the drift episode (and its
     /// cycle id) armed, so the retry is attributed to the same cycle.
     fn fail_cycle(&mut self) {
-        self.stats.consecutive_failures = self.stats.consecutive_failures.saturating_add(1);
-        self.samples_until_retry = self
-            .cfg
-            .retry
-            .backoff_flows(self.stats.consecutive_failures);
+        self.core.failed();
         self.state = State::Stable;
     }
 
@@ -1400,7 +1326,7 @@ impl ContinualController {
     fn shadow_evaluate(
         &self,
         candidate: &DeployedScorer,
-        shadow_rows: &[Vec<f64>],
+        shadow: &Matrix,
     ) -> Result<ShadowReport, ServeError> {
         let live_scores = self.live_scorer.anomaly_scores(&self.val.x)?;
         let cand_scores = candidate.anomaly_scores(&self.val.x)?;
@@ -1423,8 +1349,7 @@ impl ContinualController {
         // Probation τ comes from the candidate's own scores on the
         // mirrored (drifted) traffic it was trained on: a healthy
         // canary serving the same traffic should rarely exceed it.
-        let x = Matrix::from_rows(shadow_rows).map_err(CoreError::from)?;
-        let mirror_scores = candidate.anomaly_scores(&x)?;
+        let mirror_scores = candidate.anomaly_scores(shadow)?;
         let finite_mirror: Vec<f64> = mirror_scores
             .iter()
             .copied()
@@ -1457,8 +1382,8 @@ impl std::fmt::Debug for ContinualController {
         f.debug_struct("ContinualController")
             .field("state", &self.state.name())
             .field("live_version", &self.live_version)
-            .field("buffered", &self.buffer.len())
-            .field("stats", &self.stats)
+            .field("buffered", &self.core.buffered())
+            .field("stats", &self.stats())
             .finish()
     }
 }

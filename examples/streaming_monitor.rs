@@ -1,16 +1,18 @@
 //! Online monitoring with automatic experience detection.
 //!
 //! The paper assumes experience boundaries are known; a live deployment
-//! must *discover* them. This example feeds the WUSTL-IIoT replica to
-//! [`StreamingCndIds`] in small batches, as a collector would, and lets
-//! the built-in drift detector decide when the traffic distribution has
-//! shifted enough to warrant a new training experience.
+//! must *discover* them. This example feeds the X-IIoTID replica to
+//! [`ResilientStreamingCndIds`] in small batches, as a collector would.
+//! Its continual core trains the first experience once enough flows
+//! arrive, then retrains when a window of the model's scores drifts
+//! (PSI / symmetric KL) or the replay buffer fills.
 //!
 //! ```sh
 //! cargo run --release --example streaming_monitor
 //! ```
 
-use cnd_ids::core::streaming::{StreamEvent, StreamingCndIds, StreamingConfig, Trigger};
+use cnd_ids::core::resilience::{ResilientConfig, ResilientEvent, ResilientStreamingCndIds};
+use cnd_ids::core::streaming::{StreamingConfig, Trigger};
 use cnd_ids::core::{CndIds, CndIdsConfig};
 use cnd_ids::datasets::{continual, DatasetProfile, GeneratorConfig};
 
@@ -21,17 +23,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let split = continual::prepare(&data, profile.default_experiences(), 0.7, seed)?;
 
     let model = CndIds::new(CndIdsConfig::fast(seed), &split.clean_normal)?;
-    let mut stream = StreamingCndIds::new(
-        model,
-        StreamingConfig {
+    let config = ResilientConfig {
+        streaming: StreamingConfig {
             max_buffer: 6_000,
             bootstrap_batch: 1_500,
             min_batch: 300,
             drift_window: 150,
-            drift_threshold: 2.0,
-            reservoir_seed: 42,
         },
-    );
+        ..ResilientConfig::default()
+    };
+    let mut stream = ResilientStreamingCndIds::new(model, config)?;
 
     println!("Feeding the continual stream in batches of 100 flows ...\n");
     let batch_size = 100;
@@ -44,32 +45,31 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         while at < n {
             let end = (at + batch_size).min(n);
             let batch = e.train_x.slice_rows(at, end)?;
-            match stream.push_flows(&batch)? {
-                StreamEvent::ExperienceTrained {
-                    samples,
-                    trigger,
-                    stats,
-                } => {
-                    experiences += 1;
-                    let cause = match trigger {
-                        Trigger::DriftDetected => "drift detected",
-                        Trigger::BufferFull => "buffer full",
-                        Trigger::Manual => "manual flush",
-                    };
-                    println!(
-                        "   [batch {batches:>4}] trained experience #{experiences} on {samples} flows ({cause}; K={}, pseudo-anomalous {:.0}%)",
-                        stats.k_selected,
-                        100.0 * stats.pseudo_anomalous_fraction,
-                    );
-                }
-                StreamEvent::Buffered { .. } => {}
+            if let ResilientEvent::ExperienceTrained {
+                samples,
+                trigger,
+                stats,
+                ..
+            } = stream.push_flows(&batch)?
+            {
+                experiences += 1;
+                let cause = match trigger {
+                    Trigger::DriftDetected => "drift detected",
+                    Trigger::BufferFull => "buffer full",
+                    Trigger::Manual => "manual flush",
+                };
+                println!(
+                    "   [batch {batches:>4}] trained experience #{experiences} on {samples} flows ({cause}; K={}, pseudo-anomalous {:.0}%)",
+                    stats.k_selected,
+                    100.0 * stats.pseudo_anomalous_fraction,
+                );
             }
             at = end;
             batches += 1;
         }
     }
     if stream.buffered() > 0 {
-        if let StreamEvent::ExperienceTrained { samples, .. } = stream.flush()? {
+        if let ResilientEvent::ExperienceTrained { samples, .. } = stream.flush()? {
             experiences += 1;
             println!("   [final flush] trained experience #{experiences} on {samples} flows");
         }
@@ -81,7 +81,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stream.model().experiences_trained()
     );
     let last = split.experiences.last().expect("non-empty");
-    let scores = stream.model().anomaly_scores(&last.test_x)?;
+    let scores = stream.anomaly_scores(&last.test_x)?;
     let sel = cnd_ids::metrics::threshold::best_f1_threshold(&scores, &last.test_y)?;
     println!("F1 on the final (zero-day) experience: {:.3}", sel.f1);
     Ok(())

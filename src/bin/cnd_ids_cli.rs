@@ -70,7 +70,9 @@
 //! additionally serves live Prometheus `/metrics` and JSON `/health`
 //! over HTTP for the lifetime of the process.
 //!
-//! Exit code is non-zero on any error; messages go to stderr.
+//! Exit code is non-zero on any error, including a `--` flag the
+//! subcommand does not read (`--trace-out` is accepted everywhere);
+//! messages go to stderr.
 
 use std::io::Write as _;
 use std::process::ExitCode;
@@ -146,7 +148,7 @@ const USAGE: &str = "usage:
   cnd-ids-cli train <data.csv|data.cnds> <model.txt> [--experiences M] [--seed N] [--clean-cap N] [--train-cap N] [--chunk-rows N]
   cnd-ids-cli score <model.txt> <data.csv|data.cnds> [--quantile Q] [--chunk-rows N]
   cnd-ids-cli stream <data.csv> [--experiences M] [--seed N] [--chunk N] [--fault-rate R] [--health]
-  cnd-ids-cli serve <model.txt> [--addr 127.0.0.1:7071] [--max-batch N] [--queue-cap N] [--threshold T] [--quantile Q] [--calibrate N] [--watch] [--watch-interval-ms MS] [--no-telemetry] [--runtime-s S] [--continual --data <labelled.csv|.cnds> [--experiences M] [--seed N] [--drift-window N] [--min-retrain N] [--probation N] [--ledger <path>] [--flight-dump <path>] [--mirror-spill <out.cnds>]]
+  cnd-ids-cli serve <model.txt> [--addr 127.0.0.1:7071] [--max-batch N] [--queue-cap N] [--threshold T] [--quantile Q] [--calibrate N] [--watch] [--watch-interval-ms MS] [--no-telemetry] [--runtime-s S] [--continual --data <labelled.csv|.cnds> [--experiences M] [--seed N] [--chunk-rows N] [--drift-window N] [--min-retrain N] [--probation N] [--ledger <path>] [--flight-dump <path>] [--mirror-spill <out.cnds>]]
   cnd-ids-cli loadgen <addr> [--flows N] [--concurrency C] [--rate R] [--seed N] [--reload-midway] [--tag T] [--out <path>] [--append]
   cnd-ids-cli observe <trace.jsonl> [--top [N]] [--latency] [--timeline]
   cnd-ids-cli bench-check <current> [--baseline <path>] [--update] [--tolerance T]
@@ -155,6 +157,88 @@ observability: every subcommand accepts --trace-out <path> to record a
 span/metric trace; CND_OBS=1 (wall) or CND_OBS=det (deterministic)
 enables tracing with a stderr summary, CND_OBS_OUT=<path> writes JSONL,
 CND_OBS_LISTEN=<addr> serves live /metrics (Prometheus) and /health.";
+
+/// Per subcommand: the flags that take a value, then the switches.
+/// `--trace-out <path>` is accepted by every subcommand.
+const FLAGS: &[(&str, &[&str], &[&str])] = &[
+    ("profiles", &[], &[]),
+    ("generate", &["--seed", "--samples"], &[]),
+    ("ingest", &[], &["--header", "--f32"]),
+    ("run", &["--experiences", "--seed"], &["--paper"]),
+    (
+        "train",
+        &[
+            "--experiences",
+            "--seed",
+            "--clean-cap",
+            "--train-cap",
+            "--chunk-rows",
+        ],
+        &[],
+    ),
+    ("score", &["--quantile", "--chunk-rows"], &[]),
+    (
+        "stream",
+        &["--experiences", "--seed", "--chunk", "--fault-rate"],
+        &["--health"],
+    ),
+    (
+        "serve",
+        &[
+            "--addr",
+            "--max-batch",
+            "--queue-cap",
+            "--threshold",
+            "--quantile",
+            "--calibrate",
+            "--watch-interval-ms",
+            "--runtime-s",
+            "--data",
+            "--experiences",
+            "--seed",
+            "--chunk-rows",
+            "--drift-window",
+            "--min-retrain",
+            "--probation",
+            "--ledger",
+            "--flight-dump",
+            "--mirror-spill",
+        ],
+        &["--watch", "--no-telemetry", "--continual"],
+    ),
+    (
+        "loadgen",
+        &[
+            "--flows",
+            "--concurrency",
+            "--rate",
+            "--seed",
+            "--tag",
+            "--out",
+        ],
+        &["--reload-midway", "--append"],
+    ),
+    ("observe", &[], &["--top", "--latency", "--timeline"]),
+    ("bench-check", &["--baseline", "--tolerance"], &["--update"]),
+];
+
+/// Rejects any `--` token `sub` does not declare in [`FLAGS`]; the token
+/// after a value flag is its value and is not checked.
+fn check_flags(sub: &str, args: &[String]) -> Result<(), String> {
+    let Some((_, values, switches)) = FLAGS.iter().find(|(name, ..)| *name == sub) else {
+        return Ok(());
+    };
+    let mut tokens = args.iter();
+    while let Some(token) = tokens.next() {
+        let flag = token.as_str();
+        if flag == "--trace-out" || values.contains(&flag) {
+            tokens.next();
+        } else if flag.starts_with("--") && !switches.contains(&flag) {
+            return Err(format!("unknown flag {flag:?} for {sub}"));
+        }
+    }
+    Ok(())
+}
 
 fn parse_flag<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> Result<T, String> {
     match args.iter().position(|a| a == name) {
@@ -182,6 +266,9 @@ fn profile_by_name(name: &str) -> Result<DatasetProfile, String> {
 
 fn run(args: &[String]) -> Result<ExitCode, String> {
     let rest = args.get(1..).unwrap_or_default();
+    if let Some(sub) = args.first() {
+        check_flags(sub, rest)?;
+    }
     let done = |r: Result<(), String>| r.map(|()| ExitCode::SUCCESS);
     match args.first().map(String::as_str) {
         Some("profiles") => {
@@ -912,4 +999,40 @@ fn cmd_score(args: &[String]) -> Result<(), String> {
     let n_alerts: usize = alerts.iter().map(|&a| a as usize).sum();
     eprintln!("{n_alerts}/{} flows flagged (tau = {tau:.4})", alerts.len());
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn usage_lists_exactly_the_declared_flags() {
+        for (sub, values, switches) in FLAGS {
+            let line = USAGE
+                .lines()
+                .find(|l| l.split_whitespace().nth(1) == Some(sub))
+                .unwrap_or_else(|| panic!("no usage line for {sub}"));
+            let mut listed: Vec<&str> = line
+                .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                .filter(|t| t.starts_with("--"))
+                .collect();
+            let mut declared: Vec<&str> = values.iter().chain(switches.iter()).copied().collect();
+            listed.sort_unstable();
+            declared.sort_unstable();
+            assert_eq!(listed, declared, "usage of {sub}");
+        }
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected_and_values_are_skipped() {
+        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert!(check_flags("serve", &args(&["m.txt", "--max-batch", "8"])).is_ok());
+        assert!(check_flags("serve", &args(&["m.txt", "--data", "--odd.csv"])).is_ok());
+        assert!(check_flags("run", &args(&["d.csv", "--trace-out", "t.jsonl"])).is_ok());
+        assert_eq!(
+            check_flags("serve", &args(&["m.txt", "--max-batc", "8"])),
+            Err("unknown flag \"--max-batc\" for serve".to_string())
+        );
+        assert!(check_flags("generate", &args(&["WUSTL-IIoT", "x.csv", "--paper"])).is_err());
+    }
 }

@@ -448,3 +448,38 @@ fn bad_usage_fails_with_message() {
     assert!(stderr.contains("unknown subcommand"));
     assert!(stderr.contains("usage:"));
 }
+
+#[test]
+fn unknown_flags_fail_before_any_work() {
+    let csv = tmp("unknown_flag.csv");
+    let _ = std::fs::remove_file(&csv);
+    let cases: [&[&str]; 3] = [
+        // A flag that no longer exists.
+        &["serve", "missing_model.txt", "--score-f32"],
+        // A typo of --max-batch.
+        &["serve", "missing_model.txt", "--max-batc", "8"],
+        &[
+            "generate",
+            "WUSTL-IIoT",
+            csv.to_str().expect("utf8 path"),
+            "--samples",
+            "1000",
+            "--no-such-flag",
+            "7",
+        ],
+    ];
+    for (args, flag) in cases
+        .iter()
+        .zip(["--score-f32", "--max-batc", "--no-such-flag"])
+    {
+        let out = Command::new(cli()).args(*args).output().expect("CLI runs");
+        assert!(!out.status.success(), "{args:?} must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let sub = args[0];
+        assert!(
+            stderr.contains(&format!("unknown flag \"{flag}\" for {sub}")),
+            "{args:?}: {stderr}"
+        );
+    }
+    assert!(!csv.exists(), "generate must not run with an unknown flag");
+}

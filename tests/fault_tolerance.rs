@@ -5,10 +5,9 @@
 
 use cnd_core::deploy::DeployedScorer;
 use cnd_core::resilience::{
-    GuardConfig, Mode, ResilientConfig, ResilientEvent, ResilientStreamingCndIds, RetryPolicy,
-    ScriptedFaults,
+    ResilientConfig, ResilientEvent, ResilientStreamingCndIds, ScriptedFaults,
 };
-use cnd_core::streaming::StreamingConfig;
+use cnd_core::streaming::{Mode, RetryPolicy, StreamingConfig, QUARANTINE_SCORE};
 use cnd_core::{CndIds, CndIdsConfig, CoreError};
 use cnd_datasets::{continual, DatasetProfile, GeneratorConfig};
 use cnd_linalg::Matrix;
@@ -31,10 +30,7 @@ fn pipeline(split: &continual::ContinualSplit, retry: RetryPolicy) -> ResilientS
                 bootstrap_batch: 200,
                 min_batch: 100,
                 drift_window: 50,
-                drift_threshold: 3.0,
-                reservoir_seed: 42,
             },
-            guard: GuardConfig::default(),
             retry,
         },
     )
@@ -216,7 +212,7 @@ fn invalid_rows_score_as_finite_sentinel() {
     rows[4][0] = 1e30;
     let x = Matrix::from_rows(&rows).unwrap();
     let scores = assert_finite_scores(&p, &x);
-    let sentinel = GuardConfig::default().quarantine_score;
+    let sentinel = QUARANTINE_SCORE;
     for i in [0, 2, 4] {
         assert_eq!(scores[i], sentinel, "invalid row {i} must get the sentinel");
     }

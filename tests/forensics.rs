@@ -14,7 +14,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use cnd_ids::core::deploy::DeployedScorer;
-use cnd_ids::core::resilience::{RetryPolicy, ScriptedFaults};
+use cnd_ids::core::resilience::ScriptedFaults;
+use cnd_ids::core::streaming::RetryPolicy;
 use cnd_ids::core::{CndIds, CndIdsConfig};
 use cnd_ids::linalg::Matrix;
 use cnd_ids::obs;
