@@ -15,7 +15,7 @@
 use cnd_bench::{banner, row, standard_split, BENCH_SEED};
 use cnd_core::resilience::{ResilientConfig, ResilientStreamingCndIds, ScriptedFaults};
 use cnd_core::runner::evaluate_resilient_streaming;
-use cnd_core::streaming::{Mode, StreamingConfig};
+use cnd_core::streaming::{EventKind, Mode, StreamingConfig};
 use cnd_core::{CndIds, CndIdsConfig};
 use cnd_datasets::DatasetProfile;
 
@@ -83,23 +83,23 @@ fn main() {
                     format!("{:.0}%", rate * 100.0),
                     format!("{:.3}", out.pooled_f1),
                     format!("{:+.1}%", rel_drop * 100.0),
-                    format!("{}", out.health.quarantine.total()),
-                    format!("{}", out.trained),
-                    format!("{}", out.failed),
-                    format!("{}", out.health.mode),
+                    format!("{}", out.status.quarantine.total()),
+                    format!("{}", out.status.count(EventKind::Trained)),
+                    format!("{}", out.status.count(EventKind::TrainerFailed)),
+                    format!("{}", out.status.mode),
                 ],
                 &widths
             )
         );
         assert!(out.pooled_f1.is_finite(), "pooled F1 must be finite");
         assert_eq!(
-            out.health.mode,
+            out.status.mode,
             Mode::Normal,
             "input corruption alone must not degrade"
         );
         if rate > 0.0 {
             assert!(
-                out.health.quarantine.total() > 0,
+                out.status.quarantine.total() > 0,
                 "corruption at rate {rate} must be quarantined"
             );
         }

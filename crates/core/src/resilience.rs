@@ -16,23 +16,23 @@
 //!    never leave callers with a half-updated model, and rows the guard
 //!    rejects score as the finite [`QUARANTINE_SCORE`].
 //!
-//! [`HealthReport`] surfaces the whole state. [`ScriptedFaults`] is the
-//! seeded, deterministic [`FaultInjector`] that corrupts inputs and fails
-//! chosen attempts, so every recovery path is exercised by tests and
-//! benches rather than waiting for production to find them.
+//! Each batch returns its [`ContinualEvent`]s, recorded through the
+//! core like those of the serving host; [`ResilientStreamingCndIds::status`]
+//! surfaces the whole state. [`ScriptedFaults`] is the seeded,
+//! deterministic [`FaultInjector`] that corrupts inputs and fails chosen
+//! attempts, so every recovery path is exercised by tests and benches
+//! rather than waiting for production to find them.
 
 use std::collections::VecDeque;
-use std::fmt;
 
 use cnd_linalg::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::cfe::TrainStats;
 use crate::deploy::DeployedScorer;
 use crate::streaming::{
-    train_attempt, ArtifactFault, ContinualCore, FaultInjector, InputGuard, Mode, QuarantineStats,
-    RetryPolicy, StreamingConfig, TrainingFault, Trigger, QUARANTINE_SCORE,
+    train_attempt, ArtifactFault, ContinualCore, ContinualEvent, ContinualStatus, FaultInjector,
+    Host, InputGuard, Mode, RetryPolicy, StreamingConfig, TrainingFault, Trigger, QUARANTINE_SCORE,
 };
 use crate::{CndIds, CoreError};
 
@@ -248,146 +248,11 @@ pub struct ResilientConfig {
     pub retry: RetryPolicy,
 }
 
-/// The outcome of pushing a batch of flows into the resilient stream.
-#[derive(Debug, Clone)]
-pub enum ResilientEvent {
-    /// Flows were buffered (and possibly quarantined); no training ran.
-    Buffered {
-        /// Current buffer fill level.
-        buffered: usize,
-        /// Flows from this batch routed to quarantine.
-        quarantined: usize,
-    },
-    /// A training experience completed successfully.
-    ExperienceTrained {
-        /// Flows consumed by the experience.
-        samples: usize,
-        /// What triggered the training step.
-        trigger: Trigger,
-        /// CFE training diagnostics.
-        stats: TrainStats,
-        /// `true` when this success exited [`Mode::Degraded`].
-        recovered: bool,
-    },
-    /// A training attempt failed; the model was rolled back to its
-    /// pre-experience snapshot and the buffer kept for retry.
-    TrainingFailed {
-        /// What triggered the attempt.
-        trigger: Trigger,
-        /// Rendered failure cause.
-        failure: String,
-        /// Mode after accounting for this failure.
-        mode: Mode,
-        /// Accepted flows to observe before the next retry.
-        flows_until_retry: usize,
-    },
-}
-
-/// Snapshot of the resilient pipeline's health, for operators and the
-/// CLI's `--health` output.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HealthReport {
-    /// Current operating mode.
-    pub mode: Mode,
-    /// Input-guard rejection counters.
-    pub quarantine: QuarantineStats,
-    /// All flows ever pushed (accepted + quarantined).
-    pub flows_seen: u64,
-    /// Flows that passed the input guard.
-    pub flows_accepted: u64,
-    /// Accepted flows the full replay reservoir did not keep (offered
-    /// minus retained).
-    pub flows_dropped: u64,
-    /// Experiences successfully trained by the wrapped model.
-    pub experiences_trained: usize,
-    /// Successful training attempts through this wrapper.
-    pub retrain_successes: u64,
-    /// Failed training attempts (total).
-    pub total_failures: u64,
-    /// Failures since the last success.
-    pub consecutive_failures: u32,
-    /// Model rollbacks performed by the watchdog.
-    pub rollbacks: u64,
-    /// Trigger of the most recent training attempt.
-    pub last_trigger: Option<Trigger>,
-    /// Rendered cause of the most recent failure (cleared on success).
-    pub last_failure: Option<String>,
-    /// Accepted flows remaining before the next retry is allowed
-    /// (0 = ready).
-    pub flows_until_retry: usize,
-    /// Flows currently buffered for the next experience.
-    pub buffered: usize,
-    /// Non-finite scores rejected by the drift policy.
-    pub drift_rejections: u64,
-    /// The most recent drift window's verdict (PSI / symmetric KL):
-    /// how far the score distribution moved between consecutive
-    /// windows. `None` until two windows have closed.
-    pub score_drift: Option<cnd_obs::DriftVerdict>,
-}
-
-impl fmt::Display for HealthReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "mode:       {}", self.mode)?;
-        writeln!(
-            f,
-            "flows:      seen {}, accepted {}, quarantined {} (nan/inf {}, dim {}, range {}), dropped {}",
-            self.flows_seen,
-            self.flows_accepted,
-            self.quarantine.total(),
-            self.quarantine.non_finite,
-            self.quarantine.dimension_mismatch,
-            self.quarantine.out_of_range,
-            self.flows_dropped,
-        )?;
-        writeln!(
-            f,
-            "quarantine: evicted {}, drift-rejected {}",
-            self.quarantine.evicted, self.drift_rejections,
-        )?;
-        match self.score_drift {
-            Some(v) => writeln!(
-                f,
-                "drift:      psi {:?}, kl {:?}, {}",
-                v.psi,
-                v.sym_kl,
-                if v.drifted { "drifted" } else { "stable" }
-            )?,
-            None => writeln!(f, "drift:      no verdict yet")?,
-        }
-        writeln!(
-            f,
-            "training:   {} experiences, {} successes, {} failures ({} consecutive), {} rollbacks",
-            self.experiences_trained,
-            self.retrain_successes,
-            self.total_failures,
-            self.consecutive_failures,
-            self.rollbacks,
-        )?;
-        writeln!(
-            f,
-            "retry:      {}",
-            if self.flows_until_retry == 0 {
-                "ready".to_string()
-            } else {
-                format!("next attempt in {} flows", self.flows_until_retry)
-            }
-        )?;
-        writeln!(f, "buffered:   {}", self.buffered)?;
-        write!(
-            f,
-            "last:       trigger {}, failure {}",
-            self.last_trigger
-                .map_or_else(|| "none".to_string(), |t| format!("{t:?}")),
-            self.last_failure.as_deref().unwrap_or("none"),
-        )
-    }
-}
-
 /// Fault-tolerant streaming deployment of CND-IDS: the in-process host
 /// of the [`ContinualCore`] (see the [module docs](self)).
 ///
 /// * Training failures are **events, not errors**: `push_flows`
-///   returns [`ResilientEvent::TrainingFailed`] and the pipeline keeps
+///   returns [`ContinualEvent::TrainerFailed`] and the pipeline keeps
 ///   running on the last-known-good scorer.
 /// * [`anomaly_scores`](Self::anomaly_scores) never returns NaN/Inf:
 ///   invalid rows get the finite [`QUARANTINE_SCORE`] sentinel, and
@@ -397,9 +262,6 @@ pub struct ResilientStreamingCndIds {
     model: CndIds,
     core: ContinualCore,
     fallback: Option<DeployedScorer>,
-    retrain_successes: u64,
-    last_trigger: Option<Trigger>,
-    last_failure: Option<String>,
 }
 
 impl ResilientStreamingCndIds {
@@ -429,14 +291,11 @@ impl ResilientStreamingCndIds {
         } else {
             None
         };
-        let core = ContinualCore::new(model.scaler(), config.streaming, config.retry);
+        let core = ContinualCore::new(model.scaler(), config.streaming, config.retry, Host::Stream);
         Ok(ResilientStreamingCndIds {
             model,
             core,
             fallback,
-            retrain_successes: 0,
-            last_trigger: None,
-            last_failure: None,
         })
     }
 
@@ -472,42 +331,27 @@ impl ResilientStreamingCndIds {
         self.fallback.is_some()
     }
 
-    /// Current health snapshot.
-    pub fn health(&self) -> HealthReport {
-        let quarantine = self.core.quarantine();
-        HealthReport {
-            mode: self.core.mode(),
-            quarantine,
-            flows_seen: self.core.flows_seen(),
-            flows_accepted: self.core.flows_seen() - quarantine.total(),
-            flows_dropped: self.core.flows_dropped(),
-            experiences_trained: self.model.experiences_trained(),
-            retrain_successes: self.retrain_successes,
-            total_failures: self.core.total_failures(),
-            consecutive_failures: self.core.consecutive_failures(),
-            // Every failed attempt rolls the model back.
-            rollbacks: self.core.total_failures(),
-            last_trigger: self.last_trigger,
-            last_failure: self.last_failure.clone(),
-            flows_until_retry: self.core.flows_until_retry(),
-            buffered: self.core.buffered(),
-            drift_rejections: self.core.drift_rejections(),
-            score_drift: self.core.last_verdict(),
-        }
+    /// Current status snapshot.
+    pub fn status(&self) -> ContinualStatus {
+        self.core.status(self.model.experiences_trained())
     }
 
     /// Pushes a batch of flows through guard → drift window → reservoir,
-    /// possibly triggering a (watchdog-supervised) training attempt.
+    /// then trains if a retrain is due. A reservoir that fills mid-batch
+    /// trains at once, and the rest of the batch goes to the next
+    /// experience. Returns every event, in order (none when the flows
+    /// were only buffered or quarantined).
     ///
     /// Training failures are reported as
-    /// [`ResilientEvent::TrainingFailed`], **not** as `Err`; the `Err`
+    /// [`ContinualEvent::TrainerFailed`], **not** as `Err`; the `Err`
     /// path is reserved for infrastructure faults (which the internal
     /// invariants rule out in practice).
     ///
     /// # Errors
     ///
     /// Propagates internal scoring errors of the frozen fallback scorer.
-    pub fn push_flows(&mut self, x: &Matrix) -> Result<ResilientEvent, CoreError> {
+    pub fn push_flows(&mut self, x: &Matrix) -> Result<Vec<ContinualEvent>, CoreError> {
+        let mut events = Vec::new();
         let mut accepted: Vec<Vec<f64>> = Vec::with_capacity(x.rows());
         for row in x.iter_rows() {
             let mut row = row.to_vec();
@@ -515,12 +359,8 @@ impl ResilientStreamingCndIds {
                 accepted.push(row);
             }
         }
-        let quarantined = x.rows() - accepted.len();
         if accepted.is_empty() {
-            return Ok(ResilientEvent::Buffered {
-                buffered: self.core.buffered(),
-                quarantined,
-            });
+            return Ok(events);
         }
         // Drift is observed on the last-known-good scorer: a model
         // mid-rollback must not steer the trigger logic.
@@ -530,7 +370,7 @@ impl ResilientStreamingCndIds {
                     cnd_obs::counter_add("stream.drift.rejected.count", 1);
                 }
             }
-            if let Some(v) = self.core.close_window() {
+            if let Some(v) = self.core.close_window(&mut events) {
                 cnd_obs::histogram_record("stream.drift.psi.value", v.psi);
                 cnd_obs::histogram_record("stream.drift.sym_kl.value", v.sym_kl);
                 if v.drifted {
@@ -538,19 +378,26 @@ impl ResilientStreamingCndIds {
                 }
             }
         }
-        let dropped: u64 = accepted
-            .into_iter()
-            .map(|row| u64::from(self.core.offer(row)))
-            .sum();
+        let mut dropped = 0;
+        for row in accepted {
+            dropped += u64::from(self.core.offer(row));
+            // A full reservoir trains at once: one more row would drop a
+            // flow. Bootstrap and drift retrains wait for the batch end.
+            if self.core.is_full() {
+                self.train_if_due(&mut events)?;
+            }
+        }
         if dropped > 0 {
             cnd_obs::counter_add("resilience.flows.dropped.count", dropped);
         }
+        self.train_if_due(&mut events)?;
+        Ok(events)
+    }
+
+    fn train_if_due(&mut self, events: &mut Vec<ContinualEvent>) -> Result<(), CoreError> {
         match self.core.due(self.model.experiences_trained() > 0) {
-            Some(trigger) => self.attempt_train(trigger),
-            None => Ok(ResilientEvent::Buffered {
-                buffered: self.core.buffered(),
-                quarantined,
-            }),
+            Some(trigger) => self.attempt_train(trigger, events),
+            None => Ok(()),
         }
     }
 
@@ -561,8 +408,10 @@ impl ResilientStreamingCndIds {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] when the buffer is empty.
-    pub fn flush(&mut self) -> Result<ResilientEvent, CoreError> {
-        self.attempt_train(Trigger::Manual)
+    pub fn flush(&mut self) -> Result<Vec<ContinualEvent>, CoreError> {
+        let mut events = Vec::new();
+        self.attempt_train(Trigger::Manual, &mut events)?;
+        Ok(events)
     }
 
     /// Scores a batch on the last-known-good frozen scorer, sanitizing
@@ -594,79 +443,73 @@ impl ResilientStreamingCndIds {
 
     /// One watchdog-supervised training attempt: snapshot, (optionally
     /// fault-injected) train, and on failure rollback + backoff.
-    fn attempt_train(&mut self, trigger: Trigger) -> Result<ResilientEvent, CoreError> {
+    fn attempt_train(
+        &mut self,
+        trigger: Trigger,
+        events: &mut Vec<ContinualEvent>,
+    ) -> Result<(), CoreError> {
         let attempt = self.core.begin_attempt()?;
         let samples = attempt.batch.rows();
+        let cycle = self.core.cycle();
         let _span = cnd_obs::span!(
             "stream.retrain",
             samples = samples,
             trigger = trigger.as_str(),
         );
+        self.core.record(
+            ContinualEvent::RetrainStarted {
+                cycle,
+                trigger,
+                samples,
+                attempt: attempt.number,
+            },
+            None,
+            events,
+        );
         let snapshot = self.model.clone();
-        self.last_trigger = Some(trigger);
-        match train_attempt(&mut self.model, &attempt.batch, attempt.fault) {
+        let (event, fault) = match train_attempt(&mut self.model, &attempt.batch, attempt.fault) {
             Ok(stats) => {
                 self.fallback = Some(self.model.freeze()?);
                 self.core.clear_buffer();
                 self.core.reset_drift();
                 let recovered = self.core.succeeded();
-                self.retrain_successes += 1;
-                self.last_failure = None;
-                cnd_obs::counter_add("stream.retrain.count", 1);
-                cnd_obs::counter_add(
-                    match trigger {
-                        Trigger::DriftDetected => "stream.retrain.drift.count",
-                        Trigger::BufferFull => "stream.retrain.buffer_full.count",
-                        Trigger::Manual => "stream.retrain.manual.count",
-                    },
-                    1,
-                );
-                cnd_obs::counter_add("resilience.retrain.success.count", 1);
-                if recovered {
-                    cnd_obs::counter_add("resilience.degraded.exit.count", 1);
-                }
-                Ok(ResilientEvent::ExperienceTrained {
-                    samples,
+                let event = ContinualEvent::Trained {
+                    cycle,
                     trigger,
+                    samples,
                     stats,
                     recovered,
-                })
+                };
+                (event, None)
             }
             Err(err) => {
                 self.model = snapshot;
-                if self.core.failed() {
-                    cnd_obs::counter_add("resilience.degraded.enter.count", 1);
-                }
-                cnd_obs::counter_add("resilience.retrain.failure.count", 1);
-                cnd_obs::counter_add("resilience.rollback.count", 1);
-                let failure = err.to_string();
-                // Capture the watchdog rollback in the flight recorder
-                // and, if a dump path is configured, persist the ring so
-                // the fault is postmortem-able even if the process dies
-                // before the next scrape.
-                cnd_obs::flight::record(
-                    "resilience",
-                    "watchdog_rollback",
-                    None,
-                    &format!("attempt {} rolled back: {failure}", attempt.number),
-                );
-                let _ = cnd_obs::flight::dump_on_fault(&format!("watchdog rollback: {failure}"));
-                self.last_failure = Some(failure.clone());
-                Ok(ResilientEvent::TrainingFailed {
-                    trigger,
-                    failure,
+                self.core.failed();
+                let event = ContinualEvent::TrainerFailed {
+                    cycle,
+                    reason: format!("attempt {} rolled back: {err}", attempt.number),
+                    samples: Some(samples),
+                    panicked: false,
                     mode: self.core.mode(),
-                    flows_until_retry: self.core.flows_until_retry(),
-                })
+                };
+                (event, Some(format!("watchdog rollback: {err}")))
             }
+        };
+        self.core.record(event, None, events);
+        // Persist the flight ring, if a dump path is configured, so a
+        // rollback is postmortem-able even if the process dies before
+        // the next scrape.
+        if let Some(cause) = fault {
+            let _ = cnd_obs::flight::dump_on_fault(&cause);
         }
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::streaming::{RejectReason, QUARANTINE_CAPACITY};
+    use crate::streaming::{EventKind, QuarantineStats, RejectReason, QUARANTINE_CAPACITY};
     use crate::CndIdsConfig;
 
     fn flows(n: usize, offset: f64, phase: usize) -> Matrix {
@@ -731,7 +574,10 @@ mod tests {
 
     #[test]
     fn health_report_display_names_every_counter() {
-        let report = HealthReport {
+        let mut events = [0; EventKind::ALL.len()];
+        events[EventKind::Trained as usize] = 5;
+        events[EventKind::TrainerFailed as usize] = 4;
+        let report = ContinualStatus {
             mode: Mode::Degraded,
             quarantine: QuarantineStats {
                 non_finite: 12,
@@ -743,12 +589,8 @@ mod tests {
             flows_accepted: 978,
             flows_dropped: 40,
             experiences_trained: 5,
-            retrain_successes: 5,
             total_failures: 4,
             consecutive_failures: 3,
-            rollbacks: 4,
-            last_trigger: Some(Trigger::DriftDetected),
-            last_failure: Some("training diverged at epoch 2 (loss NaN)".to_string()),
             flows_until_retry: 2000,
             buffered: 150,
             drift_rejections: 9,
@@ -757,6 +599,9 @@ mod tests {
                 sym_kl: 0.6428571428571429,
                 drifted: true,
             }),
+            trainer_panics: 0,
+            cycle: 6,
+            events,
         };
         let text = report.to_string();
         // The rendered text names every counter an operator needs.
@@ -817,17 +662,19 @@ mod tests {
         p.set_fault_injector(Box::new(ScriptedFaults::new(3).with_corruption_rate(0.2)));
         let mut trained = false;
         for phase in 0..10 {
-            match p.push_flows(&flows(30, 0.0, phase * 30)).unwrap() {
-                ResilientEvent::ExperienceTrained { .. } => {
-                    trained = true;
-                    break;
+            for ev in p.push_flows(&flows(30, 0.0, phase * 30)).unwrap() {
+                match ev {
+                    ContinualEvent::Trained { .. } => trained = true,
+                    ContinualEvent::RetrainStarted { .. } => {}
+                    ev => panic!("unexpected {ev:?}"),
                 }
-                ResilientEvent::Buffered { .. } => {}
-                ev => panic!("unexpected {ev:?}"),
+            }
+            if trained {
+                break;
             }
         }
         assert!(trained);
-        let h = p.health();
+        let h = p.status();
         assert!(h.quarantine.total() > 0, "some flows must be quarantined");
         assert_eq!(h.flows_accepted + h.quarantine.total(), h.flows_seen);
         // Scores on a clean batch stay finite.
@@ -849,24 +696,26 @@ mod tests {
         p.set_fault_injector(Box::new(ScriptedFaults::new(0).with_nan_loss_at(&[1])));
         let mut failed = false;
         let mut trained = false;
-        for phase in 0..20 {
-            match p.push_flows(&flows(30, 0.0, phase * 30)).unwrap() {
-                ResilientEvent::TrainingFailed { failure, mode, .. } => {
-                    assert!(failure.contains("diverged"), "failure = {failure}");
-                    assert_eq!(mode, Mode::Normal, "one failure must not degrade");
-                    failed = true;
+        'push: for phase in 0..20 {
+            for ev in p.push_flows(&flows(30, 0.0, phase * 30)).unwrap() {
+                match ev {
+                    ContinualEvent::TrainerFailed { reason, mode, .. } => {
+                        assert!(reason.contains("diverged"), "failure = {reason}");
+                        assert_eq!(mode, Mode::Normal, "one failure must not degrade");
+                        failed = true;
+                    }
+                    ContinualEvent::Trained { .. } => {
+                        trained = true;
+                        break 'push;
+                    }
+                    _ => {}
                 }
-                ResilientEvent::ExperienceTrained { .. } => {
-                    trained = true;
-                    break;
-                }
-                ResilientEvent::Buffered { .. } => {}
             }
         }
         assert!(failed, "injected NaN loss must fail the first attempt");
         assert!(trained, "retry after backoff must succeed");
-        let h = p.health();
-        assert_eq!(h.rollbacks, 1);
+        let h = p.status();
+        assert_eq!(h.count(EventKind::TrainerFailed), 1);
         assert_eq!(h.consecutive_failures, 0);
         assert_eq!(h.mode, Mode::Normal);
         assert_eq!(h.experiences_trained, 1);
@@ -896,30 +745,79 @@ mod tests {
         p.set_fault_injector(Box::new(ScriptedFaults::new(0).with_failure_at(&[2, 3])));
         let mut saw_degraded = false;
         let mut recovered = false;
-        for phase in 0..40 {
-            match p.push_flows(&flows(20, 0.0, phase * 20)).unwrap() {
-                ResilientEvent::TrainingFailed { mode, .. } => {
-                    if mode == Mode::Degraded {
+        'push: for phase in 0..40 {
+            for ev in p.push_flows(&flows(20, 0.0, phase * 20)).unwrap() {
+                match ev {
+                    ContinualEvent::TrainerFailed {
+                        mode: Mode::Degraded,
+                        ..
+                    } => {
                         saw_degraded = true;
-                        // Degraded mode still scores, identically to the
-                        // last-known-good snapshot.
+                        // Degraded mode still scores, identically to
+                        // the last-known-good snapshot.
                         assert_eq!(p.anomaly_scores(&flows(10, 0.0, 500)).unwrap(), baseline);
                     }
-                }
-                ResilientEvent::ExperienceTrained { recovered: r, .. } => {
-                    if saw_degraded {
+                    ContinualEvent::Trained { recovered: r, .. } if saw_degraded => {
                         assert!(r, "success out of degraded mode must flag recovery");
                         recovered = true;
-                        break;
+                        break 'push;
                     }
+                    _ => {}
                 }
-                ResilientEvent::Buffered { .. } => {}
             }
         }
         assert!(saw_degraded, "two consecutive failures must degrade");
         assert!(recovered, "later success must recover to normal");
         assert_eq!(p.mode(), Mode::Normal);
-        assert_eq!(p.health().total_failures, 2);
+        assert_eq!(p.status().total_failures, 2);
+    }
+
+    #[test]
+    fn a_full_reservoir_trains_before_it_drops_a_flow() {
+        // 100 is not a multiple of the 30-row batches: a retrain that
+        // waited for the whole batch would be offered 120 rows and drop
+        // 20 of them.
+        let mut p = pipeline(100, RetryPolicy::default());
+        for phase in 0..10 {
+            p.push_flows(&flows(30, 0.0, phase * 30)).unwrap();
+        }
+        let h = p.status();
+        assert!(h.count(EventKind::Trained) >= 2, "{h}");
+        assert_eq!(
+            h.count(EventKind::RetrainStarted),
+            h.count(EventKind::Trained),
+            "every attempt succeeds"
+        );
+        assert_eq!(h.flows_dropped, 0);
+    }
+
+    #[test]
+    fn a_retrain_shares_one_cycle_from_trigger_to_success() {
+        let mut p = pipeline(
+            100,
+            RetryPolicy {
+                max_attempts: 3,
+                backoff_base_flows: 30,
+                max_backoff_flows: 1000,
+            },
+        );
+        p.set_fault_injector(Box::new(ScriptedFaults::new(0).with_failure_at(&[1])));
+        let mut events = Vec::new();
+        for phase in 0..6 {
+            events.extend(p.push_flows(&flows(30, 0.0, phase * 30)).unwrap());
+        }
+        let kinds: Vec<EventKind> = events.iter().map(ContinualEvent::kind).collect();
+        assert_eq!(
+            kinds,
+            [
+                EventKind::RetrainStarted,
+                EventKind::TrainerFailed,
+                EventKind::RetrainStarted,
+                EventKind::Trained
+            ]
+        );
+        assert!(events.iter().all(|e| e.cycle() == 1), "{events:?}");
+        assert_eq!(p.status().cycle, 0, "success ends the cycle");
     }
 
     #[test]
@@ -958,7 +856,7 @@ mod tests {
         for phase in 0..10 {
             p.push_flows(&flows(30, 0.0, phase * 30)).unwrap();
         }
-        let h = p.health();
+        let h = p.status();
         assert!(
             h.buffered <= 60,
             "buffer must stay bounded, got {}",
@@ -983,7 +881,7 @@ mod tests {
     #[test]
     fn health_report_renders() {
         let p = pipeline(100, RetryPolicy::default());
-        let text = p.health().to_string();
+        let text = p.status().to_string();
         assert!(text.contains("mode:"));
         assert!(text.contains("normal"));
         assert!(text.contains("quarantined"));
@@ -1023,12 +921,15 @@ mod tests {
         for phase in 0..10 {
             p.push_flows(&flows(30, 0.0, phase * 30)).unwrap();
         }
-        let h = p.health();
+        let h = p.status();
         assert!(
             h.total_failures >= 1,
             "panic must count as a failed attempt"
         );
-        assert!(h.retrain_successes >= 1, "retry after panic must succeed");
+        assert!(
+            h.count(EventKind::Trained) >= 1,
+            "retry after panic must succeed"
+        );
         let scores = p.anomaly_scores(&flows(5, 0.0, 7)).expect("still scores");
         assert!(scores.iter().all(|s| s.is_finite()));
     }

@@ -19,7 +19,8 @@ use cnd_metrics::curve::pr_auc;
 use cnd_metrics::threshold::{apply_threshold, best_f1_threshold};
 
 use crate::baselines::UclBaseline;
-use crate::resilience::{HealthReport, ResilientEvent, ResilientStreamingCndIds};
+use crate::resilience::ResilientStreamingCndIds;
+use crate::streaming::ContinualStatus;
 use crate::{CndIds, CoreError};
 
 /// A model that can be trained through a continual experience stream.
@@ -358,12 +359,9 @@ pub struct ResilientStreamingOutcome {
     pub pooled_f1: f64,
     /// Pooled threshold-free PR-AUC, when scoring was possible.
     pub pr_auc: Option<f64>,
-    /// Successful training experiences during the run.
-    pub trained: u64,
-    /// Failed (rolled-back) training attempts during the run.
-    pub failed: u64,
-    /// Final health snapshot of the pipeline.
-    pub health: HealthReport,
+    /// Final status of the pipeline, with its trained and failed
+    /// attempts among the event counts.
+    pub status: ContinualStatus,
 }
 
 /// Feeds every experience's training stream through a
@@ -396,13 +394,6 @@ pub fn evaluate_resilient_streaming(
         experiences = split.experiences.len(),
         chunk = chunk,
     );
-    let mut trained = 0u64;
-    let mut failed = 0u64;
-    let mut count = |event: &ResilientEvent| match event {
-        ResilientEvent::ExperienceTrained { .. } => trained += 1,
-        ResilientEvent::TrainingFailed { .. } => failed += 1,
-        ResilientEvent::Buffered { .. } => {}
-    };
     for (i, exp) in split.experiences.iter().enumerate() {
         let _ingest = cnd_obs::span!("runner.ingest", experience = i, rows = exp.train_x.rows());
         let n = exp.train_x.rows();
@@ -410,13 +401,13 @@ pub fn evaluate_resilient_streaming(
         while at < n {
             let hi = (at + chunk).min(n);
             let x = exp.train_x.slice_rows(at, hi)?;
-            count(&stream.push_flows(&x)?);
+            stream.push_flows(&x)?;
             at = hi;
         }
         // Experience boundary: train on the residue unless the retry
         // backoff says the pipeline is not accepting attempts yet.
-        if stream.buffered() > 0 && stream.health().flows_until_retry == 0 {
-            count(&stream.flush()?);
+        if stream.buffered() > 0 && stream.status().flows_until_retry == 0 {
+            stream.flush()?;
         }
     }
     let (pooled_f1, pr_auc_val) = if stream.can_score() {
@@ -431,9 +422,7 @@ pub fn evaluate_resilient_streaming(
     Ok(ResilientStreamingOutcome {
         pooled_f1,
         pr_auc: pr_auc_val,
-        trained,
-        failed,
-        health: stream.health(),
+        status: stream.status(),
     })
 }
 
@@ -480,7 +469,7 @@ mod tests {
     #[test]
     fn resilient_streaming_run_with_corruption() {
         use crate::resilience::{ResilientConfig, ScriptedFaults};
-        use crate::streaming::StreamingConfig;
+        use crate::streaming::{EventKind, StreamingConfig};
 
         let s = split();
         let model = CndIds::new(CndIdsConfig::fast(1), &s.clean_normal).unwrap();
@@ -499,10 +488,13 @@ mod tests {
         .unwrap();
         stream.set_fault_injector(Box::new(ScriptedFaults::new(9).with_corruption_rate(0.05)));
         let out = evaluate_resilient_streaming(&mut stream, &s, 64).unwrap();
-        assert!(out.trained > 0, "must train at least once");
-        assert_eq!(out.failed, 0);
         assert!(
-            out.health.quarantine.total() > 0,
+            out.status.count(EventKind::Trained) > 0,
+            "must train at least once"
+        );
+        assert_eq!(out.status.count(EventKind::TrainerFailed), 0);
+        assert!(
+            out.status.quarantine.total() > 0,
             "corruption must be caught"
         );
         assert!(out.pooled_f1 > 0.0, "pooled F1 = {}", out.pooled_f1);

@@ -23,9 +23,18 @@
 //! 5. **The training attempt** ([`train_attempt`]): Algorithm 1's
 //!    per-experience update on the reservoir, with the scripted
 //!    [`TrainingFault`]s applied.
+//! 6. **Cycles and events** ([`ContinualEvent`], [`ContinualStatus`]):
+//!    arming drift, or starting an attempt with nothing armed, mints a
+//!    cycle id that every event of that retrain carries until it
+//!    succeeds. Every event of either host goes through
+//!    [`ContinualCore::record`], which counts it by [`EventKind`] and
+//!    writes its `cevent` trace line, flight-ring entry,
+//!    `continual.<name>.count` metric and (for `serve`) ledger entry.
+//!    [`ContinualCore::status`] reports the core's state with those
+//!    counts.
 //!
-//! Two hosts drive the core. `ResilientStreamingCndIds` (the `stream`
-//! CLI) trains in-process and rolls back to a model snapshot;
+//! Two hosts ([`Host`]) drive the core. `ResilientStreamingCndIds` (the
+//! `stream` CLI) trains in-process and rolls back to a model snapshot;
 //! `cnd_serve::ContinualController` (`serve --continual`) trains on a
 //! background thread behind a shadow gate, canary swap and probation.
 
@@ -34,6 +43,9 @@ use std::fmt;
 
 use cnd_linalg::Matrix;
 use cnd_ml::StandardScaler;
+use cnd_obs::ledger::{
+    Disposition, DriftProvenance, EntryDraft, Ledger, SampleProvenance, ShadowProvenance,
+};
 use cnd_obs::{DriftMonitor, DriftVerdict};
 use cnd_store::ReservoirBuffer;
 
@@ -389,6 +401,462 @@ pub fn train_attempt(
     }
 }
 
+/// Which host drives a [`ContinualCore`]: it decides how the core's
+/// events are counted and where their flight entries say they came from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Host {
+    /// The `stream` CLI: in-process and seeded, so its counters belong
+    /// in deterministic traces.
+    Stream,
+    /// `serve --continual`: paced by live traffic, so its counters are
+    /// volatile (left out of deterministic traces).
+    Serve,
+}
+
+impl Host {
+    /// Stable lowercase name (the flight-ring `source`).
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Host::Stream => "stream",
+            Host::Serve => "serve",
+        }
+    }
+
+    fn count(self, name: &str, v: u64) {
+        match self {
+            Host::Stream => cnd_obs::counter_add(name, v),
+            Host::Serve => cnd_obs::counter_add_volatile(name, v),
+        }
+    }
+}
+
+/// What kind of [`ContinualEvent`] happened: the key of the status
+/// counts and the `kind` of the event's trace, flight and ledger lines.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EventKind {
+    /// [`ContinualEvent::DriftDetected`].
+    DriftDetected,
+    /// [`ContinualEvent::RetrainStarted`].
+    RetrainStarted,
+    /// [`ContinualEvent::Trained`].
+    Trained,
+    /// [`ContinualEvent::TrainerFailed`].
+    TrainerFailed,
+    /// [`ContinualEvent::CandidateRejected`].
+    ShadowRejected,
+    /// [`ContinualEvent::SwapRefused`].
+    SwapRefused,
+    /// [`ContinualEvent::Swapped`].
+    Swapped,
+    /// [`ContinualEvent::RolledBack`].
+    RolledBack,
+    /// [`ContinualEvent::ProbationPassed`].
+    ProbationPassed,
+    /// [`ContinualEvent::RollbackFailed`].
+    RollbackFailed,
+}
+
+impl EventKind {
+    /// Every kind, in the order the status prints them.
+    pub const ALL: [EventKind; 10] = [
+        EventKind::DriftDetected,
+        EventKind::RetrainStarted,
+        EventKind::Trained,
+        EventKind::TrainerFailed,
+        EventKind::ShadowRejected,
+        EventKind::SwapRefused,
+        EventKind::Swapped,
+        EventKind::RolledBack,
+        EventKind::ProbationPassed,
+        EventKind::RollbackFailed,
+    ];
+
+    /// Each kind's stable name (a disposition's is its ledger `kind`)
+    /// and the counter it bumps, in [`ALL`](Self::ALL) order.
+    const NAMES: [(&'static str, &'static str); 10] = [
+        ("drift_detected", "continual.drift.count"),
+        ("retrain_started", "continual.retrain.count"),
+        ("trained", "continual.trained.count"),
+        ("trainer_failed", "continual.retrain_fail.count"),
+        ("shadow_rejected", "continual.shadow_reject.count"),
+        ("swap_refused", "continual.swap_refused.count"),
+        ("swapped", "continual.swap.count"),
+        ("rolled_back", "continual.rollback.count"),
+        ("probation_passed", "continual.probation_pass.count"),
+        ("rollback_failed", "continual.rollback_fail.count"),
+    ];
+
+    /// Stable lowercase name: the `kind` of trace, flight and ledger
+    /// lines.
+    pub fn as_str(self) -> &'static str {
+        Self::NAMES[self as usize].0
+    }
+
+    /// The `continual.<name>.count` counter this kind bumps.
+    pub fn metric(self) -> &'static str {
+        Self::NAMES[self as usize].1
+    }
+
+    /// The ledger disposition this kind is, if any (six of the ten).
+    pub fn disposition(self) -> Option<Disposition> {
+        Some(match self {
+            EventKind::TrainerFailed => Disposition::TrainerFailed,
+            EventKind::ShadowRejected => Disposition::ShadowRejected,
+            EventKind::SwapRefused => Disposition::SwapRefused,
+            EventKind::Swapped => Disposition::Swapped,
+            EventKind::RolledBack => Disposition::RolledBack,
+            EventKind::ProbationPassed => Disposition::ProbationPassed,
+            _ => return None,
+        })
+    }
+}
+
+/// One observable transition of a continual loop, from either host.
+///
+/// Every variant carries the cycle id the core minted when the retrain
+/// was armed ([`ContinualCore::cycle`]). Retries of a failed attempt
+/// stay in the same cycle; it ends with a trained experience (`stream`),
+/// or a passed probation or a rollback (`serve`).
+#[derive(Debug, Clone)]
+pub enum ContinualEvent {
+    /// A drift window's verdict armed a retrain.
+    DriftDetected {
+        /// Cycle id of the armed retrain.
+        cycle: u64,
+        /// The verdict that armed it.
+        drift: DriftProvenance,
+    },
+    /// A training attempt started.
+    RetrainStarted {
+        /// Cycle id this attempt belongs to.
+        cycle: u64,
+        /// What made the attempt due.
+        trigger: Trigger,
+        /// Rows in the training batch.
+        samples: usize,
+        /// 1-based attempt number.
+        attempt: u64,
+    },
+    /// An in-process attempt trained the next experience, and its model
+    /// now scores (`stream`).
+    Trained {
+        /// Cycle id that ends here.
+        cycle: u64,
+        /// What made the attempt due.
+        trigger: Trigger,
+        /// Rows the experience trained on.
+        samples: usize,
+        /// CFE training diagnostics.
+        stats: TrainStats,
+        /// `true` when this success left [`Mode::Degraded`].
+        recovered: bool,
+    },
+    /// A training attempt failed (error, panic, or a candidate that could
+    /// not be evaluated). The serving model is untouched and the
+    /// reservoir is kept for a retry after the backoff.
+    TrainerFailed {
+        /// Cycle id this attempt belonged to.
+        cycle: u64,
+        /// Rendered cause.
+        reason: String,
+        /// Rows in the training batch (`None` when none was built).
+        samples: Option<usize>,
+        /// `true` when the trainer thread panicked.
+        panicked: bool,
+        /// Mode after accounting for this failure.
+        mode: Mode,
+    },
+    /// The shadow gate rejected the candidate (`serve`).
+    CandidateRejected {
+        /// Cycle id this candidate belonged to.
+        cycle: u64,
+        /// Rows the candidate trained on.
+        samples: usize,
+        /// The failing comparison.
+        shadow: ShadowProvenance,
+        /// Non-finite candidate scores (any fails the gate).
+        nonfinite: u64,
+    },
+    /// The registry refused to swap the candidate artifact in (`serve`).
+    SwapRefused {
+        /// Cycle id this candidate belonged to.
+        cycle: u64,
+        /// Rows the candidate trained on.
+        samples: usize,
+        /// The shadow comparison the candidate passed.
+        shadow: ShadowProvenance,
+        /// Rendered cause.
+        reason: String,
+    },
+    /// A validated candidate went live and entered probation (`serve`).
+    Swapped {
+        /// Cycle id that produced the candidate.
+        cycle: u64,
+        /// Rows the candidate trained on.
+        samples: usize,
+        /// The new serving model version.
+        version: u32,
+        /// The shadow comparison that admitted it.
+        shadow: ShadowProvenance,
+    },
+    /// Post-swap degradation: serving was restored to the last-known-good
+    /// model (`serve`).
+    RolledBack {
+        /// Cycle id that ends here.
+        cycle: u64,
+        /// The version rolled away from.
+        from_version: u32,
+        /// The version now serving (the last-known-good weights
+        /// re-promoted).
+        restored_version: u32,
+        /// Alert rate observed during probation.
+        alert_rate: f64,
+    },
+    /// The canary survived probation and is now the last-known-good
+    /// (`serve`).
+    ProbationPassed {
+        /// Cycle id that ends here.
+        cycle: u64,
+        /// The surviving model version.
+        version: u32,
+        /// Alert rate observed during probation.
+        alert_rate: f64,
+    },
+    /// A rollback reload failed; it is retried on the next step
+    /// (`serve`).
+    RollbackFailed {
+        /// Cycle id being rolled back.
+        cycle: u64,
+        /// Rendered cause.
+        reason: String,
+    },
+}
+
+impl ContinualEvent {
+    /// The cycle id this event belongs to.
+    pub fn cycle(&self) -> u64 {
+        match self {
+            ContinualEvent::DriftDetected { cycle, .. }
+            | ContinualEvent::RetrainStarted { cycle, .. }
+            | ContinualEvent::Trained { cycle, .. }
+            | ContinualEvent::TrainerFailed { cycle, .. }
+            | ContinualEvent::CandidateRejected { cycle, .. }
+            | ContinualEvent::SwapRefused { cycle, .. }
+            | ContinualEvent::Swapped { cycle, .. }
+            | ContinualEvent::RolledBack { cycle, .. }
+            | ContinualEvent::ProbationPassed { cycle, .. }
+            | ContinualEvent::RollbackFailed { cycle, .. } => *cycle,
+        }
+    }
+
+    /// The event's kind.
+    pub fn kind(&self) -> EventKind {
+        match self {
+            ContinualEvent::DriftDetected { .. } => EventKind::DriftDetected,
+            ContinualEvent::RetrainStarted { .. } => EventKind::RetrainStarted,
+            ContinualEvent::Trained { .. } => EventKind::Trained,
+            ContinualEvent::TrainerFailed { .. } => EventKind::TrainerFailed,
+            ContinualEvent::CandidateRejected { .. } => EventKind::ShadowRejected,
+            ContinualEvent::SwapRefused { .. } => EventKind::SwapRefused,
+            ContinualEvent::Swapped { .. } => EventKind::Swapped,
+            ContinualEvent::RolledBack { .. } => EventKind::RolledBack,
+            ContinualEvent::ProbationPassed { .. } => EventKind::ProbationPassed,
+            ContinualEvent::RollbackFailed { .. } => EventKind::RollbackFailed,
+        }
+    }
+}
+
+impl fmt::Display for ContinualEvent {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "[cycle {}] ", self.cycle())?;
+        match self {
+            ContinualEvent::DriftDetected { drift, .. } => write!(
+                f,
+                "drift detected (psi {:.3}, sym-kl {:.3})",
+                drift.psi, drift.sym_kl
+            ),
+            ContinualEvent::RetrainStarted {
+                trigger,
+                samples,
+                attempt,
+                ..
+            } => write!(
+                f,
+                "retrain #{attempt} started on {samples} samples ({})",
+                trigger.as_str()
+            ),
+            ContinualEvent::Trained {
+                trigger,
+                samples,
+                recovered,
+                ..
+            } => write!(
+                f,
+                "experience trained on {samples} samples ({}){}",
+                trigger.as_str(),
+                if *recovered { ", left degraded mode" } else { "" }
+            ),
+            ContinualEvent::TrainerFailed { reason, mode, .. } => {
+                write!(f, "trainer failed ({mode}): {reason}")
+            }
+            ContinualEvent::CandidateRejected {
+                shadow, nonfinite, ..
+            } => write!(
+                f,
+                "candidate rejected by shadow gate (F1 {:.3} vs live {:.3}, PR-AUC {:.3} vs live {:.3}, {nonfinite} non-finite)",
+                shadow.cand_f1, shadow.live_f1, shadow.cand_pr_auc, shadow.live_pr_auc
+            ),
+            ContinualEvent::SwapRefused { reason, .. } => write!(f, "canary swap refused: {reason}"),
+            ContinualEvent::Swapped {
+                version, shadow, ..
+            } => write!(
+                f,
+                "canary swapped in as v{version} (F1 {:.3} vs live {:.3})",
+                shadow.cand_f1, shadow.live_f1
+            ),
+            ContinualEvent::RolledBack {
+                from_version,
+                restored_version,
+                alert_rate,
+                ..
+            } => write!(
+                f,
+                "rolled back v{from_version} -> v{restored_version} (probation alert rate {alert_rate:.3})"
+            ),
+            ContinualEvent::ProbationPassed {
+                version,
+                alert_rate,
+                ..
+            } => write!(
+                f,
+                "v{version} passed probation (alert rate {alert_rate:.3})"
+            ),
+            ContinualEvent::RollbackFailed { reason, .. } => {
+                write!(f, "rollback failed (will retry): {reason}")
+            }
+        }
+    }
+}
+
+/// The provenance ledger a `serve` host appends each disposition to,
+/// with the provenance only that host knows.
+pub struct LedgerSink<'a> {
+    /// The ledger to append to.
+    pub ledger: &'a mut Ledger,
+    /// Model version serving when the cycle was armed.
+    pub parent: u64,
+    /// Flows the traffic mirror has seen.
+    pub mirror_seen: u64,
+    /// Flows the traffic mirror dropped (buffer full).
+    pub mirror_dropped: u64,
+}
+
+/// One status snapshot of a continual loop, for either host: the
+/// core's state plus its event counts (the CLI's `stream --health` and
+/// the `serve --continual` closing summary).
+#[derive(Debug, Clone, PartialEq)]
+pub struct ContinualStatus {
+    /// Current operating mode.
+    pub mode: Mode,
+    /// Input-guard rejection counters.
+    pub quarantine: QuarantineStats,
+    /// All flows ever screened (accepted + quarantined).
+    pub flows_seen: u64,
+    /// Flows that passed the input guard.
+    pub flows_accepted: u64,
+    /// Accepted flows the full replay reservoir did not keep.
+    pub flows_dropped: u64,
+    /// Rows the reservoir holds for the next experience.
+    pub buffered: usize,
+    /// Non-finite scores rejected by the drift policy.
+    pub drift_rejections: u64,
+    /// The most recent drift window's verdict (PSI / symmetric KL);
+    /// `None` until two windows have closed.
+    pub score_drift: Option<DriftVerdict>,
+    /// Experiences the host's model has trained.
+    pub experiences_trained: usize,
+    /// Failed cycles in total.
+    pub total_failures: u64,
+    /// Failures since the last success.
+    pub consecutive_failures: u32,
+    /// Accepted flows remaining before the next attempt is allowed
+    /// (0 = ready).
+    pub flows_until_retry: usize,
+    /// [`ContinualEvent::TrainerFailed`] events whose trainer panicked.
+    pub trainer_panics: u64,
+    /// The cycle in flight (0 = none).
+    pub cycle: u64,
+    /// Events recorded so far, indexed by `EventKind as usize`.
+    pub events: [u64; EventKind::ALL.len()],
+}
+
+impl ContinualStatus {
+    /// Events of `kind` recorded so far.
+    pub fn count(&self, kind: EventKind) -> u64 {
+        self.events[kind as usize]
+    }
+}
+
+impl fmt::Display for ContinualStatus {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        writeln!(f, "mode:       {}", self.mode)?;
+        writeln!(
+            f,
+            "flows:      seen {}, accepted {}, quarantined {} (nan/inf {}, dim {}, range {}), dropped {}",
+            self.flows_seen,
+            self.flows_accepted,
+            self.quarantine.total(),
+            self.quarantine.non_finite,
+            self.quarantine.dimension_mismatch,
+            self.quarantine.out_of_range,
+            self.flows_dropped,
+        )?;
+        writeln!(
+            f,
+            "quarantine: evicted {}, drift-rejected {}",
+            self.quarantine.evicted, self.drift_rejections,
+        )?;
+        match self.score_drift {
+            Some(v) => writeln!(
+                f,
+                "drift:      psi {:.3}, kl {:.3}, {}",
+                v.psi,
+                v.sym_kl,
+                if v.drifted { "drifted" } else { "stable" }
+            )?,
+            None => writeln!(f, "drift:      no verdict yet")?,
+        }
+        writeln!(
+            f,
+            "training:   {} experiences, {} failures ({} consecutive, {} trainer panics)",
+            self.experiences_trained,
+            self.total_failures,
+            self.consecutive_failures,
+            self.trainer_panics,
+        )?;
+        if self.flows_until_retry == 0 {
+            writeln!(f, "retry:      ready")?;
+        } else {
+            writeln!(
+                f,
+                "retry:      next attempt in {} flows",
+                self.flows_until_retry
+            )?;
+        }
+        writeln!(f, "buffered:   {}", self.buffered)?;
+        match self.cycle {
+            0 => writeln!(f, "cycle:      none in flight")?,
+            c => writeln!(f, "cycle:      {c} in flight")?,
+        }
+        write!(f, "events:     ")?;
+        for (i, kind) in EventKind::ALL.iter().enumerate() {
+            let sep = if i == 0 { "" } else { ", " };
+            write!(f, "{sep}{} {}", kind.as_str(), self.events[i])?;
+        }
+        Ok(())
+    }
+}
+
 /// The guard, drift, reservoir, backoff and fault decisions of one
 /// continual loop (see the [module docs](self)).
 pub struct ContinualCore {
@@ -409,11 +877,27 @@ pub struct ContinualCore {
     total_failures: u64,
     flows_until_retry: usize,
     injector: Option<Box<dyn FaultInjector + Send>>,
+    host: Host,
+    cycle: u64,
+    cycles_minted: u64,
+    cycle_drift: Option<DriftProvenance>,
+    events: [u64; EventKind::ALL.len()],
+    trainer_panics: u64,
 }
 
 impl ContinualCore {
-    /// A core guarding inputs with `scaler`'s fitted statistics.
-    pub fn new(scaler: &StandardScaler, config: StreamingConfig, retry: RetryPolicy) -> Self {
+    /// A core guarding inputs with `scaler`'s fitted statistics. Every
+    /// event counter is registered at zero, so a scrape sees it before
+    /// the first cycle.
+    pub fn new(
+        scaler: &StandardScaler,
+        config: StreamingConfig,
+        retry: RetryPolicy,
+        host: Host,
+    ) -> Self {
+        for kind in EventKind::ALL {
+            host.count(kind.metric(), 0);
+        }
         ContinualCore {
             config,
             retry,
@@ -432,6 +916,12 @@ impl ContinualCore {
             total_failures: 0,
             flows_until_retry: 0,
             injector: None,
+            host,
+            cycle: 0,
+            cycles_minted: 0,
+            cycle_drift: None,
+            events: [0; EventKind::ALL.len()],
+            trainer_panics: 0,
         }
     }
 
@@ -479,16 +969,37 @@ impl ContinualCore {
     /// Closes the drift window once it holds `drift_window` scores and
     /// returns its verdict against the previous window (`None` while the
     /// window is filling, and for the first window after a reset). A
-    /// drifted verdict arms a retrain until [`reset_drift`](Self::reset_drift).
-    pub fn close_window(&mut self) -> Option<DriftVerdict> {
+    /// drifted verdict arms a retrain until [`reset_drift`](Self::reset_drift):
+    /// arming mints a cycle (unless one is in flight) and records
+    /// [`ContinualEvent::DriftDetected`] into `events`.
+    pub fn close_window(&mut self, events: &mut Vec<ContinualEvent>) -> Option<DriftVerdict> {
         if self.window < self.config.drift_window {
             return None;
         }
         self.window = 0;
         let verdict = self.drift.rotate()?;
-        self.armed |= verdict.drifted;
         self.last_verdict = Some(verdict);
+        if verdict.drifted && !self.armed {
+            self.armed = true;
+            let drift = DriftProvenance {
+                psi: verdict.psi,
+                sym_kl: verdict.sym_kl,
+                window: self.config.drift_window as u64,
+            };
+            self.cycle_drift = Some(drift);
+            let cycle = self.open_cycle();
+            self.record(ContinualEvent::DriftDetected { cycle, drift }, None, events);
+        }
         Some(verdict)
+    }
+
+    /// The cycle in flight, minting one when there is none.
+    fn open_cycle(&mut self) -> u64 {
+        if self.cycle == 0 {
+            self.cycles_minted += 1;
+            self.cycle = self.cycles_minted;
+        }
+        self.cycle
     }
 
     /// Forgets the score distribution (after a new model goes live): the
@@ -512,9 +1023,7 @@ impl ContinualCore {
         if self.flows_until_retry > 0 {
             return None;
         }
-        let pending = self.pending();
-        let full = pending >= self.config.max_buffer
-            || (!trained && pending >= self.config.bootstrap_batch);
+        let full = self.is_full() || (!trained && self.pending() >= self.config.bootstrap_batch);
         if full {
             Some(Trigger::BufferFull)
         } else if self.drift_ready() {
@@ -525,7 +1034,8 @@ impl ContinualCore {
     }
 
     /// Numbers the next attempt, asks the injector for its faults, and
-    /// stacks the reservoir into its batch.
+    /// stacks the reservoir into its batch. An attempt with no cycle in
+    /// flight (a full buffer or a manual flush) mints one.
     ///
     /// # Errors
     ///
@@ -535,6 +1045,7 @@ impl ContinualCore {
             name: "buffer",
             constraint: "cannot train on an empty stream buffer",
         })?;
+        self.open_cycle();
         self.attempts += 1;
         let number = self.attempts;
         let (fault, artifact_fault) = match self.injector.as_mut() {
@@ -578,29 +1089,117 @@ impl ContinualCore {
         entered
     }
 
+    /// Records one event of either host, in one place: counts it by
+    /// kind; writes its `cevent` trace line, flight-ring entry and
+    /// `continual.<name>.count` metric; appends a disposition to the
+    /// `ledger` when the host keeps one; ends the cycle on a terminal
+    /// event; and pushes the event onto `events`.
+    pub fn record(
+        &mut self,
+        event: ContinualEvent,
+        ledger: Option<LedgerSink<'_>>,
+        events: &mut Vec<ContinualEvent>,
+    ) {
+        let kind = event.kind();
+        let cycle = event.cycle();
+        self.events[kind as usize] += 1;
+        if matches!(event, ContinualEvent::TrainerFailed { panicked: true, .. }) {
+            self.trainer_panics += 1;
+        }
+        let detail = event.to_string();
+        cnd_obs::continual_event(cycle, kind.as_str(), &detail);
+        cnd_obs::flight::record(self.host.as_str(), kind.as_str(), Some(cycle), &detail);
+        self.host.count(kind.metric(), 1);
+        if let (Some(sink), Some(disposition)) = (ledger, kind.disposition()) {
+            let (version, train, shadow) = match &event {
+                ContinualEvent::TrainerFailed { samples, .. } => (0, *samples, None),
+                ContinualEvent::CandidateRejected {
+                    samples, shadow, ..
+                }
+                | ContinualEvent::SwapRefused {
+                    samples, shadow, ..
+                } => (0, Some(*samples), Some(*shadow)),
+                ContinualEvent::Swapped {
+                    samples,
+                    version,
+                    shadow,
+                    ..
+                } => (u64::from(*version), Some(*samples), Some(*shadow)),
+                ContinualEvent::RolledBack {
+                    from_version: v, ..
+                }
+                | ContinualEvent::ProbationPassed { version: v, .. } => (u64::from(*v), None, None),
+                _ => (0, None, None),
+            };
+            let poisoned = self.guard.stats().total();
+            sink.ledger.append(EntryDraft {
+                cycle,
+                kind: disposition,
+                version,
+                parent: sink.parent,
+                drift: self.cycle_drift,
+                samples: train.map(|train| SampleProvenance {
+                    train: train as u64,
+                    mirror_seen: sink.mirror_seen,
+                    mirror_dropped: sink.mirror_dropped,
+                    poisoned,
+                }),
+                shadow,
+                detail,
+            });
+        }
+        if matches!(
+            kind,
+            EventKind::Trained | EventKind::ProbationPassed | EventKind::RolledBack
+        ) {
+            self.cycle = 0;
+            self.cycle_drift = None;
+        }
+        events.push(event);
+    }
+
+    /// The state of the loop plus its event counts; `experiences_trained`
+    /// comes from the host's model.
+    pub fn status(&self, experiences_trained: usize) -> ContinualStatus {
+        let quarantine = self.guard.stats();
+        ContinualStatus {
+            mode: self.mode,
+            quarantine,
+            flows_seen: self.flows_seen,
+            flows_accepted: self.flows_seen - quarantine.total(),
+            flows_dropped: self.flows_dropped,
+            buffered: self.buffer.len(),
+            drift_rejections: self.drift_rejections,
+            score_drift: self.last_verdict,
+            experiences_trained,
+            total_failures: self.total_failures,
+            consecutive_failures: self.consecutive_failures,
+            flows_until_retry: self.flows_until_retry,
+            trainer_panics: self.trainer_panics,
+            cycle: self.cycle,
+            events: self.events,
+        }
+    }
+
+    /// The cycle in flight (0 = none).
+    pub fn cycle(&self) -> u64 {
+        self.cycle
+    }
+
     /// The input guard (quarantine inspection).
     pub fn guard(&self) -> &InputGuard {
         &self.guard
     }
 
-    /// Input-guard rejection counters.
-    pub fn quarantine(&self) -> QuarantineStats {
-        self.guard.stats()
-    }
-
-    /// Flows ever screened (accepted + quarantined).
-    pub fn flows_seen(&self) -> u64 {
-        self.flows_seen
-    }
-
-    /// Accepted flows the full reservoir did not keep.
-    pub fn flows_dropped(&self) -> u64 {
-        self.flows_dropped
-    }
-
     /// Flows offered since the last [`clear_buffer`](Self::clear_buffer).
     pub fn pending(&self) -> usize {
         self.buffer.seen() as usize
+    }
+
+    /// Whether `max_buffer` flows were offered: the reservoir is full and
+    /// the next offer drops a flow.
+    pub fn is_full(&self) -> bool {
+        self.pending() >= self.config.max_buffer
     }
 
     /// Rows the reservoir holds (at most `max_buffer`).
@@ -613,35 +1212,9 @@ impl ContinualCore {
         self.armed
     }
 
-    /// The most recent window verdict; survives [`reset_drift`](Self::reset_drift)
-    /// so the verdict behind the last retrain stays readable.
-    pub fn last_verdict(&self) -> Option<DriftVerdict> {
-        self.last_verdict
-    }
-
-    /// Non-finite scores rejected by the drift policy.
-    pub fn drift_rejections(&self) -> u64 {
-        self.drift_rejections
-    }
-
     /// Current operating mode.
     pub fn mode(&self) -> Mode {
         self.mode
-    }
-
-    /// Failures since the last success.
-    pub fn consecutive_failures(&self) -> u32 {
-        self.consecutive_failures
-    }
-
-    /// Failed cycles in total.
-    pub fn total_failures(&self) -> u64 {
-        self.total_failures
-    }
-
-    /// Accepted flows to offer before the next attempt (0 = ready).
-    pub fn flows_until_retry(&self) -> usize {
-        self.flows_until_retry
     }
 }
 
@@ -667,7 +1240,12 @@ mod tests {
             min_batch: 50,
             drift_window: 40,
         };
-        ContinualCore::new(model().scaler(), config, RetryPolicy::default())
+        ContinualCore::new(
+            model().scaler(),
+            config,
+            RetryPolicy::default(),
+            Host::Stream,
+        )
     }
 
     fn offer_all(c: &mut ContinualCore, x: &Matrix) {
@@ -682,7 +1260,7 @@ mod tests {
         for i in 0..40 {
             c.observe_score(base + (i % 8) as f64 * 0.1);
         }
-        c.close_window()
+        c.close_window(&mut Vec::new())
     }
 
     #[test]
@@ -713,7 +1291,10 @@ mod tests {
         assert!(c.drift_armed());
         c.reset_drift();
         assert!(!c.drift_armed());
-        let v = c.last_verdict().expect("the arming verdict stays readable");
+        let v = c
+            .status(0)
+            .score_drift
+            .expect("the arming verdict stays readable");
         assert!(v.drifted);
         // The new regime becomes the reference after a reset.
         assert!(window(&mut c, 500.0).is_none());
@@ -729,9 +1310,9 @@ mod tests {
             assert!(c.observe_score(1.0));
         }
         assert!(!c.observe_score(f64::INFINITY));
-        assert_eq!(c.drift_rejections(), 1);
+        assert_eq!(c.status(0).drift_rejections, 1);
         assert!(
-            c.close_window().is_none(),
+            c.close_window(&mut Vec::new()).is_none(),
             "the first window is the reference"
         );
         assert!(window(&mut c, 0.0).is_some(), "so the second one compares");
@@ -748,7 +1329,7 @@ mod tests {
         assert_eq!(c.due(false), Some(Trigger::BufferFull));
         assert_eq!(c.pending(), 120);
         assert_eq!(c.buffered(), 100, "the reservoir keeps max_buffer rows");
-        assert_eq!(c.flows_dropped(), 20);
+        assert_eq!(c.status(0).flows_dropped, 20);
         let attempt = c.begin_attempt().expect("non-empty");
         assert_eq!((attempt.number, attempt.batch.rows()), (1, 100));
         let mut m = model();
@@ -770,6 +1351,108 @@ mod tests {
         offer_all(&mut c, &flows(10, 0.0, 40));
         assert_eq!(c.due(true), Some(Trigger::DriftDetected));
         assert!(c.drift_ready());
+    }
+
+    #[test]
+    fn arming_drift_mints_one_cycle_until_a_terminal_event() {
+        let mut c = core(100_000);
+        window(&mut c, 0.0);
+        assert_eq!(c.cycle(), 0, "no cycle before drift arms");
+        let mut events = Vec::new();
+        for i in 0..40 {
+            c.observe_score(500.0 + (i % 8) as f64 * 0.1);
+        }
+        c.close_window(&mut events);
+        assert_eq!(events.len(), 1);
+        assert!(matches!(
+            events[0],
+            ContinualEvent::DriftDetected { cycle: 1, drift } if drift.window == 40
+        ));
+        // An armed window does not re-announce drift.
+        window(&mut c, 0.0);
+        offer_all(&mut c, &flows(50, 0.0, 0));
+        assert_eq!(c.begin_attempt().expect("non-empty").number, 1);
+        assert_eq!(c.cycle(), 1, "the attempt joins the armed cycle");
+        let fail = ContinualEvent::TrainerFailed {
+            cycle: 1,
+            reason: "x".into(),
+            samples: None,
+            panicked: true,
+            mode: Mode::Normal,
+        };
+        c.record(fail, None, &mut events);
+        assert_eq!(c.cycle(), 1, "a failure keeps the cycle");
+        let pass = ContinualEvent::ProbationPassed {
+            cycle: 1,
+            version: 2,
+            alert_rate: 0.0,
+        };
+        c.record(pass, None, &mut events);
+        assert_eq!(c.cycle(), 0, "a terminal event ends it");
+        let status = c.status(0);
+        assert_eq!(status.count(EventKind::DriftDetected), 1);
+        assert_eq!(status.count(EventKind::TrainerFailed), 1);
+        assert_eq!(status.count(EventKind::ProbationPassed), 1);
+        assert_eq!(status.trainer_panics, 1);
+        assert_eq!(events.len(), 3);
+        // With nothing armed, the next attempt mints a fresh cycle.
+        assert_eq!(c.begin_attempt().expect("non-empty").number, 2);
+        assert_eq!(c.cycle(), 2);
+    }
+
+    #[test]
+    fn dispositions_reach_the_ledger_and_name_their_kind() {
+        for kind in EventKind::ALL {
+            if let Some(d) = kind.disposition() {
+                assert_eq!(d.as_str(), kind.as_str());
+            }
+            assert_eq!(EventKind::ALL[kind as usize], kind);
+        }
+        let dispositions = EventKind::ALL
+            .iter()
+            .filter_map(|k| k.disposition())
+            .count();
+        assert_eq!(dispositions, 6);
+        let mut c = core(100);
+        let mut ledger = Ledger::new();
+        let mut events = Vec::new();
+        fn sink(ledger: &mut Ledger) -> LedgerSink<'_> {
+            LedgerSink {
+                ledger,
+                parent: 1,
+                mirror_seen: 9,
+                mirror_dropped: 2,
+            }
+        }
+        let started = ContinualEvent::RetrainStarted {
+            cycle: 1,
+            trigger: Trigger::DriftDetected,
+            samples: 7,
+            attempt: 1,
+        };
+        c.record(started, Some(sink(&mut ledger)), &mut events);
+        assert!(ledger.is_empty(), "only dispositions are ledger entries");
+        let shadow = ShadowProvenance {
+            live_f1: 0.5,
+            cand_f1: 0.6,
+            live_pr_auc: 0.5,
+            cand_pr_auc: 0.6,
+            tau: 1.0,
+        };
+        let swapped = ContinualEvent::Swapped {
+            cycle: 1,
+            samples: 7,
+            version: 2,
+            shadow,
+        };
+        c.record(swapped, Some(sink(&mut ledger)), &mut events);
+        let entry = &ledger.entries()[0];
+        assert_eq!(entry.kind, Disposition::Swapped);
+        assert_eq!((entry.cycle, entry.version, entry.parent), (1, 2, 1));
+        assert_eq!(entry.shadow, Some(shadow));
+        let samples = entry.samples.expect("sample provenance");
+        assert_eq!((samples.train, samples.mirror_seen), (7, 9));
+        assert_eq!(entry.detail, events[1].to_string());
     }
 
     #[test]

@@ -122,7 +122,10 @@ impl Linear {
         // Transposed views feed the packed GEMM directly; no clone of
         // xᵀ / Wᵀ is materialized per backward step.
         let dw = x.view().t().matmul(&d_out.view())?;
-        self.grad_w = self.grad_w.add(&dw)?;
+        debug_assert_eq!(dw.shape(), self.grad_w.shape());
+        for (g, d) in self.grad_w.as_mut_slice().iter_mut().zip(dw.as_slice()) {
+            *g += d;
+        }
         for (gb, s) in self.grad_b.iter_mut().zip(d_out.col_sums()) {
             *gb += s;
         }
@@ -130,10 +133,10 @@ impl Linear {
         Ok(dx)
     }
 
-    /// Clears accumulated gradients and the cached input.
+    /// Clears accumulated gradients (in place) and the cached input.
     pub fn zero_grad(&mut self) {
-        self.grad_w = Matrix::zeros(self.w.rows(), self.w.cols());
-        self.grad_b = vec![0.0; self.b.len()];
+        self.grad_w.as_mut_slice().fill(0.0);
+        self.grad_b.fill(0.0);
         self.cached_input = None;
     }
 

@@ -67,16 +67,17 @@ pub enum Event {
         record: QualityRecord,
     },
     /// A continual-learning control-plane event (`cevent` line): the
-    /// typed form of [`ContinualEvent`]s, carrying the causal cycle id
-    /// so `observe --timeline` can reconstruct each
-    /// detect→retrain→validate→swap→probation→rollback chain.
+    /// typed form of [`ContinualEvent`]s of either continual host,
+    /// carrying the causal cycle id so `observe --timeline` can
+    /// reconstruct each detect→retrain→validate→swap→probation→rollback
+    /// chain.
     ///
-    /// [`ContinualEvent`]: https://docs.rs/cnd-serve
+    /// [`ContinualEvent`]: https://docs.rs/cnd-core
     Continual {
         /// Timestamp (clock units).
         t: u64,
-        /// Cycle id minted when a drift verdict armed the retrain
-        /// (0 for events outside any cycle).
+        /// Cycle id minted when the retrain was armed (0 for events
+        /// outside any cycle).
         cycle: u64,
         /// Machine-readable event kind (e.g. `drift_detected`, `swapped`).
         kind: String,

@@ -57,6 +57,13 @@
 //!   training/artifact/flow faults exercise every failure edge above
 //!   deterministically.
 //!
+//! * **Events.** Every transition is a [`ContinualEvent`] recorded once
+//!   by [`ContinualCore::record`], as the `stream` host's are: a `cevent`
+//!   trace line, a flight-ring entry, a volatile `continual.<name>.count`
+//!   counter, and for each disposition a provenance-ledger entry.
+//!   [`ContinualController::status`] is the same [`ContinualStatus`]
+//!   `stream --health` prints.
+//!
 //! Failed cycles back off exponentially (measured in accepted mirror
 //! samples, by the core's [`RetryPolicy`]) so a persistently failing
 //! environment cannot hot-loop retraining.
@@ -68,17 +75,14 @@ use std::thread::JoinHandle;
 use cnd_core::deploy::DeployedScorer;
 use cnd_core::resilience::LastKnownGood;
 use cnd_core::streaming::{
-    train_attempt, ArtifactFault, ContinualCore, FaultInjector, RetryPolicy, StreamingConfig,
-    TrainingFault,
+    train_attempt, ArtifactFault, ContinualCore, ContinualEvent, ContinualStatus, FaultInjector,
+    Host, LedgerSink, RetryPolicy, StreamingConfig, TrainingFault, Trigger,
 };
 use cnd_core::{CndIds, CoreError};
 use cnd_linalg::Matrix;
 use cnd_metrics::curve::pr_auc;
 use cnd_metrics::threshold::{best_f1_threshold, quantile_threshold};
-use cnd_obs::ledger::{
-    Disposition, DriftProvenance, EntryDraft, Ledger, SampleProvenance, ShadowProvenance,
-};
-use cnd_obs::DriftVerdict;
+use cnd_obs::ledger::{Ledger, ShadowProvenance};
 use cnd_store::{StoreMeta, StoreWriter};
 
 use crate::server::Server;
@@ -376,224 +380,15 @@ impl ContinualConfig {
 /// model on the held-out validation set.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShadowReport {
-    /// Best-F1 of the live model on the validation set.
-    pub live_f1: f64,
-    /// Best-F1 of the candidate on the validation set.
-    pub candidate_f1: f64,
-    /// PR-AUC of the live model on the validation set.
-    pub live_pr_auc: f64,
-    /// PR-AUC of the candidate on the validation set.
-    pub candidate_pr_auc: f64,
+    /// Both models' Best-F1 and PR-AUC on the validation set, and the
+    /// probation alert threshold τ: the configured quantile of the
+    /// candidate's scores on the mirrored traffic.
+    pub scores: ShadowProvenance,
     /// Non-finite candidate scores observed (validation + mirror);
     /// any non-zero count fails the gate.
     pub nonfinite_scores: u64,
-    /// Alert threshold for the probation window: the configured
-    /// quantile of the candidate's scores on the mirrored traffic.
-    pub probation_tau: f64,
     /// Whether the candidate passed the gate.
     pub passed: bool,
-}
-
-/// Counter snapshot of everything the closed loop has done.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ContinualStats {
-    /// Mirrored samples drained from the serving path.
-    pub samples_seen: u64,
-    /// Samples the input guard quarantined (non-finite / wrong width /
-    /// |z| beyond the guard's bound).
-    pub poisoned_rejected: u64,
-    /// Drift verdicts over threshold.
-    pub drift_detections: u64,
-    /// Background retrains started.
-    pub retrains_started: u64,
-    /// Trainer threads that panicked.
-    pub trainer_panics: u64,
-    /// Trainer attempts that returned an error.
-    pub trainer_failures: u64,
-    /// Candidates rejected by the shadow gate.
-    pub shadow_rejects: u64,
-    /// Canary swaps refused at reload (bad artifact).
-    pub swap_refusals: u64,
-    /// Successful canary swaps.
-    pub swaps: u64,
-    /// Post-swap rollbacks to last-known-good.
-    pub rollbacks: u64,
-    /// Rollback reload attempts that failed (retried next step).
-    pub rollback_failures: u64,
-    /// Probation windows passed.
-    pub probation_passes: u64,
-    /// Failed cycles since the last success (drives backoff).
-    pub consecutive_failures: u32,
-}
-
-/// One observable transition of the closed loop, returned by
-/// [`ContinualController::step`].
-///
-/// Every variant carries the *cycle id* minted when the drift verdict
-/// armed the retrain, so each event resolves to a provenance-ledger
-/// entry and to the `cevent` trace lines `observe --timeline` groups
-/// into causal chains. Retries of a failed attempt stay in the same
-/// cycle; the id is retired when the cycle reaches a terminal outcome
-/// (probation passed, or rolled back).
-#[derive(Debug, Clone)]
-pub enum ContinualEvent {
-    /// A drift window's verdict crossed the configured thresholds.
-    DriftDetected {
-        /// Cycle id minted by this detection.
-        cycle: u64,
-        /// The verdict that armed the retrain.
-        verdict: DriftVerdict,
-    },
-    /// A background retrain started on the given number of mirrored
-    /// samples (1-based attempt counter).
-    RetrainStarted {
-        /// Cycle id this retrain belongs to.
-        cycle: u64,
-        /// Mirrored samples in the training batch.
-        samples: usize,
-        /// 1-based training attempt number.
-        attempt: u64,
-    },
-    /// The trainer thread failed (panic or error); the serving model is
-    /// untouched.
-    TrainerFailed {
-        /// Cycle id this attempt belonged to.
-        cycle: u64,
-        /// Rendered cause.
-        reason: String,
-    },
-    /// The shadow gate rejected the candidate.
-    CandidateRejected {
-        /// Cycle id this candidate belonged to.
-        cycle: u64,
-        /// The failing comparison.
-        report: ShadowReport,
-    },
-    /// The registry refused to swap the candidate artifact in.
-    SwapRefused {
-        /// Cycle id this candidate belonged to.
-        cycle: u64,
-        /// Rendered cause.
-        reason: String,
-    },
-    /// A validated candidate went live.
-    Swapped {
-        /// Cycle id that produced the candidate.
-        cycle: u64,
-        /// The new serving model version.
-        version: u32,
-        /// The shadow report that admitted it.
-        report: ShadowReport,
-    },
-    /// Post-swap degradation detected; serving was restored to the
-    /// last-known-good model.
-    RolledBack {
-        /// Cycle id being rolled back.
-        cycle: u64,
-        /// The version rolled away from.
-        from_version: u32,
-        /// The version now serving (a re-promotion of the last-known-
-        /// good weights).
-        restored_version: u32,
-        /// Alert rate observed during probation.
-        alert_rate: f64,
-    },
-    /// The canary survived probation and is now the last-known-good.
-    ProbationPassed {
-        /// Cycle id that produced the canary.
-        cycle: u64,
-        /// The surviving model version.
-        version: u32,
-    },
-    /// A rollback reload failed; it is retried on the next step.
-    RollbackFailed {
-        /// Cycle id being rolled back.
-        cycle: u64,
-        /// Rendered cause.
-        reason: String,
-    },
-}
-
-impl ContinualEvent {
-    /// The causal cycle id this event belongs to (0 only for events
-    /// recorded outside any armed cycle, which the loop never emits).
-    pub fn cycle(&self) -> u64 {
-        match self {
-            ContinualEvent::DriftDetected { cycle, .. }
-            | ContinualEvent::RetrainStarted { cycle, .. }
-            | ContinualEvent::TrainerFailed { cycle, .. }
-            | ContinualEvent::CandidateRejected { cycle, .. }
-            | ContinualEvent::SwapRefused { cycle, .. }
-            | ContinualEvent::Swapped { cycle, .. }
-            | ContinualEvent::RolledBack { cycle, .. }
-            | ContinualEvent::ProbationPassed { cycle, .. }
-            | ContinualEvent::RollbackFailed { cycle, .. } => *cycle,
-        }
-    }
-
-    /// Machine-readable event kind, shared by the `cevent` trace lines,
-    /// flight-recorder entries, and (for disposition events) the
-    /// provenance ledger's `kind` field.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            ContinualEvent::DriftDetected { .. } => "drift_detected",
-            ContinualEvent::RetrainStarted { .. } => "retrain_started",
-            ContinualEvent::TrainerFailed { .. } => "trainer_failed",
-            ContinualEvent::CandidateRejected { .. } => "shadow_rejected",
-            ContinualEvent::SwapRefused { .. } => "swap_refused",
-            ContinualEvent::Swapped { .. } => "swapped",
-            ContinualEvent::RolledBack { .. } => "rolled_back",
-            ContinualEvent::ProbationPassed { .. } => "probation_passed",
-            ContinualEvent::RollbackFailed { .. } => "rollback_failed",
-        }
-    }
-}
-
-impl std::fmt::Display for ContinualEvent {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "[cycle {}] ", self.cycle())?;
-        match self {
-            ContinualEvent::DriftDetected { verdict: v, .. } => write!(
-                f,
-                "drift detected (psi {:.3}, sym-kl {:.3})",
-                v.psi, v.sym_kl
-            ),
-            ContinualEvent::RetrainStarted {
-                samples, attempt, ..
-            } => {
-                write!(f, "retrain #{attempt} started on {samples} mirrored samples")
-            }
-            ContinualEvent::TrainerFailed { reason, .. } => write!(f, "trainer failed: {reason}"),
-            ContinualEvent::CandidateRejected { report: r, .. } => write!(
-                f,
-                "candidate rejected by shadow gate (F1 {:.3} vs live {:.3}, PR-AUC {:.3} vs live {:.3}, {} non-finite)",
-                r.candidate_f1, r.live_f1, r.candidate_pr_auc, r.live_pr_auc, r.nonfinite_scores
-            ),
-            ContinualEvent::SwapRefused { reason, .. } => write!(f, "canary swap refused: {reason}"),
-            ContinualEvent::Swapped {
-                version, report, ..
-            } => write!(
-                f,
-                "canary swapped in as v{version} (F1 {:.3} vs live {:.3})",
-                report.candidate_f1, report.live_f1
-            ),
-            ContinualEvent::RolledBack {
-                from_version,
-                restored_version,
-                alert_rate,
-                ..
-            } => write!(
-                f,
-                "rolled back v{from_version} -> v{restored_version} (probation alert rate {alert_rate:.3})"
-            ),
-            ContinualEvent::ProbationPassed { version, .. } => {
-                write!(f, "v{version} passed probation")
-            }
-            ContinualEvent::RollbackFailed { reason, .. } => {
-                write!(f, "rollback failed (will retry): {reason}")
-            }
-        }
-    }
 }
 
 /// What a successful background training attempt hands back.
@@ -610,15 +405,18 @@ enum State {
         attempt: u64,
     },
     /// A freshly swapped canary is serving under observation.
-    Probation {
-        version: u32,
-        tau: f64,
-        candidate: Box<DeployedScorer>,
-        prev_model: Box<CndIds>,
-        scores: Vec<f64>,
-        nonfinite: u64,
-        baseline_errors: u64,
-    },
+    Probation(Box<Probation>),
+}
+
+/// A swapped canary's probation window.
+struct Probation {
+    version: u32,
+    tau: f64,
+    candidate: DeployedScorer,
+    prev_model: CndIds,
+    scores: Vec<f64>,
+    nonfinite: u64,
+    baseline_errors: u64,
 }
 
 impl State {
@@ -626,7 +424,7 @@ impl State {
         match self {
             State::Stable => "stable",
             State::Retraining { .. } => "retraining",
-            State::Probation { .. } => "probation",
+            State::Probation(_) => "probation",
         }
     }
 }
@@ -648,13 +446,9 @@ pub struct ContinualController {
     mirror: TrafficMirror,
     known_good: LastKnownGood,
     provenance: Ledger,
-    cycle: u64,
-    cycles_minted: u64,
     cycle_parent: u64,
-    armed_verdict: Option<DriftVerdict>,
     core: ContinualCore,
     state: State,
-    stats: ContinualStats,
     live_scorer: DeployedScorer,
     live_version: u32,
     synced: bool,
@@ -682,21 +476,9 @@ impl ContinualController {
                 got: validation.n_features(),
             });
         }
-        // Pre-register the loop's counters so a scrape sees them at
-        // zero before the first cycle.
-        for name in [
-            "continual.drift.count",
-            "continual.retrain.count",
-            "continual.retrain_fail.count",
-            "continual.shadow_reject.count",
-            "continual.swap.count",
-            "continual.swap_refused.count",
-            "continual.rollback.count",
-            "continual.probation_pass.count",
-            "continual.poisoned.count",
-        ] {
-            cnd_obs::counter_add_volatile(name, 0);
-        }
+        // The core registers its event counters; this one counts
+        // samples, not events.
+        cnd_obs::counter_add_volatile("continual.poisoned.count", 0);
         let streaming = StreamingConfig {
             max_buffer: cfg.max_train_samples,
             // The served model is already trained: no bootstrap trigger.
@@ -704,7 +486,7 @@ impl ContinualController {
             min_batch: cfg.min_retrain_samples,
             drift_window: cfg.drift_window,
         };
-        let core = ContinualCore::new(model.scaler(), streaming, cfg.retry);
+        let core = ContinualCore::new(model.scaler(), streaming, cfg.retry, Host::Serve);
         Ok(ContinualController {
             cfg,
             model,
@@ -712,13 +494,9 @@ impl ContinualController {
             mirror,
             known_good: LastKnownGood::new(4),
             provenance: Ledger::new(),
-            cycle: 0,
-            cycles_minted: 0,
             cycle_parent: 0,
-            armed_verdict: None,
             core,
             state: State::Stable,
-            stats: ContinualStats::default(),
             live_scorer,
             live_version: 0,
             synced: false,
@@ -731,14 +509,9 @@ impl ContinualController {
         self.core.set_fault_injector(injector);
     }
 
-    /// Counter snapshot.
-    pub fn stats(&self) -> ContinualStats {
-        ContinualStats {
-            samples_seen: self.core.flows_seen(),
-            poisoned_rejected: self.core.quarantine().total(),
-            consecutive_failures: self.core.consecutive_failures(),
-            ..self.stats
-        }
+    /// Status snapshot: the core's state and its event counts.
+    pub fn status(&self) -> ContinualStatus {
+        self.core.status(self.model.experiences_trained())
     }
 
     /// Current state machine position (`stable` / `retraining` /
@@ -769,35 +542,16 @@ impl ContinualController {
         self.provenance.attach_path(path)
     }
 
-    /// The cycle id of the currently armed drift episode (0 when no
-    /// cycle is in flight).
-    pub fn current_cycle(&self) -> u64 {
-        self.cycle
-    }
-
     /// Mirrored samples currently buffered for the next retrain.
     pub fn buffered_samples(&self) -> usize {
         self.core.buffered()
     }
 
     /// Pumps the loop once: drains the mirror, advances the state
-    /// machine, and returns every transition that happened.
-    ///
-    /// Each returned event is also recorded as a `cevent` trace line
-    /// (the single source of truth the CLI's stderr log and
-    /// `observe --timeline` both render from) and into the crash
-    /// flight recorder's ring.
+    /// machine, and returns every transition that happened. Each event
+    /// was recorded by [`ContinualCore::record`] as it happened: trace,
+    /// flight ring, metrics and provenance ledger.
     pub fn step(&mut self, server: &Server) -> Vec<ContinualEvent> {
-        let events = self.step_inner(server);
-        for event in &events {
-            let detail = event.to_string();
-            cnd_obs::continual_event(event.cycle(), event.kind(), &detail);
-            cnd_obs::flight::record("continual", event.kind(), Some(event.cycle()), &detail);
-        }
-        events
-    }
-
-    fn step_inner(&mut self, server: &Server) -> Vec<ContinualEvent> {
         if !self.synced {
             self.live_version = server.model_version();
             self.known_good
@@ -830,40 +584,15 @@ impl ContinualController {
                     };
                     return events;
                 }
+                let samples = Some(shadow.rows());
                 match handle.join() {
                     Err(_) => {
-                        self.stats.trainer_panics += 1;
-                        cnd_obs::counter_add_volatile("continual.retrain_fail.count", 1);
                         let reason = format!("trainer thread panicked (attempt {attempt})");
-                        self.record_disposition(
-                            Disposition::TrainerFailed,
-                            0,
-                            Some(shadow.rows()),
-                            None,
-                            &reason,
-                        );
-                        self.fail_cycle();
-                        events.push(ContinualEvent::TrainerFailed {
-                            cycle: self.cycle,
-                            reason,
-                        });
+                        self.trainer_failed(reason, samples, true, &mut events);
                     }
                     Ok(Err(e)) => {
-                        self.stats.trainer_failures += 1;
-                        cnd_obs::counter_add_volatile("continual.retrain_fail.count", 1);
                         let reason = format!("attempt {attempt}: {e}");
-                        self.record_disposition(
-                            Disposition::TrainerFailed,
-                            0,
-                            Some(shadow.rows()),
-                            None,
-                            &reason,
-                        );
-                        self.fail_cycle();
-                        events.push(ContinualEvent::TrainerFailed {
-                            cycle: self.cycle,
-                            reason,
-                        });
+                        self.trainer_failed(reason, samples, false, &mut events);
                     }
                     Ok(Ok((new_model, candidate))) => {
                         self.judge_candidate(
@@ -877,77 +606,53 @@ impl ContinualController {
                     }
                 }
             }
-            State::Probation {
-                version,
-                tau,
-                candidate,
-                prev_model,
-                mut scores,
-                mut nonfinite,
-                baseline_errors,
-            } => {
+            State::Probation(mut p) => {
                 for sample in self.drain_sanitized() {
-                    if sample.model_version == version {
+                    if sample.model_version == p.version {
                         if sample.score.is_finite() {
-                            scores.push(sample.score);
+                            p.scores.push(sample.score);
                         } else {
-                            nonfinite += 1;
+                            p.nonfinite += 1;
                         }
                     }
                 }
-                let observed = scores.len() + nonfinite as usize;
+                let observed = p.scores.len() + p.nonfinite as usize;
                 if observed < self.cfg.probation_samples {
-                    self.state = State::Probation {
-                        version,
-                        tau,
-                        candidate,
-                        prev_model,
-                        scores,
-                        nonfinite,
-                        baseline_errors,
-                    };
+                    self.state = State::Probation(p);
                     return events;
                 }
-                let alerts = scores.iter().filter(|&&s| s > tau).count() as u64 + nonfinite;
+                let alerts = p.scores.iter().filter(|&&s| s > p.tau).count() as u64 + p.nonfinite;
                 let alert_rate = alerts as f64 / observed as f64;
-                let errors = error_snapshot(server).saturating_sub(baseline_errors);
+                let errors = error_snapshot(server).saturating_sub(p.baseline_errors);
                 let degraded = alert_rate > self.cfg.probation_max_alert_rate
                     || errors > self.cfg.probation_max_errors;
                 if degraded {
-                    self.roll_back(
-                        server,
-                        version,
-                        tau,
-                        candidate,
-                        prev_model,
-                        scores,
-                        nonfinite,
-                        baseline_errors,
-                        alert_rate,
-                        &mut events,
-                    );
+                    self.roll_back(server, p, alert_rate, &mut events);
                 } else {
-                    self.known_good.record(version, *candidate);
-                    self.stats.probation_passes += 1;
+                    let version = p.version;
+                    self.known_good.record(version, p.candidate);
                     self.core.succeeded();
-                    cnd_obs::counter_add_volatile("continual.probation_pass.count", 1);
-                    self.record_disposition(
-                        Disposition::ProbationPassed,
-                        u64::from(version),
-                        None,
-                        None,
-                        &format!("alert rate {alert_rate:.3} within budget"),
-                    );
-                    self.state = State::Stable;
-                    events.push(ContinualEvent::ProbationPassed {
-                        cycle: self.cycle,
+                    let event = ContinualEvent::ProbationPassed {
+                        cycle: self.core.cycle(),
                         version,
-                    });
-                    self.retire_cycle();
+                        alert_rate,
+                    };
+                    self.record(event, &mut events);
                 }
             }
         }
         events
+    }
+
+    /// Records `event` through the core, with this host's ledger.
+    fn record(&mut self, event: ContinualEvent, events: &mut Vec<ContinualEvent>) {
+        let sink = LedgerSink {
+            ledger: &mut self.provenance,
+            parent: self.cycle_parent,
+            mirror_seen: self.mirror.seen(),
+            mirror_dropped: self.mirror.dropped(),
+        };
+        self.core.record(event, Some(sink), events);
     }
 
     /// Drains the mirror through the core's fault injector and input
@@ -966,32 +671,22 @@ impl ContinualController {
 
     fn ingest_stable(&mut self, events: &mut Vec<ContinualEvent>) {
         let live_version = self.live_version;
-        let was_armed = self.core.drift_armed();
         for sample in self.drain_sanitized() {
             if sample.model_version == live_version {
                 self.core.observe_score(sample.score);
             }
             self.core.offer(sample.features);
         }
-        let Some(verdict) = self.core.close_window() else {
+        let cycle = self.core.cycle();
+        let Some(verdict) = self.core.close_window(events) else {
             return;
         };
         cnd_obs::gauge_set_volatile("continual.drift.psi", verdict.psi);
         cnd_obs::gauge_set_volatile("continual.drift.sym_kl", verdict.sym_kl);
-        if verdict.drifted && !was_armed {
-            self.stats.drift_detections += 1;
-            cnd_obs::counter_add_volatile("continual.drift.count", 1);
-            // Mint the cycle id that threads this drift episode through
-            // every event, span, and ledger entry until it reaches a
-            // terminal outcome.
-            self.cycles_minted += 1;
-            self.cycle = self.cycles_minted;
-            self.cycle_parent = u64::from(self.live_version);
-            self.armed_verdict = Some(verdict);
-            events.push(ContinualEvent::DriftDetected {
-                cycle: self.cycle,
-                verdict,
-            });
+        if self.core.cycle() != cycle {
+            // The verdict armed a new cycle: its ledger entries name
+            // the model serving now as their parent.
+            self.cycle_parent = u64::from(live_version);
         }
     }
 
@@ -1005,13 +700,13 @@ impl ContinualController {
         let (number, fault) = (attempt.number, attempt.fault);
         let batch = attempt.batch.clone();
         let mut model = self.model.clone();
-        let cycle = self.cycle;
+        let cycle = self.core.cycle();
         // Breadcrumb BEFORE the spawn: the trainer may die (or be
-        // fault-injected to panic) before step() drains this attempt's
+        // fault-injected to panic) before step() records this attempt's
         // events into the flight ring, and a crash dump must still
         // attribute the in-flight work to its cycle.
         cnd_obs::flight::record(
-            "continual",
+            Host::Serve.as_str(),
             "retrain_spawning",
             Some(cycle),
             &format!("attempt {number}, {} samples", batch.rows()),
@@ -1029,13 +724,13 @@ impl ContinualController {
             });
         match spawned {
             Ok(handle) => {
-                self.stats.retrains_started += 1;
-                cnd_obs::counter_add_volatile("continual.retrain.count", 1);
-                events.push(ContinualEvent::RetrainStarted {
-                    cycle: self.cycle,
+                let event = ContinualEvent::RetrainStarted {
+                    cycle,
+                    trigger: Trigger::DriftDetected,
                     samples: attempt.batch.rows(),
                     attempt: number,
-                });
+                };
+                self.record(event, events);
                 self.state = State::Retraining {
                     handle,
                     artifact_fault: attempt.artifact_fault,
@@ -1043,16 +738,7 @@ impl ContinualController {
                     attempt: number,
                 };
             }
-            Err(e) => {
-                self.stats.trainer_failures += 1;
-                let reason = format!("spawn failed: {e}");
-                self.record_disposition(Disposition::TrainerFailed, 0, None, None, &reason);
-                self.fail_cycle();
-                events.push(ContinualEvent::TrainerFailed {
-                    cycle: self.cycle,
-                    reason,
-                });
-            }
+            Err(e) => self.trainer_failed(format!("spawn failed: {e}"), None, false, events),
         }
     }
 
@@ -1065,52 +751,35 @@ impl ContinualController {
         shadow: &Matrix,
         events: &mut Vec<ContinualEvent>,
     ) {
+        let cycle = self.core.cycle();
+        let samples = shadow.rows();
         let report = {
-            let _span = cnd_obs::span!("continual.shadow", cycle = self.cycle);
+            let _span = cnd_obs::span!("continual.shadow", cycle = cycle);
             self.shadow_evaluate(&candidate, shadow)
         };
         let report = match report {
             Ok(r) => r,
             Err(e) => {
-                self.stats.shadow_rejects += 1;
-                cnd_obs::counter_add_volatile("continual.shadow_reject.count", 1);
                 let reason = format!("shadow evaluation failed: {e}");
-                self.record_disposition(
-                    Disposition::TrainerFailed,
-                    0,
-                    Some(shadow.rows()),
-                    None,
-                    &reason,
-                );
-                self.fail_cycle();
-                events.push(ContinualEvent::TrainerFailed {
-                    cycle: self.cycle,
-                    reason,
-                });
+                self.trainer_failed(reason, Some(samples), false, events);
                 return;
             }
         };
         if !report.passed {
-            self.stats.shadow_rejects += 1;
-            cnd_obs::counter_add_volatile("continual.shadow_reject.count", 1);
-            self.record_disposition(
-                Disposition::ShadowRejected,
-                0,
-                Some(shadow.rows()),
-                Some(&report),
-                "candidate behind live model on validation set",
-            );
-            self.fail_cycle();
-            events.push(ContinualEvent::CandidateRejected {
-                cycle: self.cycle,
-                report,
-            });
+            self.core.failed();
+            let event = ContinualEvent::CandidateRejected {
+                cycle,
+                samples,
+                shadow: report.scores,
+                nonfinite: report.nonfinite_scores,
+            };
+            self.record(event, events);
             return;
         }
         // Canary swap: remember the serving model as a rollback target,
         // write the candidate artifact, and swap through the registry
         // (which refuses unloadable or mismatched artifacts outright).
-        let _span = cnd_obs::span!("continual.swap", cycle = self.cycle);
+        let _span = cnd_obs::span!("continual.swap", cycle = cycle);
         self.known_good
             .record(self.live_version, self.live_scorer.clone());
         let path = server.model_path().to_path_buf();
@@ -1121,99 +790,60 @@ impl ContinualController {
             }
             Some(ArtifactFault::DegradedWeights) => write_degraded(&candidate, &path),
         };
-        if let Err(e) = write_result {
-            self.stats.swap_refusals += 1;
-            cnd_obs::counter_add_volatile("continual.swap_refused.count", 1);
-            let _ = self.live_scorer.save_to_path(&path);
-            let reason = format!("artifact write failed: {e}");
-            self.record_disposition(
-                Disposition::SwapRefused,
-                0,
-                Some(shadow.rows()),
-                Some(&report),
-                &reason,
-            );
-            self.fail_cycle();
-            events.push(ContinualEvent::SwapRefused {
-                cycle: self.cycle,
-                reason,
-            });
-            return;
-        }
-        match server.reload() {
-            Err(e) => {
-                self.stats.swap_refusals += 1;
-                cnd_obs::counter_add_volatile("continual.swap_refused.count", 1);
+        let swapped = write_result
+            .map_err(|e| format!("artifact write failed: {e}"))
+            .and_then(|()| server.reload().map_err(|e| e.to_string()));
+        match swapped {
+            Err(reason) => {
                 // Restore a good artifact so watchers and later swaps
                 // never see the corrupt bytes.
                 let _ = self.live_scorer.save_to_path(&path);
-                let reason = e.to_string();
-                self.record_disposition(
-                    Disposition::SwapRefused,
-                    0,
-                    Some(shadow.rows()),
-                    Some(&report),
-                    &reason,
-                );
-                self.fail_cycle();
-                events.push(ContinualEvent::SwapRefused {
-                    cycle: self.cycle,
+                self.core.failed();
+                let event = ContinualEvent::SwapRefused {
+                    cycle,
+                    samples,
+                    shadow: report.scores,
                     reason,
-                });
+                };
+                self.record(event, events);
             }
             Ok(version) => {
-                self.stats.swaps += 1;
-                cnd_obs::counter_add_volatile("continual.swap.count", 1);
+                let event = ContinualEvent::Swapped {
+                    cycle,
+                    samples,
+                    version,
+                    shadow: report.scores,
+                };
+                self.record(event, events);
                 let prev_model = std::mem::replace(&mut self.model, new_model);
-                self.record_disposition(
-                    Disposition::Swapped,
-                    u64::from(version),
-                    Some(shadow.rows()),
-                    Some(&report),
-                    "shadow gate passed; canary promoted to probation",
-                );
                 self.live_version = version;
                 self.live_scorer = candidate.clone();
                 // The swap resets drift accounting: the new model's
                 // score distribution becomes the reference.
                 self.core.reset_drift();
                 self.core.clear_buffer();
-                let baseline_errors = error_snapshot(server);
-                events.push(ContinualEvent::Swapped {
-                    cycle: self.cycle,
+                self.state = State::Probation(Box::new(Probation {
                     version,
-                    report,
-                });
-                self.state = State::Probation {
-                    version,
-                    tau: report.probation_tau,
-                    candidate: Box::new(candidate),
-                    prev_model: Box::new(prev_model),
+                    tau: report.scores.tau,
+                    candidate,
+                    prev_model,
                     scores: Vec::new(),
                     nonfinite: 0,
-                    baseline_errors,
-                };
+                    baseline_errors: error_snapshot(server),
+                }));
             }
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn roll_back(
         &mut self,
         server: &Server,
-        version: u32,
-        tau: f64,
-        candidate: Box<DeployedScorer>,
-        prev_model: Box<CndIds>,
-        scores: Vec<f64>,
-        nonfinite: u64,
-        baseline_errors: u64,
+        probation: Box<Probation>,
         alert_rate: f64,
         events: &mut Vec<ContinualEvent>,
     ) {
         let Some((_, good)) = self.known_good.current() else {
             // Cannot happen: the pre-swap model is always recorded.
-            self.state = State::Stable;
             return;
         };
         let good = good.clone();
@@ -1222,105 +852,53 @@ impl ContinualController {
             .save_to_path(&path)
             .map_err(ServeError::from)
             .and_then(|()| server.reload());
+        let cycle = self.core.cycle();
         match restore {
             Ok(restored_version) => {
-                self.stats.rollbacks += 1;
-                cnd_obs::counter_add_volatile("continual.rollback.count", 1);
                 self.live_version = restored_version;
                 self.live_scorer = good.clone();
                 self.known_good.record(restored_version, good);
-                self.model = *prev_model;
-                self.core.failed();
-                self.core.reset_drift();
-                self.record_disposition(
-                    Disposition::RolledBack,
-                    u64::from(version),
-                    None,
-                    None,
-                    &format!("probation alert rate {alert_rate:.3}; restored v{restored_version}"),
-                );
-                self.state = State::Stable;
-                events.push(ContinualEvent::RolledBack {
-                    cycle: self.cycle,
-                    from_version: version,
+                let event = ContinualEvent::RolledBack {
+                    cycle,
+                    from_version: probation.version,
                     restored_version,
                     alert_rate,
-                });
-                self.retire_cycle();
+                };
+                self.model = probation.prev_model;
+                self.core.failed();
+                self.core.reset_drift();
+                self.record(event, events);
             }
             Err(e) => {
-                self.stats.rollback_failures += 1;
-                events.push(ContinualEvent::RollbackFailed {
-                    cycle: self.cycle,
+                let event = ContinualEvent::RollbackFailed {
+                    cycle,
                     reason: e.to_string(),
-                });
-                // Stay in probation and retry the rollback next step.
-                self.state = State::Probation {
-                    version,
-                    tau,
-                    candidate,
-                    prev_model,
-                    scores,
-                    nonfinite,
-                    baseline_errors,
                 };
+                self.record(event, events);
+                // Stay in probation and retry the rollback next step.
+                self.state = State::Probation(probation);
             }
         }
     }
 
-    /// A failed attempt backs off but keeps the drift episode (and its
-    /// cycle id) armed, so the retry is attributed to the same cycle.
-    fn fail_cycle(&mut self) {
-        self.core.failed();
-        self.state = State::Stable;
-    }
-
-    /// Terminal outcome reached (probation passed or rolled back): the
-    /// cycle id is retired so the next drift verdict mints a fresh one.
-    fn retire_cycle(&mut self) {
-        self.cycle = 0;
-        self.cycle_parent = 0;
-        self.armed_verdict = None;
-    }
-
-    /// Appends one hash-chained entry to the provenance ledger for a
-    /// lifecycle disposition of the currently armed cycle.
-    fn record_disposition(
+    /// A failed attempt backs off (`core.failed()`) but keeps the drift
+    /// episode, and its cycle id, armed: the retry joins the same cycle.
+    fn trainer_failed(
         &mut self,
-        kind: Disposition,
-        version: u64,
-        train_samples: Option<usize>,
-        report: Option<&ShadowReport>,
-        detail: &str,
+        reason: String,
+        samples: Option<usize>,
+        panicked: bool,
+        events: &mut Vec<ContinualEvent>,
     ) {
-        let drift = self.armed_verdict.map(|v| DriftProvenance {
-            psi: v.psi,
-            sym_kl: v.sym_kl,
-            window: self.cfg.drift_window as u64,
-        });
-        let samples = train_samples.map(|train| SampleProvenance {
-            train: train as u64,
-            mirror_seen: self.mirror.seen(),
-            mirror_dropped: self.mirror.dropped(),
-            poisoned: self.stats.poisoned_rejected,
-        });
-        let shadow = report.map(|r| ShadowProvenance {
-            live_f1: r.live_f1,
-            cand_f1: r.candidate_f1,
-            live_pr_auc: r.live_pr_auc,
-            cand_pr_auc: r.candidate_pr_auc,
-            tau: r.probation_tau,
-        });
-        self.provenance.append(EntryDraft {
-            cycle: self.cycle,
-            kind,
-            version,
-            parent: self.cycle_parent,
-            drift,
+        self.core.failed();
+        let event = ContinualEvent::TrainerFailed {
+            cycle: self.core.cycle(),
+            reason,
             samples,
-            shadow,
-            detail: detail.to_string(),
-        });
+            panicked,
+            mode: self.core.mode(),
+        };
+        self.record(event, events);
     }
 
     fn shadow_evaluate(
@@ -1335,7 +913,7 @@ impl ContinualController {
             .map_err(|e| ServeError::Model(CoreError::from(e)))?;
         // A candidate producing non-finite validation scores cannot be
         // thresholded; gate it out before Best-F selection.
-        let (candidate_f1, candidate_pr_auc) = if nonfinite == 0 {
+        let (cand_f1, cand_pr_auc) = if nonfinite == 0 {
             let sel = best_f1_threshold(&cand_scores, &self.val.y)
                 .map_err(|e| ServeError::Model(CoreError::from(e)))?;
             let pr = pr_auc(&cand_scores, &self.val.y)
@@ -1356,22 +934,24 @@ impl ContinualController {
             .filter(|s| s.is_finite())
             .collect();
         nonfinite += (mirror_scores.len() - finite_mirror.len()) as u64;
-        let probation_tau = if finite_mirror.is_empty() {
+        let tau = if finite_mirror.is_empty() {
             f64::INFINITY
         } else {
             quantile_threshold(&finite_mirror, self.cfg.probation_quantile)
                 .map_err(|e| ServeError::Model(CoreError::from(e)))?
         };
         let passed = nonfinite == 0
-            && candidate_f1 >= live_sel.f1 - self.cfg.f1_tolerance
-            && candidate_pr_auc >= live_pr_auc - self.cfg.pr_auc_tolerance;
+            && cand_f1 >= live_sel.f1 - self.cfg.f1_tolerance
+            && cand_pr_auc >= live_pr_auc - self.cfg.pr_auc_tolerance;
         Ok(ShadowReport {
-            live_f1: live_sel.f1,
-            candidate_f1,
-            live_pr_auc,
-            candidate_pr_auc,
+            scores: ShadowProvenance {
+                live_f1: live_sel.f1,
+                cand_f1,
+                live_pr_auc,
+                cand_pr_auc,
+                tau,
+            },
             nonfinite_scores: nonfinite,
-            probation_tau,
             passed,
         })
     }
@@ -1382,8 +962,7 @@ impl std::fmt::Debug for ContinualController {
         f.debug_struct("ContinualController")
             .field("state", &self.state.name())
             .field("live_version", &self.live_version)
-            .field("buffered", &self.core.buffered())
-            .field("stats", &self.stats())
+            .field("status", &self.status())
             .finish()
     }
 }

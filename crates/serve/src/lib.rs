@@ -63,8 +63,7 @@ pub mod telemetry;
 
 pub use client::{ClientError, ConnectRetry, ServeClient};
 pub use continual::{
-    ContinualConfig, ContinualController, ContinualEvent, ContinualStats, MirrorSample,
-    ShadowReport, TrafficMirror, ValidationSet,
+    ContinualConfig, ContinualController, MirrorSample, ShadowReport, TrafficMirror, ValidationSet,
 };
 pub use loadgen::{run_loadgen, LoadGenConfig, LoadReport};
 pub use protocol::{Reply, Request, ServerInfo, Verdict};

@@ -11,8 +11,8 @@
 //! cargo run --release --example streaming_monitor
 //! ```
 
-use cnd_ids::core::resilience::{ResilientConfig, ResilientEvent, ResilientStreamingCndIds};
-use cnd_ids::core::streaming::{StreamingConfig, Trigger};
+use cnd_ids::core::resilience::{ResilientConfig, ResilientStreamingCndIds};
+use cnd_ids::core::streaming::{ContinualEvent, StreamingConfig, Trigger};
 use cnd_ids::core::{CndIds, CndIdsConfig};
 use cnd_ids::datasets::{continual, DatasetProfile, GeneratorConfig};
 
@@ -45,13 +45,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         while at < n {
             let end = (at + batch_size).min(n);
             let batch = e.train_x.slice_rows(at, end)?;
-            if let ResilientEvent::ExperienceTrained {
-                samples,
-                trigger,
-                stats,
-                ..
-            } = stream.push_flows(&batch)?
-            {
+            for event in stream.push_flows(&batch)? {
+                let ContinualEvent::Trained {
+                    samples,
+                    trigger,
+                    stats,
+                    ..
+                } = event
+                else {
+                    continue;
+                };
                 experiences += 1;
                 let cause = match trigger {
                     Trigger::DriftDetected => "drift detected",
@@ -69,9 +72,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
     if stream.buffered() > 0 {
-        if let ResilientEvent::ExperienceTrained { samples, .. } = stream.flush()? {
-            experiences += 1;
-            println!("   [final flush] trained experience #{experiences} on {samples} flows");
+        for event in stream.flush()? {
+            if let ContinualEvent::Trained { samples, .. } = event {
+                experiences += 1;
+                println!("   [final flush] trained experience #{experiences} on {samples} flows");
+            }
         }
     }
 

@@ -475,6 +475,7 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
 fn cmd_stream(args: &[String]) -> Result<(), String> {
     use cnd_core::resilience::{ResilientConfig, ResilientStreamingCndIds, ScriptedFaults};
     use cnd_core::runner::evaluate_resilient_streaming;
+    use cnd_core::streaming::EventKind;
 
     let path = args.first().ok_or("stream: missing <data.csv>")?;
     let (data, split, seed) = load_and_split(path, args)?;
@@ -497,7 +498,8 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
     println!("dataset: {} ({} rows)", data.name, data.len());
     println!(
         "stream:  {} experiences trained, {} failed attempts, fault rate {fault_rate}",
-        out.trained, out.failed
+        out.status.count(EventKind::Trained),
+        out.status.count(EventKind::TrainerFailed)
     );
     println!("pooled best-F F1 = {:.3}", out.pooled_f1);
     if let Some(ap) = out.pr_auc {
@@ -505,7 +507,7 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
     }
     if args.iter().any(|a| a == "--health") {
         println!("health report:");
-        for line in out.health.to_string().lines() {
+        for line in out.status.to_string().lines() {
             println!("  {line}");
         }
     }
@@ -718,22 +720,10 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         }
     }
     if let Some(c) = controller.as_ref() {
-        let s = c.stats();
-        eprintln!(
-            "continual loop: {} samples mirrored ({} poisoned), {} drift detections, {} retrains ({} panics, {} failures), {} shadow rejects, {} swaps ({} refused), {} rollbacks, {} probation passes; state {}",
-            s.samples_seen,
-            s.poisoned_rejected,
-            s.drift_detections,
-            s.retrains_started,
-            s.trainer_panics,
-            s.trainer_failures,
-            s.shadow_rejects,
-            s.swaps,
-            s.swap_refusals,
-            s.rollbacks,
-            s.probation_passes,
-            c.state_name()
-        );
+        eprintln!("continual loop: state {}", c.state_name());
+        for line in c.status().to_string().lines() {
+            eprintln!("  {line}");
+        }
     }
     let stats = server.shutdown();
     if let Some(m) = &mirror_handle {

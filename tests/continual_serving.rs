@@ -11,12 +11,12 @@ use std::time::{Duration, Instant};
 
 use cnd_ids::core::deploy::DeployedScorer;
 use cnd_ids::core::resilience::ScriptedFaults;
-use cnd_ids::core::streaming::RetryPolicy;
+use cnd_ids::core::streaming::{ContinualEvent, EventKind, RetryPolicy};
 use cnd_ids::core::{CndIds, CndIdsConfig};
 use cnd_ids::linalg::Matrix;
 use cnd_ids::serve::{
-    ContinualConfig, ContinualController, ContinualEvent, Reply, ServeClient, ServeConfig, Server,
-    TrafficMirror, ValidationSet,
+    ContinualConfig, ContinualController, Reply, ServeClient, ServeConfig, Server, TrafficMirror,
+    ValidationSet,
 };
 
 const D: usize = 6;
@@ -226,15 +226,15 @@ impl Harness {
     /// traffic, then injects drifted traffic until retraining starts.
     fn drive_to_retrain(&mut self, seed: u64) {
         self.drive(traffic(192, 0.0, 0, seed));
-        assert_eq!(self.controller.stats().drift_detections, 0);
+        assert_eq!(self.controller.status().count(EventKind::DriftDetected), 0);
         let deadline = Instant::now() + Duration::from_secs(60);
         let mut phase = 0;
-        while self.controller.stats().retrains_started == 0 {
+        while self.controller.status().count(EventKind::RetrainStarted) == 0 {
             assert!(Instant::now() < deadline, "drift never triggered a retrain");
             self.drive(traffic(64, 1.5, 5000 + phase, seed));
             phase += 64;
         }
-        assert!(self.controller.stats().drift_detections >= 1);
+        assert!(self.controller.status().count(EventKind::DriftDetected) >= 1);
         assert!(self.saw(|e| matches!(e, ContinualEvent::DriftDetected { .. })));
         assert!(self.saw(|e| matches!(e, ContinualEvent::RetrainStarted { .. })));
     }
@@ -258,26 +258,39 @@ fn injected_drift_yields_exactly_one_validated_swap() {
     h.drive_to_retrain(seed);
     h.await_trainer();
 
-    let stats = h.controller.stats();
-    assert_eq!(stats.swaps, 1, "exactly one canary swap: {stats:?}");
-    assert_eq!(stats.shadow_rejects, 0, "candidate passed the shadow gate");
-    assert_eq!(stats.swap_refusals, 0);
+    let stats = h.controller.status();
+    assert_eq!(
+        stats.count(EventKind::Swapped),
+        1,
+        "exactly one canary swap: {stats:?}"
+    );
+    assert_eq!(
+        stats.count(EventKind::ShadowRejected),
+        0,
+        "candidate passed the shadow gate"
+    );
+    assert_eq!(stats.count(EventKind::SwapRefused), 0);
     assert!(h.saw(|e| matches!(e, ContinualEvent::Swapped { version: 2, .. })));
     assert_eq!(h.server.model_version(), 2);
 
     h.drive_probation(seed);
-    let stats = h.controller.stats();
-    assert_eq!(stats.probation_passes, 1, "canary survived: {stats:?}");
-    assert_eq!(stats.rollbacks, 0);
+    let stats = h.controller.status();
+    assert_eq!(
+        stats.count(EventKind::ProbationPassed),
+        1,
+        "canary survived: {stats:?}"
+    );
+    assert_eq!(stats.count(EventKind::RolledBack), 0);
     assert!(h.saw(|e| matches!(e, ContinualEvent::ProbationPassed { version: 2, .. })));
 
     // The new model now serves the drifted distribution: no further
     // drift verdicts, no second swap.
     h.drive(traffic(384, 1.5, 20_000, seed));
     h.await_trainer();
-    let stats = h.controller.stats();
+    let stats = h.controller.status();
     assert_eq!(
-        stats.swaps, 1,
+        stats.count(EventKind::Swapped),
+        1,
         "drift must not re-fire post-swap: {stats:?}"
     );
 
@@ -298,9 +311,9 @@ fn corrupt_candidate_artifact_is_refused_and_loop_recovers() {
 
     // The registry must refuse the unparseable candidate: zero bad
     // swaps, v1 keeps serving bit-for-bit.
-    let stats = h.controller.stats();
-    assert_eq!(stats.swap_refusals, 1, "{stats:?}");
-    assert_eq!(stats.swaps, 0);
+    let stats = h.controller.status();
+    assert_eq!(stats.count(EventKind::SwapRefused), 1, "{stats:?}");
+    assert_eq!(stats.count(EventKind::Swapped), 0);
     assert!(h.saw(|e| matches!(e, ContinualEvent::SwapRefused { .. })));
     assert_eq!(h.server.model_version(), 1);
     assert_eq!(h.server.stats().reload_failures, 1);
@@ -311,7 +324,7 @@ fn corrupt_candidate_artifact_is_refused_and_loop_recovers() {
     // fault on attempt 2) swaps cleanly after backoff.
     let deadline = Instant::now() + Duration::from_secs(60);
     let mut phase = 0;
-    while h.controller.stats().swaps == 0 {
+    while h.controller.status().count(EventKind::Swapped) == 0 {
         assert!(Instant::now() < deadline, "loop never recovered");
         h.drive(traffic(64, 1.5, 40_000 + phase, seed));
         h.await_trainer();
@@ -319,7 +332,7 @@ fn corrupt_candidate_artifact_is_refused_and_loop_recovers() {
     }
     assert_eq!(h.server.model_version(), 2);
     h.drive_probation(seed);
-    assert_eq!(h.controller.stats().rollbacks, 0);
+    assert_eq!(h.controller.status().count(EventKind::RolledBack), 0);
     h.finish();
 }
 
@@ -331,9 +344,13 @@ fn trainer_panic_is_contained_and_loop_recovers() {
     h.drive_to_retrain(seed);
     h.await_trainer();
 
-    let stats = h.controller.stats();
+    let stats = h.controller.status();
     assert_eq!(stats.trainer_panics, 1, "{stats:?}");
-    assert_eq!(stats.swaps, 0, "a crashed trainer must not swap anything");
+    assert_eq!(
+        stats.count(EventKind::Swapped),
+        0,
+        "a crashed trainer must not swap anything"
+    );
     assert!(h.saw(|e| matches!(e, ContinualEvent::TrainerFailed { .. })));
     assert_eq!(h.server.model_version(), 1);
     let original = h.original.clone();
@@ -343,7 +360,7 @@ fn trainer_panic_is_contained_and_loop_recovers() {
     // backoff.
     let deadline = Instant::now() + Duration::from_secs(60);
     let mut phase = 0;
-    while h.controller.stats().swaps == 0 {
+    while h.controller.status().count(EventKind::Swapped) == 0 {
         assert!(Instant::now() < deadline, "loop never recovered");
         h.drive(traffic(64, 1.5, 60_000 + phase, seed));
         h.await_trainer();
@@ -366,12 +383,12 @@ fn poisoned_mirror_never_retrains_and_serving_stays_bit_stable() {
     // reaches the drift monitor or the training buffer.
     h.drive(traffic(192, 0.0, 0, seed));
     h.drive(traffic(256, 1.5, 5000, seed));
-    let stats = h.controller.stats();
-    assert!(stats.poisoned_rejected > 0, "{stats:?}");
-    assert_eq!(stats.samples_seen, stats.poisoned_rejected);
-    assert_eq!(stats.drift_detections, 0);
-    assert_eq!(stats.retrains_started, 0);
-    assert_eq!(stats.swaps, 0);
+    let stats = h.controller.status();
+    assert!(stats.quarantine.total() > 0, "{stats:?}");
+    assert_eq!(stats.flows_seen, stats.quarantine.total());
+    assert_eq!(stats.count(EventKind::DriftDetected), 0);
+    assert_eq!(stats.count(EventKind::RetrainStarted), 0);
+    assert_eq!(stats.count(EventKind::Swapped), 0);
     assert_eq!(h.controller.buffered_samples(), 0);
 
     assert_eq!(h.server.model_version(), 1);
@@ -390,8 +407,8 @@ fn degraded_candidate_rolls_back_to_last_known_good() {
 
     // The degraded artifact parses, so the swap goes through — this is
     // the silent failure only probation can catch.
-    let stats = h.controller.stats();
-    assert_eq!(stats.swaps, 1, "{stats:?}");
+    let stats = h.controller.status();
+    assert_eq!(stats.count(EventKind::Swapped), 1, "{stats:?}");
     assert_eq!(h.server.model_version(), 2);
     assert_eq!(h.controller.state_name(), "probation");
 
@@ -399,9 +416,9 @@ fn degraded_candidate_rolls_back_to_last_known_good() {
     // the alert-rate explosion inside the probation window triggers an
     // automatic rollback to the last-known-good model.
     h.drive_probation(seed);
-    let stats = h.controller.stats();
-    assert_eq!(stats.rollbacks, 1, "{stats:?}");
-    assert_eq!(stats.probation_passes, 0);
+    let stats = h.controller.status();
+    assert_eq!(stats.count(EventKind::RolledBack), 1, "{stats:?}");
+    assert_eq!(stats.count(EventKind::ProbationPassed), 0);
     assert!(h.saw(|e| matches!(
         e,
         ContinualEvent::RolledBack {

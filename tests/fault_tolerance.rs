@@ -4,10 +4,10 @@
 //! assertions, and finite scoring throughout every recovery path.
 
 use cnd_core::deploy::DeployedScorer;
-use cnd_core::resilience::{
-    ResilientConfig, ResilientEvent, ResilientStreamingCndIds, ScriptedFaults,
+use cnd_core::resilience::{ResilientConfig, ResilientStreamingCndIds, ScriptedFaults};
+use cnd_core::streaming::{
+    ContinualEvent, EventKind, Mode, RetryPolicy, StreamingConfig, QUARANTINE_SCORE,
 };
-use cnd_core::streaming::{Mode, RetryPolicy, StreamingConfig, QUARANTINE_SCORE};
 use cnd_core::{CndIds, CndIdsConfig, CoreError};
 use cnd_datasets::{continual, DatasetProfile, GeneratorConfig};
 use cnd_linalg::Matrix;
@@ -64,7 +64,7 @@ fn corrupted_input_is_quarantined() {
             at = hi;
         }
     }
-    let h = p.health();
+    let h = p.status();
     assert!(
         h.quarantine.total() > 0,
         "10% corruption must quarantine flows"
@@ -100,8 +100,8 @@ fn nan_loss_triggers_rollback() {
     // Healthy bootstrap (attempt 1).
     let boot = s.experiences[0].train_x.slice_rows(0, 200).unwrap();
     assert!(matches!(
-        p.push_flows(&boot).unwrap(),
-        ResilientEvent::ExperienceTrained { .. }
+        p.push_flows(&boot).unwrap().last(),
+        Some(ContinualEvent::Trained { .. })
     ));
     let probe = s.experiences[0].test_x.slice_rows(0, 50).unwrap();
     let before = assert_finite_scores(&p, &probe);
@@ -109,19 +109,21 @@ fn nan_loss_triggers_rollback() {
     // Attempt 2 is poisoned: NaN loss -> divergence -> rollback.
     p.set_fault_injector(Box::new(ScriptedFaults::new(2).with_nan_loss_at(&[2])));
     let mut failed = false;
-    for chunk in 0..8 {
+    'push: for chunk in 0..8 {
         let lo = 200 + chunk * 100;
         let x = s.experiences[0].train_x.slice_rows(lo, lo + 100).unwrap();
-        if let ResilientEvent::TrainingFailed { failure, mode, .. } = p.push_flows(&x).unwrap() {
-            assert!(failure.contains("diverged"), "failure = {failure}");
-            assert_eq!(mode, Mode::Normal, "a single failure must not degrade");
-            failed = true;
-            break;
+        for ev in p.push_flows(&x).unwrap() {
+            if let ContinualEvent::TrainerFailed { reason, mode, .. } = ev {
+                assert!(reason.contains("diverged"), "failure = {reason}");
+                assert_eq!(mode, Mode::Normal, "a single failure must not degrade");
+                failed = true;
+                break 'push;
+            }
         }
     }
     assert!(failed, "the poisoned attempt must fail");
-    let h = p.health();
-    assert_eq!(h.rollbacks, 1);
+    let h = p.status();
+    assert_eq!(h.count(EventKind::TrainerFailed), 1);
     assert_eq!(h.consecutive_failures, 1);
     assert!(h.flows_until_retry > 0, "backoff must arm after a failure");
     // Rollback means scoring is exactly the pre-failure snapshot.
@@ -145,8 +147,8 @@ fn retry_exhaustion_degrades_then_recovers() {
     // Healthy bootstrap (attempt 1).
     let boot = s.experiences[0].train_x.slice_rows(0, 200).unwrap();
     assert!(matches!(
-        p.push_flows(&boot).unwrap(),
-        ResilientEvent::ExperienceTrained { .. }
+        p.push_flows(&boot).unwrap().last(),
+        Some(ContinualEvent::Trained { .. })
     ));
     let probe = s.experiences[1].test_x.slice_rows(0, 50).unwrap();
     let baseline = assert_finite_scores(&p, &probe);
@@ -162,31 +164,33 @@ fn retry_exhaustion_degrades_then_recovers() {
             let hi = (at + 50).min(n);
             let x = exp.train_x.slice_rows(at, hi).unwrap();
             at = hi;
-            match p.push_flows(&x).unwrap() {
-                ResilientEvent::TrainingFailed { mode, .. } => {
-                    if mode == Mode::Degraded {
+            for ev in p.push_flows(&x).unwrap() {
+                match ev {
+                    ContinualEvent::TrainerFailed {
+                        mode: Mode::Degraded,
+                        ..
+                    } => {
                         saw_degraded = true;
                         assert_eq!(p.mode(), Mode::Degraded);
-                        // Degraded mode keeps scoring, identically to the
-                        // last-known-good snapshot, and stays finite.
+                        // Degraded mode keeps scoring, identically to
+                        // the last-known-good snapshot, and stays
+                        // finite.
                         assert_eq!(assert_finite_scores(&p, &probe), baseline);
                     }
-                }
-                ResilientEvent::ExperienceTrained { recovered: r, .. } => {
-                    if saw_degraded {
+                    ContinualEvent::Trained { recovered: r, .. } if saw_degraded => {
                         assert!(r, "success out of degraded mode must flag recovery");
                         recovered = true;
                         break 'outer;
                     }
+                    _ => {}
                 }
-                ResilientEvent::Buffered { .. } => {}
             }
         }
     }
     assert!(saw_degraded, "exhausting max_attempts must degrade");
     assert!(recovered, "a later successful retrain must recover");
     assert_eq!(p.mode(), Mode::Normal);
-    assert_eq!(p.health().total_failures, 2);
+    assert_eq!(p.status().total_failures, 2);
     assert_finite_scores(&p, &probe);
 }
 

@@ -1,6 +1,8 @@
-//! No-panic properties of the two forensic readers, which parse bytes
-//! from disk after a fault: `ledger::verify` (the hash-chained
-//! provenance ledger) and `flight::validate_flight` (crash dumps).
+//! No-panic properties of the forensic readers, which parse bytes from
+//! disk after a fault: `ledger::verify` (the hash-chained provenance
+//! ledger), `flight::validate_flight` (crash dumps), and the JSONL trace
+//! readers (`trace::validate_jsonl` and the phase, latency and timeline
+//! reports behind `observe`).
 //!
 //! Arbitrary text, a valid stream cut inside a line, and a valid stream
 //! with one byte flipped must each come back as a typed `Err`, never a
@@ -9,11 +11,17 @@
 //! shorter valid stream, and a flight dump carries no checksum, so a
 //! flipped byte in an event's text is still a well-formed dump. A
 //! ledger entry's body is covered by its hash, so any flipped body byte
-//! must fail verification.
+//! must fail verification. A trace has no checksum either, and its
+//! reports skip lines they do not read, so for the trace readers every
+//! mutation is held to "no panic" (and a mid-line cut to `Err` from the
+//! validator).
 
 use std::sync::OnceLock;
 
+use cnd_ids::core::streaming::{ContinualEvent, Trigger};
+use cnd_ids::obs;
 use cnd_ids::obs::flight;
+use cnd_ids::obs::hdr::HdrHistogram;
 use cnd_ids::obs::ledger::{
     verify, Disposition, DriftProvenance, EntryDraft, Ledger, SampleProvenance, ShadowProvenance,
 };
@@ -79,6 +87,84 @@ fn valid_dump() -> &'static str {
         );
         flight::dump("watchdog rollback: training diverged")
     })
+}
+
+/// A valid deterministic trace holding a span, an `hdr` metric, and the
+/// `cevent` lines of both continual hosts: a `stream` retrain and a
+/// `serve` drift-to-rollback cycle.
+fn valid_trace() -> &'static str {
+    static TEXT: OnceLock<String> = OnceLock::new();
+    TEXT.get_or_init(|| {
+        let _session = obs::Session::deterministic();
+        let shadow = ShadowProvenance {
+            live_f1: 0.91,
+            cand_f1: 0.93,
+            live_pr_auc: 0.95,
+            cand_pr_auc: 0.96,
+            tau: 1.25,
+        };
+        let events = [
+            ContinualEvent::RetrainStarted {
+                cycle: 1,
+                trigger: Trigger::BufferFull,
+                samples: 2000,
+                attempt: 1,
+            },
+            ContinualEvent::DriftDetected {
+                cycle: 2,
+                drift: DriftProvenance {
+                    psi: 0.31,
+                    sym_kl: 0.74,
+                    window: 64,
+                },
+            },
+            ContinualEvent::Swapped {
+                cycle: 2,
+                samples: 512,
+                version: 2,
+                shadow,
+            },
+            ContinualEvent::RolledBack {
+                cycle: 2,
+                from_version: 2,
+                restored_version: 3,
+                alert_rate: 0.812,
+            },
+        ];
+        {
+            let _span = obs::span!("stream.retrain", samples = 2000);
+            for e in &events {
+                obs::continual_event(e.cycle(), e.kind().as_str(), &e.to_string());
+            }
+        }
+        let mut latency = HdrHistogram::new();
+        for us in [3, 40, 500, 6000] {
+            latency.record(us);
+        }
+        obs::hdr_merge("serve.stage.total.us", &latency);
+        obs::snapshot_jsonl()
+    })
+}
+
+#[test]
+fn the_trace_fixture_holds_both_hosts_cycles() {
+    let timeline = obs::timeline_report(valid_trace()).expect("timeline parses");
+    let kinds = |cycle| -> Vec<String> {
+        let chain = timeline.chain(cycle).expect("cycle present");
+        chain.stages.iter().map(|s| s.kind.clone()).collect()
+    };
+    assert_eq!(kinds(1), ["retrain_started"]);
+    assert_eq!(kinds(2), ["drift_detected", "swapped", "rolled_back"]);
+    assert_eq!(obs::latency_report(valid_trace()).unwrap().rows.len(), 1);
+}
+
+/// Runs every trace reader on `text`; a panic fails the property.
+/// Returns whether the validator accepted it.
+fn read_trace(text: &str) -> bool {
+    let _ = obs::phase_report(text);
+    let _ = obs::latency_report(text);
+    let _ = obs::timeline_report(text);
+    obs::trace::validate_jsonl(text).is_ok()
 }
 
 /// Byte ranges of each entry's body: from the start of an entry line to
@@ -206,6 +292,32 @@ proptest! {
         if cuts_mid_line(text, cut) {
             prop_assert!(result.is_err(), "cut at {} validated", cut);
         }
+    }
+
+    #[test]
+    fn trace_readers_never_panic_on_arbitrary_text(text in text()) {
+        read_trace(&text);
+    }
+
+    #[test]
+    fn trace_readers_reject_mid_line_truncation(cut in 0usize..1 << 30) {
+        let text = valid_trace();
+        prop_assert!(text.is_ascii());
+        let cut = cut % text.len();
+        prop_assert!(read_trace(text), "the uncut trace validates");
+        let validated = read_trace(&text[..cut]);
+        if cuts_mid_line(text, cut) {
+            prop_assert!(!validated, "cut at {} validated", cut);
+        }
+    }
+
+    #[test]
+    fn trace_readers_never_panic_on_a_flipped_byte(
+        index in 0usize..1 << 30,
+        mask in 1u8..128,
+    ) {
+        let text = valid_trace();
+        read_trace(&flip(text, index % text.len(), mask));
     }
 
     #[test]

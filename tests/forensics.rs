@@ -15,14 +15,14 @@ use std::time::{Duration, Instant};
 
 use cnd_ids::core::deploy::DeployedScorer;
 use cnd_ids::core::resilience::ScriptedFaults;
-use cnd_ids::core::streaming::RetryPolicy;
+use cnd_ids::core::streaming::{ContinualEvent, EventKind, RetryPolicy};
 use cnd_ids::core::{CndIds, CndIdsConfig};
 use cnd_ids::linalg::Matrix;
 use cnd_ids::obs;
 use cnd_ids::obs::ledger::Disposition;
 use cnd_ids::serve::{
-    ContinualConfig, ContinualController, ContinualEvent, Reply, ServeClient, ServeConfig, Server,
-    TrafficMirror, ValidationSet,
+    ContinualConfig, ContinualController, Reply, ServeClient, ServeConfig, Server, TrafficMirror,
+    ValidationSet,
 };
 
 const D: usize = 6;
@@ -174,7 +174,7 @@ impl Harness {
         self.drive(traffic(192, 0.0, 0, seed));
         let deadline = Instant::now() + Duration::from_secs(60);
         let mut phase = 0;
-        while self.controller.stats().retrains_started == 0 {
+        while self.controller.status().count(EventKind::RetrainStarted) == 0 {
             assert!(Instant::now() < deadline, "drift never triggered a retrain");
             self.drive(traffic(64, 1.5, 5000 + phase, seed));
             phase += 64;
@@ -219,9 +219,9 @@ fn degraded_swap_and_rollback_reconstruct_from_ledger_and_timeline() {
 
     h.drive_to_retrain(seed);
     h.await_trainer();
-    assert_eq!(h.controller.stats().swaps, 1);
+    assert_eq!(h.controller.status().count(EventKind::Swapped), 1);
     h.drive_probation(seed);
-    assert_eq!(h.controller.stats().rollbacks, 1);
+    assert_eq!(h.controller.status().count(EventKind::RolledBack), 1);
 
     // Every event belongs to the one minted cycle, and that cycle
     // resolves to ledger entries.
@@ -313,7 +313,7 @@ fn trainer_panic_writes_schema_valid_flight_dump() {
     let mut h = harness("panic", seed, faults);
     h.drive_to_retrain(seed);
     h.await_trainer();
-    assert_eq!(h.controller.stats().trainer_panics, 1);
+    assert_eq!(h.controller.status().trainer_panics, 1);
     assert!(h
         .events
         .iter()

@@ -141,7 +141,7 @@ fn exporter_serves_metrics_and_health_during_a_run() {
     );
     assert!(metrics.contains("# TYPE cnd_obs_events counter"));
     assert!(
-        metrics.contains("# TYPE resilience_retrain_success_count counter"),
+        metrics.contains("# TYPE continual_trained_count counter"),
         "domain counter missing from exposition: {metrics}"
     );
 
@@ -175,6 +175,35 @@ fn deterministic_traces_identical_across_pool_sizes() {
     assert_eq!(
         traces[0], traces[1],
         "deterministic traces differ between 1 and 4 threads"
+    );
+    obs::trace::validate_jsonl(&traces[0]).expect("trace validates");
+}
+
+/// The resilient stream's trace, `cevent` lines and `continual.*`
+/// counters included, is byte-identical across pool sizes under the
+/// deterministic clock.
+#[test]
+fn deterministic_stream_traces_identical_across_pool_sizes() {
+    let _session = obs::Session::deterministic();
+    let s = split(9);
+
+    let mut traces = Vec::new();
+    for threads in [1usize, 4] {
+        obs::reset(obs::ClockKind::Deterministic);
+        let pool = ThreadPool::new(threads);
+        pool.install(|| {
+            let model = CndIds::new(CndIdsConfig::fast(9), &s.clean_normal).unwrap();
+            let mut stream =
+                ResilientStreamingCndIds::new(model, ResilientConfig::default()).unwrap();
+            evaluate_resilient_streaming(&mut stream, &s, 128).unwrap();
+        });
+        traces.push(obs::snapshot_jsonl());
+    }
+    assert!(traces[0].contains("\"ev\":\"cevent\""));
+    assert!(traces[0].contains("\"continual.trained.count\""));
+    assert_eq!(
+        traces[0], traces[1],
+        "deterministic stream traces differ between 1 and 4 threads"
     );
     obs::trace::validate_jsonl(&traces[0]).expect("trace validates");
 }
