@@ -11,9 +11,10 @@
 //!    [`MAX_ABS_SCALED`] under the fitted scaler; offenders go to a
 //!    bounded quarantine with per-reason counters.
 //! 2. **Drift policy**: `ln(1 + score)` of the serving model's scores
-//!    fills fixed-size windows of a [`cnd_obs::DriftMonitor`]; a window
-//!    whose PSI / symmetric-KL verdict crosses the default thresholds
-//!    arms a retrain.
+//!    fills windows of exactly `drift_window` scores of a
+//!    [`cnd_obs::DriftMonitor`], each closed by the score that fills it
+//!    ([`ContinualCore::observe_score`]); a window whose PSI /
+//!    symmetric-KL verdict crosses the default thresholds arms a retrain.
 //! 3. **Replay reservoir**: accepted flows feed a seeded Algorithm-R
 //!    sample of at most `max_buffer` rows; the triggers count *offered*
 //!    flows, so memory stays bounded however long a retrain is held off.
@@ -102,8 +103,8 @@ pub struct StreamingConfig {
     /// Never train on fewer offered flows than this (a drift verdict on
     /// a nearly empty buffer waits until the minimum accumulates).
     pub min_batch: usize,
-    /// Scores per drift window; a verdict is taken each time a batch
-    /// brings the window to at least this many.
+    /// Scores per drift window: the score that fills a window closes
+    /// it, however the host batches its scores.
     pub drift_window: usize,
 }
 
@@ -857,6 +858,17 @@ impl fmt::Display for ContinualStatus {
     }
 }
 
+/// What one score did to the drift window
+/// ([`ContinualCore::observe_score`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ScoreOutcome {
+    /// The score was non-finite and left out of the histogram.
+    pub rejected: bool,
+    /// The verdict of the window this score closed, if it closed one
+    /// that had a previous window to compare against.
+    pub verdict: Option<DriftVerdict>,
+}
+
 /// The guard, drift, reservoir, backoff and fault decisions of one
 /// continual loop (see the [module docs](self)).
 pub struct ContinualCore {
@@ -951,28 +963,35 @@ impl ContinualCore {
         dropped
     }
 
-    /// Adds one serving-model score to the current drift window.
-    /// Returns `false` when the score was rejected as non-finite.
-    pub fn observe_score(&mut self, score: f64) -> bool {
+    /// Adds one serving-model score to the current drift window, and
+    /// closes the window when this score fills it to `drift_window`, so
+    /// every window holds exactly `drift_window` scores however the host
+    /// batches them. A non-finite score is rejected from the histogram
+    /// but still counts toward the window.
+    ///
+    /// A closing window's verdict is compared against the previous
+    /// window (there is none for the first window after a reset). A
+    /// drifted verdict arms a retrain until [`reset_drift`](Self::reset_drift):
+    /// arming mints a cycle (unless one is in flight) and records
+    /// [`ContinualEvent::DriftDetected`] into `events`.
+    pub fn observe_score(&mut self, score: f64, events: &mut Vec<ContinualEvent>) -> ScoreOutcome {
         // FRE scores are heavy-tailed; the log keeps a few extreme flows
         // from owning the histogram.
         let value = (1.0 + score.max(0.0)).ln();
         self.window += 1;
-        if !value.is_finite() {
+        let rejected = !value.is_finite();
+        if rejected {
             self.drift_rejections += 1;
-            return false;
+        } else {
+            self.drift.observe(value);
         }
-        self.drift.observe(value);
-        true
+        ScoreOutcome {
+            rejected,
+            verdict: self.close_window(events),
+        }
     }
 
-    /// Closes the drift window once it holds `drift_window` scores and
-    /// returns its verdict against the previous window (`None` while the
-    /// window is filling, and for the first window after a reset). A
-    /// drifted verdict arms a retrain until [`reset_drift`](Self::reset_drift):
-    /// arming mints a cycle (unless one is in flight) and records
-    /// [`ContinualEvent::DriftDetected`] into `events`.
-    pub fn close_window(&mut self, events: &mut Vec<ContinualEvent>) -> Option<DriftVerdict> {
+    fn close_window(&mut self, events: &mut Vec<ContinualEvent>) -> Option<DriftVerdict> {
         if self.window < self.config.drift_window {
             return None;
         }
@@ -1254,13 +1273,16 @@ mod tests {
         }
     }
 
-    /// Feeds one full drift window of the 8-value cycle `base + k/10`
-    /// and closes it.
+    /// Feeds one full drift window of the 8-value cycle `base + k/10`;
+    /// its last score closes it.
     fn window(c: &mut ContinualCore, base: f64) -> Option<DriftVerdict> {
+        let mut verdict = None;
         for i in 0..40 {
-            c.observe_score(base + (i % 8) as f64 * 0.1);
+            verdict = c
+                .observe_score(base + (i % 8) as f64 * 0.1, &mut Vec::new())
+                .verdict;
         }
-        c.close_window(&mut Vec::new())
+        verdict
     }
 
     #[test]
@@ -1307,15 +1329,38 @@ mod tests {
     fn non_finite_scores_are_rejected_but_fill_the_window() {
         let mut c = core(100_000);
         for _ in 0..39 {
-            assert!(c.observe_score(1.0));
+            assert!(!c.observe_score(1.0, &mut Vec::new()).rejected);
         }
-        assert!(!c.observe_score(f64::INFINITY));
+        let last = c.observe_score(f64::INFINITY, &mut Vec::new());
+        assert!(last.rejected);
         assert_eq!(c.status(0).drift_rejections, 1);
-        assert!(
-            c.close_window(&mut Vec::new()).is_none(),
-            "the first window is the reference"
-        );
+        assert!(last.verdict.is_none(), "the first window is the reference");
         assert!(window(&mut c, 0.0).is_some(), "so the second one compares");
+    }
+
+    #[test]
+    fn one_long_drain_closes_every_full_window() {
+        // A host that drains 3000 scores in one step gets a verdict for
+        // every full 256-score window after the reference, not one
+        // oversized window.
+        let config = StreamingConfig {
+            drift_window: 256,
+            ..StreamingConfig::default()
+        };
+        let mut c = ContinualCore::new(
+            model().scaler(),
+            config,
+            RetryPolicy::default(),
+            Host::Stream,
+        );
+        let verdicts = (0..3000)
+            .filter_map(|i| {
+                c.observe_score((i % 8) as f64 * 0.1, &mut Vec::new())
+                    .verdict
+            })
+            .count();
+        assert_eq!(verdicts, 3000 / 256 - 1);
+        assert!(c.status(0).score_drift.is_some());
     }
 
     #[test]
@@ -1360,9 +1405,8 @@ mod tests {
         assert_eq!(c.cycle(), 0, "no cycle before drift arms");
         let mut events = Vec::new();
         for i in 0..40 {
-            c.observe_score(500.0 + (i % 8) as f64 * 0.1);
+            c.observe_score(500.0 + (i % 8) as f64 * 0.1, &mut events);
         }
-        c.close_window(&mut events);
         assert_eq!(events.len(), 1);
         assert!(matches!(
             events[0],

@@ -120,7 +120,7 @@ pub fn prometheus_text() -> String {
 
 /// Renders the recorder's health snapshot as a one-line JSON object.
 ///
-/// When the serving SLO harvester is publishing burn-rate alert gauges
+/// When the serving telemetry hub is publishing SLO burn-rate alert gauges
 /// (`serve.slo.alert.availability` / `serve.slo.alert.latency`), the
 /// snapshot carries an `"slo"` object so one endpoint answers "is the
 /// error budget burning?": `tracked` flips to `true` once the gauges
@@ -378,7 +378,7 @@ mod tests {
         let slo = obj.get("slo").expect("slo object");
         assert_eq!(slo.get("tracked").and_then(Json::as_bool), Some(false));
 
-        // Harvester publishes quiet alert gauges: tracked, still ok.
+        // The hub publishes quiet alert gauges: tracked, still ok.
         crate::gauge_set_volatile("serve.slo.alert.availability", 0.0);
         crate::gauge_set_volatile("serve.slo.alert.latency", 0.0);
         let obj = crate::json::parse_json(&health_json()).expect("health is JSON");

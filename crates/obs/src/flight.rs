@@ -2,10 +2,9 @@
 //! control-plane events, dumped as schema-validated JSONL on panic or
 //! watchdog rollback so postmortems have the last N events of state.
 //!
-//! Unlike the hot-path [`crate::ring`] buffers (SPSC, drop-newest so the
-//! producer never stalls), the flight recorder wants the *most recent*
-//! history at the moment of failure, so it overwrites the oldest record and
-//! counts how many were overwritten. Recording is always on — a crash dump
+//! The flight recorder wants the *most recent* history at the moment of
+//! failure, so it overwrites the oldest record and counts how many were
+//! overwritten. Recording is always on — a crash dump
 //! must exist even when tracing is disabled — and cheap: one short mutex
 //! hold per control-plane event (these are rare; the scoring hot path never
 //! records here).

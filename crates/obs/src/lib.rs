@@ -45,7 +45,6 @@ pub mod ledger;
 pub mod metrics;
 pub mod quality;
 pub mod report;
-pub mod ring;
 pub mod slo;
 pub mod trace;
 
@@ -61,7 +60,6 @@ pub use report::{
     latency_report, phase_report, timeline_report, LatencyReport, PhaseReport, PhaseRow,
     TimelineReport,
 };
-pub use ring::{Record, RingBuffer, RingSet};
 pub use slo::{SloConfig, SloSnapshot, SloTracker, WindowBurn};
 
 use std::cell::RefCell;
@@ -402,9 +400,10 @@ pub fn hdr_record_volatile(name: &str, v: u64) {
     }
 }
 
-/// Merges an [`HdrHistogram`] delta into the HDR metric `name` — the
-/// harvester path: per-thread shards fold in batches instead of taking
-/// the recorder lock per sample. No-op while disabled.
+/// Merges an [`HdrHistogram`] delta into the HDR metric `name`, so a
+/// caller that aggregates locally (the serving telemetry hub, once per
+/// second) takes the recorder lock once per delta instead of once per
+/// sample. No-op while disabled.
 #[inline]
 pub fn hdr_merge(name: &str, delta: &HdrHistogram) {
     if enabled() && !delta.is_empty() {

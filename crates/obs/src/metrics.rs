@@ -209,8 +209,8 @@ impl Registry {
         }
     }
 
-    /// Merges a whole [`HdrHistogram`] delta into `name` (the harvester
-    /// path: per-thread shards fold in batches instead of per-sample).
+    /// Merges a whole [`HdrHistogram`] delta into `name` (locally
+    /// aggregated samples fold in one call instead of one per sample).
     pub fn hdr_merge(&mut self, name: &str, delta: &HdrHistogram, volatile: bool) {
         let m = self.metrics.entry(name.to_string()).or_insert(Metric {
             value: MetricValue::Hdr(HdrHistogram::new()),

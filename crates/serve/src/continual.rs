@@ -673,20 +673,18 @@ impl ContinualController {
         let live_version = self.live_version;
         for sample in self.drain_sanitized() {
             if sample.model_version == live_version {
-                self.core.observe_score(sample.score);
+                let cycle = self.core.cycle();
+                if let Some(verdict) = self.core.observe_score(sample.score, events).verdict {
+                    cnd_obs::gauge_set_volatile("continual.drift.psi", verdict.psi);
+                    cnd_obs::gauge_set_volatile("continual.drift.sym_kl", verdict.sym_kl);
+                    if self.core.cycle() != cycle {
+                        // The verdict armed a new cycle: its ledger entries
+                        // name the model serving now as their parent.
+                        self.cycle_parent = u64::from(live_version);
+                    }
+                }
             }
             self.core.offer(sample.features);
-        }
-        let cycle = self.core.cycle();
-        let Some(verdict) = self.core.close_window(events) else {
-            return;
-        };
-        cnd_obs::gauge_set_volatile("continual.drift.psi", verdict.psi);
-        cnd_obs::gauge_set_volatile("continual.drift.sym_kl", verdict.sym_kl);
-        if self.core.cycle() != cycle {
-            // The verdict armed a new cycle: its ledger entries name
-            // the model serving now as their parent.
-            self.cycle_parent = u64::from(live_version);
         }
     }
 

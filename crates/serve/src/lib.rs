@@ -21,14 +21,14 @@
 //! 3. **Admission control**: score rows in flight across all
 //!    connections are bounded; past the cap requests are shed with an
 //!    explicit `Overloaded` reply rather than held in unbounded memory.
-//!    Shed/accept counters and batch-size/in-flight histograms land in
-//!    `cnd-obs` and are scrapeable via the existing `CND_OBS_LISTEN`
-//!    Prometheus endpoint.
+//!    Shed/accept counters (added once per round) and the batch-size
+//!    histogram land in `cnd-obs` and are scrapeable via the existing
+//!    `CND_OBS_LISTEN` Prometheus endpoint.
 //! 4. **Lifecycle telemetry** ([`telemetry`]): every request's life is
 //!    split into parse / queue-wait / batch-form / score / write
-//!    stages, timed via wait-free per-connection ring buffers and
-//!    harvested into HDR latency histograms, shed attribution
-//!    counters, and multi-window SLO burn-rate gauges.
+//!    stages; each reader records its round under one hub lock into
+//!    HDR latency histograms, shed attribution, and multi-window SLO
+//!    burn-rate gauges.
 //!
 //! Client-side, [`ServeClient`] speaks the protocol for tests and the
 //! CLI, and [`loadgen`] drives open-loop load and reports achieved
@@ -69,7 +69,7 @@ pub use loadgen::{run_loadgen, LoadGenConfig, LoadReport};
 pub use protocol::{Reply, Request, ServerInfo, Verdict};
 pub use registry::{ModelRegistry, VersionedModel};
 pub use server::{ServeConfig, ServeStats, Server};
-pub use telemetry::{Stage, TelemetryHub, TelemetrySnapshot};
+pub use telemetry::{RoundRecord, TelemetryHub, TelemetrySnapshot};
 
 /// Errors from starting or operating the scoring server.
 #[derive(Debug)]

@@ -37,7 +37,6 @@ use std::time::{Duration, Instant};
 
 use cnd_linalg::Matrix;
 
-use cnd_obs::ring::{Record, RingBuffer};
 use cnd_obs::slo::SloConfig;
 
 use crate::continual::{MirrorSample, TrafficMirror};
@@ -45,9 +44,7 @@ use crate::protocol::{
     frame_len, read_request, write_reply, FrameError, Reply, Request, ServerInfo, Verdict,
 };
 use crate::registry::{ModelRegistry, VersionedModel};
-use crate::telemetry::{
-    shed_record, stage_record, Stage, TelemetryHub, TelemetrySnapshot, RING_CAP,
-};
+use crate::telemetry::{RoundRecord, TelemetryHub, TelemetrySnapshot};
 use crate::ServeError;
 
 /// Idle poll interval for reader socket reads.
@@ -87,8 +84,8 @@ pub struct ServeConfig {
     pub mirror: Option<TrafficMirror>,
     /// Request-lifecycle telemetry ([`crate::telemetry`]): per-stage
     /// latency histograms, shed attribution, and SLO burn-rate
-    /// tracking. On the hot path this costs one wait-free ring push
-    /// per stage; disable only to measure that overhead.
+    /// tracking. On the hot path this costs one hub lock per round;
+    /// disable only to measure that overhead.
     pub telemetry: bool,
 }
 
@@ -191,7 +188,7 @@ struct Shared {
     registry: ModelRegistry,
     cfg: ServeConfig,
     /// Lifecycle telemetry hub; `None` when `cfg.telemetry` is off.
-    hub: Option<Arc<TelemetryHub>>,
+    hub: Option<TelemetryHub>,
 }
 
 impl Shared {
@@ -236,12 +233,11 @@ impl Server {
         cnd_obs::counter_add_volatile("serve.shed.count", 0);
         cnd_obs::counter_add_volatile("serve.scored.count", 0);
         cnd_obs::counter_add_volatile("serve.bad_frame.count", 0);
+        cnd_obs::counter_add_volatile("serve.reply_fail.count", 0);
 
-        let hub = if cfg.telemetry {
-            Some(TelemetryHub::start(SloConfig::default()))
-        } else {
-            None
-        };
+        let hub = cfg
+            .telemetry
+            .then(|| TelemetryHub::new(SloConfig::default()));
         let shared = Arc::new(Shared {
             stop: AtomicBool::new(false),
             in_flight: AtomicUsize::new(0),
@@ -331,7 +327,7 @@ impl Server {
         }
     }
 
-    /// Harvested lifecycle telemetry: per-stage latency histograms,
+    /// Lifecycle telemetry recorded so far: per-stage latency histograms,
     /// in-flight/shed attribution, and SLO burn rates. `None` when the
     /// server was started with [`ServeConfig::telemetry`] off.
     pub fn telemetry_snapshot(&self) -> Option<TelemetrySnapshot> {
@@ -372,10 +368,10 @@ impl Server {
         for h in conns {
             let _ = h.join();
         }
-        // All producers are gone: stop the harvester after one final
-        // drain so no lifecycle record is stranded in a ring.
+        // Every reader recorded its last round before it exited: one
+        // final publish puts all of it in the registry.
         if let Some(hub) = &self.shared.hub {
-            hub.shutdown();
+            hub.publish();
         }
     }
 }
@@ -440,13 +436,6 @@ fn wake_addr(mut addr: SocketAddr) -> SocketAddr {
     addr
 }
 
-/// Wait-free telemetry push; a `None` ring (telemetry off) is a no-op.
-fn push_rec(ring: Option<&Arc<RingBuffer>>, rec: Record) {
-    if let Some(r) = ring {
-        r.push(rec);
-    }
-}
-
 fn micros(d: Duration) -> u64 {
     d.as_micros() as u64
 }
@@ -458,6 +447,7 @@ enum Slot {
         id: u64,
         features: Vec<f64>,
         decoded: Instant,
+        parse_us: u64,
     },
     /// A reply known at decode time (errors, sheds, control frames).
     Ready(Reply),
@@ -468,12 +458,9 @@ fn serve_connection(conn: TcpStream, shared: &Shared) {
     if conn.set_read_timeout(Some(POLL)).is_err() {
         return;
     }
-    // One SPSC ring per reader thread; registration is the only lock
-    // this thread ever takes on the telemetry path.
-    let ring = shared.hub.as_ref().map(|h| h.register_ring(RING_CAP));
-    let ring = ring.as_ref();
     let mut reader = BufReader::with_capacity(READ_BUF, &conn);
     let mut slots = Vec::new();
+    let mut round = RoundRecord::default();
     let mut out = Vec::new();
     while !shared.stopping() {
         match reader.fill_buf() {
@@ -486,8 +473,8 @@ fn serve_connection(conn: TcpStream, shared: &Shared) {
             }
             Err(_) => break,
         }
-        let open = decode_round(&mut reader, shared, ring, &mut slots);
-        let sent = answer_round(&conn, &mut slots, shared, ring, &mut out);
+        let open = decode_round(&mut reader, shared, &mut round, &mut slots);
+        let sent = answer_round(&conn, &mut slots, shared, &mut round, &mut out);
         if !(open && sent) {
             break;
         }
@@ -502,7 +489,7 @@ fn serve_connection(conn: TcpStream, shared: &Shared) {
 fn decode_round(
     reader: &mut BufReader<&TcpStream>,
     shared: &Shared,
-    ring: Option<&Arc<RingBuffer>>,
+    round: &mut RoundRecord,
     slots: &mut Vec<Slot>,
 ) -> bool {
     while slots.len() < shared.cfg.max_batch {
@@ -518,11 +505,11 @@ fn decode_round(
             break;
         };
         let decoded = Instant::now();
-        if outcome.is_ok() {
-            push_rec(ring, stage_record(Stage::Parse, micros(decoded - started)));
-        }
         let slot = match outcome {
-            Ok(Request::Score { id, features }) => admit(id, features, decoded, shared, ring),
+            Ok(Request::Score { id, features }) => {
+                let parse_us = micros(decoded - started);
+                admit(id, features, decoded, parse_us, shared, round)
+            }
             Ok(Request::Reload { id }) => Slot::Ready(match shared.registry.reload() {
                 Ok(model_version) => Reply::ReloadOk { id, model_version },
                 Err(e) => Reply::ReloadFailed {
@@ -536,7 +523,7 @@ fn decode_round(
             }),
             Err(FrameError::Closed) => return false,
             Err(FrameError::Malformed { id, reason }) => {
-                bump_bad_frame(shared, ring);
+                bump_bad_frame(shared, round);
                 Slot::Ready(Reply::BadRequest {
                     id,
                     reason: reason.to_string(),
@@ -544,7 +531,7 @@ fn decode_round(
             }
             Err(FrameError::Fatal { id, reason }) => {
                 // Framing is lost: a best-effort typed reply, then close.
-                bump_bad_frame(shared, ring);
+                bump_bad_frame(shared, round);
                 slots.push(Slot::Ready(Reply::BadRequest {
                     id,
                     reason: reason.to_string(),
@@ -557,10 +544,9 @@ fn decode_round(
     true
 }
 
-fn bump_bad_frame(shared: &Shared, ring: Option<&Arc<RingBuffer>>) {
+fn bump_bad_frame(shared: &Shared, round: &mut RoundRecord) {
     shared.counters.bad_frames.fetch_add(1, Ordering::Relaxed);
-    cnd_obs::counter_add_volatile("serve.bad_frame.count", 1);
-    push_rec(ring, stage_record(Stage::BadFrame, 0));
+    round.bad_frames += 1;
 }
 
 fn info_snapshot(shared: &Shared) -> ServerInfo {
@@ -584,12 +570,13 @@ fn admit(
     id: u64,
     features: Vec<f64>,
     decoded: Instant,
+    parse_us: u64,
     shared: &Shared,
-    ring: Option<&Arc<RingBuffer>>,
+    round: &mut RoundRecord,
 ) -> Slot {
     let expected = shared.n_features;
     if features.len() != expected {
-        bump_bad_frame(shared, ring);
+        bump_bad_frame(shared, round);
         return Slot::Ready(Reply::BadRequest {
             id,
             reason: format!(
@@ -602,16 +589,29 @@ fn admit(
     if depth >= shared.cfg.queue_cap {
         shared.in_flight.fetch_sub(1, Ordering::Relaxed);
         shared.counters.shed.fetch_add(1, Ordering::Relaxed);
-        cnd_obs::counter_add_volatile("serve.shed.count", 1);
-        push_rec(ring, shed_record(depth));
+        round.shed_depths.push(depth as u64);
         return Slot::Ready(Reply::Overloaded { id });
     }
     shared.counters.accepted.fetch_add(1, Ordering::Relaxed);
-    cnd_obs::counter_add_volatile("serve.accept.count", 1);
     Slot::Row {
         id,
         features,
         decoded,
+        parse_us,
+    }
+}
+
+/// Adds one round's admission outcomes to the `cnd-obs` counters: one
+/// registry call per non-zero count per round, never one per request.
+fn count_admissions(round: &RoundRecord) {
+    for (name, n) in [
+        ("serve.accept.count", round.rows.len() as u64),
+        ("serve.shed.count", round.shed_depths.len() as u64),
+        ("serve.bad_frame.count", round.bad_frames),
+    ] {
+        if n > 0 {
+            cnd_obs::counter_add_volatile(name, n);
+        }
     }
 }
 
@@ -619,14 +619,16 @@ fn admit(
 /// reply of the round, in request order, with one `write_all`. Returns
 /// `false` when the client is gone.
 ///
-/// The batch's matrix-assembly, kernel, and write durations are
-/// recorded once per row, un-amortized — each request waits out all of
-/// them, which is what makes stage medians sum to the end-to-end median.
+/// The round is recorded into the telemetry hub once its replies are
+/// written, off the reply's latency path. `batch_form`, `score` and
+/// `write` count once per row, un-amortized — each request waits out
+/// all of them, which is what makes stage medians sum to the
+/// end-to-end median.
 fn answer_round(
     conn: &TcpStream,
     slots: &mut Vec<Slot>,
     shared: &Shared,
-    ring: Option<&Arc<RingBuffer>>,
+    round: &mut RoundRecord,
     out: &mut Vec<u8>,
 ) -> bool {
     let batch_started = Instant::now();
@@ -637,40 +639,33 @@ fn answer_round(
         if let Slot::Row {
             features,
             decoded: at,
+            parse_us,
             ..
         } = slot
         {
             data.extend_from_slice(features);
             decoded.push(*at);
-            push_rec(
-                ring,
-                stage_record(Stage::QueueWait, micros(batch_started - *at)),
-            );
+            round.rows.push((*parse_us, micros(batch_started - *at)));
         }
     }
     let n = decoded.len();
     let (scores, tau) = if n == 0 {
         (Ok(Vec::new()), None)
     } else {
-        let depth = shared.in_flight.load(Ordering::Relaxed);
-        cnd_obs::histogram_record_volatile("serve.queue.depth", depth as f64);
-        push_rec(ring, Record::new(Stage::QueueDepth as u16, 0, depth as u64));
+        round.queue_depth = Some(shared.in_flight.load(Ordering::Relaxed) as u64);
         let x = Matrix::from_vec(n, shared.n_features, data)
             .expect("admitted rows are dimension-checked");
         let formed = Instant::now();
         let result = model.scorer.anomaly_scores(&x);
-        let (form_us, score_us) = (micros(formed - batch_started), micros(formed.elapsed()));
-        for _ in 0..n {
-            push_rec(ring, stage_record(Stage::BatchForm, form_us));
-            push_rec(ring, stage_record(Stage::Score, score_us));
-        }
+        round.batch_form_us = micros(formed - batch_started);
+        round.score_us = micros(formed.elapsed());
         let tau = match &result {
             Ok(scores) => {
                 let c = &shared.counters;
                 c.scored.fetch_add(n as u64, Ordering::Relaxed);
                 c.batches.fetch_add(1, Ordering::Relaxed);
                 cnd_obs::counter_add_volatile("serve.scored.count", n as u64);
-                cnd_obs::histogram_record_volatile("serve.batch.size", n as f64);
+                cnd_obs::hdr_record_volatile("serve.batch.size", n as u64);
                 shared
                     .cfg
                     .threshold
@@ -680,6 +675,14 @@ fn answer_round(
         };
         (result, tau)
     };
+    count_admissions(round);
+    if let Some(hub) = &shared.hub {
+        // A shed or rejected frame is recorded before its reply leaves,
+        // so a client holding the reply finds it counted.
+        if !round.shed_depths.is_empty() || round.bad_frames > 0 {
+            hub.record(round);
+        }
+    }
 
     let write_started = Instant::now();
     let mut scores = scores.as_deref().map(|s| s.iter());
@@ -719,22 +722,24 @@ fn answer_round(
     let sent = (&*conn).write_all(out).is_ok();
     out.clear();
     let written = Instant::now();
-    let write_us = micros(written - write_started);
-    for &at in &decoded {
-        if sent {
-            push_rec(ring, stage_record(Stage::Write, write_us));
-            push_rec(ring, stage_record(Stage::Total, micros(written - at)));
-        } else {
-            push_rec(ring, stage_record(Stage::ReplyFailure, 0));
-        }
-    }
-    if !sent {
+    if sent {
+        round.write_us = micros(written - write_started);
+        round
+            .totals
+            .extend(decoded.iter().map(|&at| micros(written - at)));
+    } else if n > 0 {
+        round.reply_failures = n as u64;
         shared
             .counters
             .reply_failures
             .fetch_add(n as u64, Ordering::Relaxed);
+        cnd_obs::counter_add_volatile("serve.reply_fail.count", n as u64);
     }
     shared.in_flight.fetch_sub(n, Ordering::Relaxed);
+    match &shared.hub {
+        Some(hub) => hub.record(round),
+        None => round.clear(),
+    }
     sent
 }
 

@@ -1,22 +1,23 @@
-//! Hot-path request-lifecycle telemetry for the scoring server.
+//! Request-lifecycle telemetry for the scoring server.
 //!
-//! The serving threads must not pay a mutex (or any blocking call) per
-//! request to be observable, so every lifecycle event is written into a
-//! per-connection [`RingBuffer`] — a wait-free push of two words —
-//! and a background **harvester** thread drains the rings every few
-//! milliseconds into log-bucketed [`HdrHistogram`]s, the SLO tracker,
-//! and (when a `cnd-obs` session is active) the global metric registry.
+//! Each connection reader fills a [`RoundRecord`] while it answers a
+//! round and records it into the [`TelemetryHub`] under one hub lock
+//! once the round's replies are written. The hub folds the record into
+//! log-bucketed [`HdrHistogram`]s and the SLO tracker, and at most once
+//! per elapsed hub second publishes what it gathered since the last
+//! publish to the `cnd-obs` registry (when a session is active) and the
+//! SLO gauges.
 //!
 //! ```text
-//!                                            ┌─▶ per-stage HdrHistograms
-//! reader threads ──▶ SPSC rings ─harvest─▶ ──┼─▶ SloTracker (burn rates)
-//!                     (wait-free)            └─▶ cnd-obs registry/export
+//!                                       ┌─▶ per-stage HdrHistograms
+//! reader round ──one lock──▶ hub ───────┼─▶ SloTracker (burn rates)
+//!                                       └─▶ cnd-obs registry (≤ 1/s)
 //! ```
 //!
 //! # Stage taxonomy
 //!
 //! A request's served life is split into non-overlapping stages, each
-//! timed in microseconds and recorded under its own [`Stage`] tag:
+//! timed in microseconds:
 //!
 //! | stage        | clock starts               | clock stops                |
 //! |--------------|----------------------------|----------------------------|
@@ -34,93 +35,26 @@
 //! carrying the in-flight depth that justified it, which is what
 //! "which admission decision, at what depth" dashboards need.
 //!
-//! # Loss accounting
+//! # When a round lands in the hub
 //!
-//! A full ring drops the sample, never blocks the request. Drops are
-//! counted per ring and surfaced as `serve.telemetry.dropped.count`;
-//! a dashboard showing latency percentiles next to a nonzero drop
-//! counter knows exactly how much it is missing.
+//! A reader records a round after its replies are written, so the lock
+//! stays off the replies' latency path and a client can see its reply
+//! a moment before the round is counted. A round that shed or rejected
+//! a frame also records what it has so far just before the write, so a
+//! client holding an `Overloaded` or `BadRequest` reply finds it
+//! already counted. Nothing is sampled or dropped: every scored request
+//! lands in every stage exactly once.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::Mutex;
+use std::time::Instant;
 
 use cnd_obs::hdr::HdrHistogram;
-use cnd_obs::ring::{Record, RingBuffer, RingSet};
 use cnd_obs::slo::{SloConfig, SloSnapshot, SloTracker};
 
-/// Ring capacity per connection reader (records). A reader emits six
-/// records per scored request plus one per batch, and the harvester
-/// drains every `HARVEST_PERIOD`.
-pub const RING_CAP: usize = 1 << 14;
-/// How often the harvester drains the rings.
-const HARVEST_PERIOD: Duration = Duration::from_millis(10);
-
-/// Event tags recorded into the rings (the `Record::tag` taxonomy).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u16)]
-pub enum Stage {
-    /// Frame decode time (first byte → request struct), µs.
-    Parse = 1,
-    /// Request decoded → its batch starts scoring, µs.
-    QueueWait = 2,
-    /// Batch start → scoring kernel entry (matrix assembly), µs.
-    BatchForm = 3,
-    /// Scoring kernel wall time, recorded once per request in the
-    /// batch (each request waits out the full kernel), µs.
-    Score = 4,
-    /// Serialization of the round's replies + their one socket write,
-    /// recorded once per scored request, µs.
-    Write = 5,
-    /// Request decoded → reply written, end-to-end, µs.
-    Total = 6,
-    /// Rows in flight across connections as a batch starts (value =
-    /// depth).
-    QueueDepth = 7,
-    /// Request shed at the in-flight bound (aux = depth seen).
-    ShedQueueFull = 8,
-    /// Malformed or dimension-mismatched frame rejected.
-    BadFrame = 9,
-    /// Reply could not be written (client gone).
-    ReplyFailure = 10,
-}
-
-impl Stage {
-    fn from_tag(tag: u16) -> Option<Stage> {
-        Some(match tag {
-            1 => Stage::Parse,
-            2 => Stage::QueueWait,
-            3 => Stage::BatchForm,
-            4 => Stage::Score,
-            5 => Stage::Write,
-            6 => Stage::Total,
-            7 => Stage::QueueDepth,
-            8 => Stage::ShedQueueFull,
-            9 => Stage::BadFrame,
-            10 => Stage::ReplyFailure,
-            _ => return None,
-        })
-    }
-}
-
-/// Builds a stage-timing record (value = microseconds).
-pub fn stage_record(stage: Stage, us: u64) -> Record {
-    Record::new(stage as u16, 0, us)
-}
-
-/// Builds a shed record carrying the in-flight depth at the decision.
-pub fn shed_record(depth: usize) -> Record {
-    Record::new(
-        Stage::ShedQueueFull as u16,
-        depth.min(u32::MAX as usize) as u32,
-        0,
-    )
-}
-
-/// Per-stage histograms plus admission/SLO state, harvested so far.
+/// Per-stage histograms plus admission/SLO state recorded so far.
 #[derive(Debug, Clone, Default)]
 pub struct TelemetrySnapshot {
-    /// Frame decode time, µs.
+    /// Frame decode time of each scored request, µs.
     pub parse: HdrHistogram,
     /// Request decoded → its batch starts scoring, µs.
     pub queue_wait: HdrHistogram,
@@ -142,185 +76,112 @@ pub struct TelemetrySnapshot {
     pub bad_frames: u64,
     /// Replies lost to closed client connections.
     pub reply_failures: u64,
-    /// Telemetry records dropped by full rings (loss accounting).
+    /// Telemetry records lost. Always 0: readers record into the hub
+    /// directly and nothing is sampled or dropped. Kept so readers of
+    /// the field (the `server.telemetry_dropped` bench row) still build.
     pub records_dropped: u64,
-    /// Multi-window SLO burn rates at harvest time.
+    /// Multi-window SLO burn rates at snapshot time.
     pub slo: SloSnapshot,
 }
 
-/// Aggregation state owned by the harvester.
+impl TelemetrySnapshot {
+    /// Each histogram with the `cnd-obs` metric it is published as.
+    fn histograms(&self) -> [(&'static str, &HdrHistogram); 8] {
+        [
+            ("serve.stage.parse.us", &self.parse),
+            ("serve.stage.queue_wait.us", &self.queue_wait),
+            ("serve.stage.batch_form.us", &self.batch_form),
+            ("serve.stage.score.us", &self.score),
+            ("serve.stage.write.us", &self.write),
+            ("serve.stage.total.us", &self.total),
+            ("serve.queue.depth.hdr", &self.queue_depth),
+            ("serve.admit.shed_depth", &self.shed_depth),
+        ]
+    }
+
+    /// Folds `other`'s histograms and counts into `self`.
+    fn merge(&mut self, other: &TelemetrySnapshot) {
+        self.parse.merge(&other.parse);
+        self.queue_wait.merge(&other.queue_wait);
+        self.batch_form.merge(&other.batch_form);
+        self.score.merge(&other.score);
+        self.write.merge(&other.write);
+        self.total.merge(&other.total);
+        self.queue_depth.merge(&other.queue_depth);
+        self.shed_depth.merge(&other.shed_depth);
+        self.shed_queue_full += other.shed_queue_full;
+        self.bad_frames += other.bad_frames;
+        self.reply_failures += other.reply_failures;
+    }
+}
+
+/// What one reader round adds to the telemetry, filled while the round
+/// is answered and recorded by [`TelemetryHub::record`], which clears
+/// it for the next round.
+#[derive(Debug, Clone, Default)]
+pub struct RoundRecord {
+    /// Per admitted score row: (parse µs, queue_wait µs).
+    pub rows: Vec<(u64, u64)>,
+    /// Matrix assembly time of the round's batch, µs; every row in
+    /// `rows` waited it out.
+    pub batch_form_us: u64,
+    /// Scoring kernel time of the round's batch, µs.
+    pub score_us: u64,
+    /// Rows in flight across connections as the batch started (`None`
+    /// when the round scored nothing).
+    pub queue_depth: Option<u64>,
+    /// In-flight depth at each shed decision of the round.
+    pub shed_depths: Vec<u64>,
+    /// Frames rejected as malformed or dimension-mismatched.
+    pub bad_frames: u64,
+    /// Reply write time of the round, µs; every row in `totals` waited
+    /// it out.
+    pub write_us: u64,
+    /// End-to-end latency of each row whose reply was written, µs.
+    pub totals: Vec<u64>,
+    /// Rows whose reply could not be written.
+    pub reply_failures: u64,
+}
+
+impl RoundRecord {
+    /// Empties the record, keeping its allocations.
+    pub fn clear(&mut self) {
+        self.rows.clear();
+        self.batch_form_us = 0;
+        self.score_us = 0;
+        self.queue_depth = None;
+        self.shed_depths.clear();
+        self.bad_frames = 0;
+        self.write_us = 0;
+        self.totals.clear();
+        self.reply_failures = 0;
+    }
+}
+
 #[derive(Debug)]
 struct HubInner {
-    parse: HdrHistogram,
-    queue_wait: HdrHistogram,
-    batch_form: HdrHistogram,
-    score: HdrHistogram,
-    write: HdrHistogram,
-    total: HdrHistogram,
-    queue_depth: HdrHistogram,
-    shed_depth: HdrHistogram,
-    shed_queue_full: u64,
-    bad_frames: u64,
-    reply_failures: u64,
-    dropped_published: u64,
+    /// Everything recorded up to the last publish.
+    published: TelemetrySnapshot,
+    /// Recorded since the last publish: the delta the registry is fed.
+    fresh: TelemetrySnapshot,
     slo: SloTracker,
-    scratch: Vec<Record>,
+    /// Hub second of the last publish.
+    published_s: u64,
 }
 
 impl HubInner {
-    fn new(slo: SloConfig) -> Self {
-        Self {
-            parse: HdrHistogram::new(),
-            queue_wait: HdrHistogram::new(),
-            batch_form: HdrHistogram::new(),
-            score: HdrHistogram::new(),
-            write: HdrHistogram::new(),
-            total: HdrHistogram::new(),
-            queue_depth: HdrHistogram::new(),
-            shed_depth: HdrHistogram::new(),
-            shed_queue_full: 0,
-            bad_frames: 0,
-            reply_failures: 0,
-            dropped_published: 0,
-            slo: SloTracker::new(slo),
-            scratch: Vec::with_capacity(1024),
+    /// Feeds the fresh delta to the `cnd-obs` registry (every call
+    /// no-ops without an enabled session), folds it into the published
+    /// totals, and sets the SLO gauges.
+    fn publish(&mut self, now_s: u64) {
+        for (name, delta) in self.fresh.histograms() {
+            cnd_obs::hdr_merge_volatile(name, delta);
         }
-    }
-}
+        self.published.merge(&self.fresh);
+        self.fresh = TelemetrySnapshot::default();
+        self.published_s = now_s;
 
-/// The telemetry hub: ring registry + harvester + aggregates.
-///
-/// The server holds one `Arc<TelemetryHub>`; each connection reader
-/// registers a ring once and pushes records wait-free. The harvester
-/// owns aggregation; [`snapshot`](TelemetryHub::snapshot) runs one
-/// harvest inline first so callers always see their own records.
-#[derive(Debug)]
-pub struct TelemetryHub {
-    rings: RingSet,
-    inner: Mutex<HubInner>,
-    stop: AtomicBool,
-    harvester: Mutex<Option<std::thread::JoinHandle<()>>>,
-    started: Instant,
-}
-
-impl TelemetryHub {
-    /// Starts a hub (and its harvester thread) tracking `slo`.
-    pub fn start(slo: SloConfig) -> Arc<TelemetryHub> {
-        let hub = Arc::new(TelemetryHub {
-            rings: RingSet::new(),
-            inner: Mutex::new(HubInner::new(slo)),
-            stop: AtomicBool::new(false),
-            harvester: Mutex::new(None),
-            started: Instant::now(),
-        });
-        let handle = {
-            let hub = Arc::clone(&hub);
-            std::thread::Builder::new()
-                .name("cnd-serve-telemetry".into())
-                .spawn(move || {
-                    while !hub.stop.load(Ordering::Relaxed) {
-                        std::thread::sleep(HARVEST_PERIOD);
-                        hub.harvest();
-                    }
-                })
-                .ok()
-        };
-        *hub.harvester.lock().unwrap_or_else(|e| e.into_inner()) = handle;
-        hub
-    }
-
-    /// Registers a producer ring (one per connection reader).
-    pub fn register_ring(&self, capacity: usize) -> Arc<RingBuffer> {
-        self.rings.register(capacity)
-    }
-
-    /// Seconds since the hub started — the SLO time base.
-    fn now_s(&self) -> u64 {
-        self.started.elapsed().as_secs()
-    }
-
-    /// Drains every ring into the aggregates and republishes metrics.
-    /// Called periodically by the harvester and inline by `snapshot`.
-    pub fn harvest(&self) {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let inner = &mut *inner;
-        inner.scratch.clear();
-        self.rings.drain_all(&mut inner.scratch);
-        let now_s = self.now_s();
-        // Per-harvest deltas so the global registry can be fed by merge
-        // (one lock per harvest, not one per record).
-        let mut delta: [HdrHistogram; 8] = Default::default();
-        let (mut d_shed, mut d_bad, mut d_reply) = (0u64, 0u64, 0u64);
-        for rec in inner.scratch.drain(..) {
-            let Some(stage) = Stage::from_tag(rec.tag) else {
-                continue;
-            };
-            match stage {
-                Stage::Parse => delta[0].record(rec.value),
-                Stage::QueueWait => delta[1].record(rec.value),
-                Stage::BatchForm => delta[2].record(rec.value),
-                Stage::Score => delta[3].record(rec.value),
-                Stage::Write => delta[4].record(rec.value),
-                Stage::Total => {
-                    delta[5].record(rec.value);
-                    inner.slo.record(now_s, rec.value, true);
-                }
-                Stage::QueueDepth => delta[6].record(rec.value),
-                Stage::ShedQueueFull => {
-                    delta[7].record(rec.aux as u64);
-                    d_shed += 1;
-                    inner.slo.record(now_s, 0, false);
-                }
-                Stage::BadFrame => {
-                    d_bad += 1;
-                    inner.slo.record(now_s, 0, false);
-                }
-                Stage::ReplyFailure => {
-                    d_reply += 1;
-                    inner.slo.record(now_s, 0, false);
-                }
-            }
-        }
-        inner.parse.merge(&delta[0]);
-        inner.queue_wait.merge(&delta[1]);
-        inner.batch_form.merge(&delta[2]);
-        inner.score.merge(&delta[3]);
-        inner.write.merge(&delta[4]);
-        inner.total.merge(&delta[5]);
-        inner.queue_depth.merge(&delta[6]);
-        inner.shed_depth.merge(&delta[7]);
-        inner.shed_queue_full += d_shed;
-        inner.bad_frames += d_bad;
-        inner.reply_failures += d_reply;
-
-        // Republish into the global registry; every call below no-ops
-        // when no cnd-obs session is enabled.
-        const STAGES: [&str; 6] = [
-            "serve.stage.parse.us",
-            "serve.stage.queue_wait.us",
-            "serve.stage.batch_form.us",
-            "serve.stage.score.us",
-            "serve.stage.write.us",
-            "serve.stage.total.us",
-        ];
-        for (name, d) in STAGES.iter().zip(&delta) {
-            cnd_obs::hdr_merge_volatile(name, d);
-        }
-        cnd_obs::hdr_merge_volatile("serve.queue.depth.hdr", &delta[6]);
-        cnd_obs::hdr_merge_volatile("serve.admit.shed_depth", &delta[7]);
-        if d_shed > 0 {
-            cnd_obs::counter_add_volatile("serve.admit.queue_full.count", d_shed);
-        }
-        if d_bad > 0 {
-            cnd_obs::counter_add_volatile("serve.admit.bad_frame.count", d_bad);
-        }
-        if d_reply > 0 {
-            cnd_obs::counter_add_volatile("serve.reply_fail.count", d_reply);
-        }
-        let dropped = self.rings.dropped() + inner.dropped_published;
-        cnd_obs::gauge_set_volatile("serve.telemetry.dropped.count", dropped as f64);
-
-        let snap = inner.slo.snapshot(now_s);
+        let snap = self.slo.snapshot(now_s);
         for w in &snap.windows {
             cnd_obs::gauge_set_volatile(
                 &format!("serve.slo.availability_burn.{}s", w.window_s),
@@ -331,62 +192,101 @@ impl TelemetryHub {
                 w.latency_burn,
             );
         }
+        let flag = |on: bool| if on { 1.0 } else { 0.0 };
         cnd_obs::gauge_set_volatile(
             "serve.slo.alert.availability",
-            if snap.availability_alert { 1.0 } else { 0.0 },
+            flag(snap.availability_alert),
         );
-        cnd_obs::gauge_set_volatile(
-            "serve.slo.alert.latency",
-            if snap.latency_alert { 1.0 } else { 0.0 },
-        );
-
-        // Shed rings of closed connections; their drop counts move into
-        // the published total so loss accounting stays exact.
-        inner.dropped_published += self.rings.prune_orphans();
-    }
-
-    /// Harvests, then returns a copy of every aggregate.
-    pub fn snapshot(&self) -> TelemetrySnapshot {
-        self.harvest();
-        let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        TelemetrySnapshot {
-            parse: inner.parse.clone(),
-            queue_wait: inner.queue_wait.clone(),
-            batch_form: inner.batch_form.clone(),
-            score: inner.score.clone(),
-            write: inner.write.clone(),
-            total: inner.total.clone(),
-            queue_depth: inner.queue_depth.clone(),
-            shed_depth: inner.shed_depth.clone(),
-            shed_queue_full: inner.shed_queue_full,
-            bad_frames: inner.bad_frames,
-            reply_failures: inner.reply_failures,
-            records_dropped: self.rings.dropped() + inner.dropped_published,
-            slo: inner.slo.snapshot(self.now_s()),
-        }
-    }
-
-    /// Stops and joins the harvester after a final drain. Idempotent.
-    pub fn shutdown(&self) {
-        self.stop.store(true, Ordering::Relaxed);
-        let handle = self
-            .harvester
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .take();
-        if let Some(h) = handle {
-            let _ = h.join();
-        }
-        self.harvest();
+        cnd_obs::gauge_set_volatile("serve.slo.alert.latency", flag(snap.latency_alert));
     }
 }
 
-impl Drop for TelemetryHub {
-    fn drop(&mut self) {
-        // The harvester holds an Arc to the hub, so by the time Drop
-        // runs the thread has already exited; just make sure no records
-        // are stranded if shutdown() was never called.
-        self.stop.store(true, Ordering::Relaxed);
+/// The telemetry hub: per-stage aggregates and the SLO tracker behind
+/// one lock. The server holds one `Arc<TelemetryHub>`; each connection
+/// reader records its rounds into it.
+#[derive(Debug)]
+pub struct TelemetryHub {
+    inner: Mutex<HubInner>,
+    started: Instant,
+}
+
+impl TelemetryHub {
+    /// A hub tracking `slo`.
+    pub fn new(slo: SloConfig) -> TelemetryHub {
+        TelemetryHub {
+            inner: Mutex::new(HubInner {
+                published: TelemetrySnapshot::default(),
+                fresh: TelemetrySnapshot::default(),
+                slo: SloTracker::new(slo),
+                published_s: 0,
+            }),
+            started: Instant::now(),
+        }
+    }
+
+    /// Seconds since the hub started — the SLO time base.
+    fn now_s(&self) -> u64 {
+        self.started.elapsed().as_secs()
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, HubInner> {
+        self.inner.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Records one round under one hub lock and clears `round`. Publishes
+    /// when the hub second has advanced since the last publish.
+    pub fn record(&self, round: &mut RoundRecord) {
+        let now_s = self.now_s();
+        let mut inner = self.lock();
+        let HubInner { fresh, slo, .. } = &mut *inner;
+        for &(parse, wait) in &round.rows {
+            fresh.parse.record(parse);
+            fresh.queue_wait.record(wait);
+        }
+        let rows = round.rows.len() as u64;
+        fresh.batch_form.record_n(round.batch_form_us, rows);
+        fresh.score.record_n(round.score_us, rows);
+        if let Some(depth) = round.queue_depth {
+            fresh.queue_depth.record(depth);
+        }
+        for &depth in &round.shed_depths {
+            fresh.shed_depth.record(depth);
+        }
+        fresh.shed_queue_full += round.shed_depths.len() as u64;
+        fresh.bad_frames += round.bad_frames;
+        fresh.reply_failures += round.reply_failures;
+        let failures = round.shed_depths.len() as u64 + round.bad_frames + round.reply_failures;
+        for _ in 0..failures {
+            slo.record(now_s, 0, false);
+        }
+        fresh
+            .write
+            .record_n(round.write_us, round.totals.len() as u64);
+        for &total in &round.totals {
+            fresh.total.record(total);
+            slo.record(now_s, total, true);
+        }
+        if now_s != inner.published_s {
+            inner.publish(now_s);
+        }
+        round.clear();
+    }
+
+    /// Publishes what was recorded since the last publish. The server
+    /// calls it at stop, once its readers have joined.
+    pub fn publish(&self) {
+        self.lock().publish(self.now_s());
+    }
+
+    /// Publishes, then returns a copy of every aggregate.
+    pub fn snapshot(&self) -> TelemetrySnapshot {
+        let now_s = self.now_s();
+        let mut inner = self.lock();
+        inner.publish(now_s);
+        TelemetrySnapshot {
+            slo: inner.slo.snapshot(now_s),
+            ..inner.published.clone()
+        }
     }
 }
 
@@ -395,29 +295,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn stage_tags_round_trip() {
-        for tag in 1..=10u16 {
-            let s = Stage::from_tag(tag).expect("valid tag");
-            assert_eq!(s as u16, tag);
-        }
-        assert!(Stage::from_tag(0).is_none());
-        assert!(Stage::from_tag(11).is_none());
-    }
-
-    #[test]
     fn harvest_routes_records_to_the_right_aggregates() {
-        let hub = TelemetryHub::start(SloConfig::default());
-        let ring = hub.register_ring(64);
-        ring.push(stage_record(Stage::Parse, 3));
-        ring.push(stage_record(Stage::QueueWait, 40));
-        ring.push(stage_record(Stage::BatchForm, 7));
-        ring.push(stage_record(Stage::Score, 90));
-        ring.push(stage_record(Stage::Write, 12));
-        ring.push(stage_record(Stage::Total, 150));
-        ring.push(Record::new(Stage::QueueDepth as u16, 0, 5));
-        ring.push(shed_record(1024));
-        ring.push(Record::new(Stage::BadFrame as u16, 0, 0));
-        ring.push(Record::new(Stage::ReplyFailure as u16, 0, 0));
+        let hub = TelemetryHub::new(SloConfig::default());
+        hub.record(&mut RoundRecord {
+            rows: vec![(3, 40)],
+            batch_form_us: 7,
+            score_us: 90,
+            queue_depth: Some(5),
+            shed_depths: vec![1024],
+            bad_frames: 1,
+            write_us: 12,
+            totals: vec![150],
+            reply_failures: 1,
+        });
         let snap = hub.snapshot();
         assert_eq!(snap.parse.count, 1);
         assert_eq!(snap.parse.max, Some(3));
@@ -434,43 +324,21 @@ mod tests {
         // 1 ok + 3 bad outcomes reached the SLO tracker.
         assert_eq!(snap.slo.windows[0].total, 4);
         assert!(snap.slo.windows[0].availability_burn > 0.0);
-        hub.shutdown();
-    }
-
-    #[test]
-    fn unknown_tags_are_skipped_not_fatal() {
-        let hub = TelemetryHub::start(SloConfig::default());
-        let ring = hub.register_ring(8);
-        ring.push(Record::new(999, 7, 42));
-        ring.push(stage_record(Stage::Total, 10));
-        let snap = hub.snapshot();
-        assert_eq!(snap.total.count, 1);
-        hub.shutdown();
-    }
-
-    #[test]
-    fn drop_accounting_survives_ring_pruning() {
-        let hub = TelemetryHub::start(SloConfig::default());
-        let ring = hub.register_ring(2);
-        ring.push(stage_record(Stage::Total, 1));
-        ring.push(stage_record(Stage::Total, 2));
-        ring.push(stage_record(Stage::Total, 3)); // dropped: cap 2
-        let snap = hub.snapshot();
-        assert_eq!(snap.records_dropped, 1);
-        drop(ring);
-        hub.harvest(); // prunes the orphan, folding its drop count in
-        let snap = hub.snapshot();
-        assert_eq!(snap.records_dropped, 1, "pruning lost the drop count");
-        hub.shutdown();
+        hub.publish();
     }
 
     #[test]
     fn shutdown_runs_a_final_harvest_and_is_idempotent() {
-        let hub = TelemetryHub::start(SloConfig::default());
-        let ring = hub.register_ring(8);
-        ring.push(stage_record(Stage::Score, 77));
-        hub.shutdown();
-        hub.shutdown();
+        // The server's stop-time publish, run twice: nothing recorded is
+        // lost, and nothing is counted twice.
+        let hub = TelemetryHub::new(SloConfig::default());
+        hub.record(&mut RoundRecord {
+            rows: vec![(1, 1)],
+            score_us: 77,
+            ..RoundRecord::default()
+        });
+        hub.publish();
+        hub.publish();
         let snap = hub.snapshot();
         assert_eq!(snap.score.count, 1);
         assert_eq!(snap.score.max, Some(77));

@@ -101,7 +101,16 @@ fn open_validated(path: &Path) -> Result<(File, StoreMeta), StoreError> {
     file.read_exact(&mut h)?;
     let meta = StoreMeta::decode_header(&h)?;
     let stride = meta.stride() as u64;
-    let expected = HEADER_LEN + meta.count.saturating_mul(stride) + FOOTER_LEN;
+    let expected = meta
+        .count
+        .checked_mul(stride)
+        .and_then(|payload| payload.checked_add(HEADER_LEN + FOOTER_LEN))
+        .ok_or_else(|| {
+            StoreError::Format(format!(
+                "header promises {} rows of {stride} bytes, more than a file can hold",
+                meta.count
+            ))
+        })?;
     if file_len != expected {
         return Err(StoreError::Format(format!(
             "file is {file_len} bytes, header promises {expected} ({} rows of {stride} bytes)",

@@ -1,8 +1,11 @@
 //! Property-based tests for the `.cnds` binary format: write→read
-//! bitwise identity across dtypes, shapes, and chunk sizes, plus
-//! rejection of truncated and bit-flipped files.
+//! bitwise identity across dtypes, shapes, and chunk sizes, rejection
+//! of truncated and bit-flipped files, and typed errors (never panics)
+//! for random and hostile headers.
 
-use cnd_store::{ChunkIter, DType, FlowStore, StoreError, StoreWriter, FOOTER_LEN, HEADER_LEN};
+use cnd_store::{
+    ChunkIter, DType, FlowStore, StoreError, StoreWriter, FOOTER_LEN, HEADER_LEN, MAX_DIM,
+};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -43,6 +46,60 @@ fn write(path: &PathBuf, rows: &[Vec<f64>], dtype: DType, labelled: bool) {
         w.push_row(r, labelled.then_some((i % 7) as u16)).unwrap();
     }
     w.finalize().unwrap();
+}
+
+/// A 24-byte header with the v1 magic and the given fields.
+fn header(dtype: u8, label_width: u8, dim: u32, count: u64) -> Vec<u8> {
+    let mut h = b"CNDSTOR1".to_vec();
+    h.extend_from_slice(&[dtype, label_width, 0, 0]);
+    h.extend_from_slice(&dim.to_le_bytes());
+    h.extend_from_slice(&count.to_le_bytes());
+    h
+}
+
+/// A footer that agrees with a header's `count` (its CRC is arbitrary).
+fn footer(count: u64) -> Vec<u8> {
+    let mut f = 0xDEAD_BEEFu32.to_le_bytes().to_vec();
+    f.extend_from_slice(&count.to_le_bytes());
+    f.extend_from_slice(b"CND_END1");
+    f
+}
+
+/// Opens `bytes` as a store. It must fail with a `StoreError` (the type
+/// guarantees that much), or open to a store whose shape is the
+/// header's and whose every read returns exactly the rows it promises.
+fn open_hostile(bytes: &[u8]) {
+    let path = tmp();
+    std::fs::write(&path, bytes).unwrap();
+    if let Ok(store) = FlowStore::open(&path) {
+        let h = &bytes[..HEADER_LEN as usize];
+        let dim = u32::from_le_bytes(h[12..16].try_into().unwrap()) as usize;
+        let count = u64::from_le_bytes(h[16..24].try_into().unwrap());
+        let meta = *store.meta();
+        assert_eq!((meta.dim, meta.count), (dim, count));
+        assert_eq!(meta.dtype == DType::F32, h[8] == 1);
+        assert_eq!(meta.labelled, h[9] == 2);
+        let payload = count * meta.stride() as u64;
+        assert_eq!(bytes.len() as u64, HEADER_LEN + payload + FOOTER_LEN);
+        let all = store.read_rows(0, count as usize).unwrap();
+        assert_eq!((all.rows.rows(), all.rows.cols()), (count as usize, dim));
+        assert_eq!(
+            all.labels.len(),
+            if meta.labelled { count as usize } else { 0 }
+        );
+        assert!(store.read_rows(count as usize, 1).is_err());
+        let mut seen = 0;
+        for chunk in ChunkIter::open(&path, 3).unwrap() {
+            match chunk {
+                Ok(c) => seen += c.len(),
+                // Only the closing digest check may fail (the footer
+                // CRC here is arbitrary).
+                Err(e) => assert!(matches!(e, StoreError::Corrupt { .. }), "{e}"),
+            }
+        }
+        assert_eq!(seen as u64, count);
+    }
+    std::fs::remove_file(&path).unwrap();
 }
 
 proptest! {
@@ -124,5 +181,57 @@ proptest! {
             "flipped payload bit escaped the digest: {verdict:?}"
         );
         std::fs::remove_file(&path).unwrap();
+    }
+
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn random_headers_never_panic(
+        mut head in prop::collection::vec(0u8..=255, HEADER_LEN as usize),
+        keep_magic in 0u8..2,
+        payload_len in 0usize..96,
+        with_footer in 0u8..2,
+    ) {
+        if keep_magic == 1 {
+            head[..8].copy_from_slice(b"CNDSTOR1");
+        }
+        let mut bytes = head.clone();
+        bytes.extend((0..payload_len).map(|i| (i * 37) as u8));
+        if with_footer == 1 {
+            bytes.extend(footer(u64::from_le_bytes(head[16..24].try_into().unwrap())));
+        }
+        open_hostile(&bytes);
+    }
+
+    #[test]
+    fn hostile_header_fields_never_panic(
+        // Valid values are listed more than once, so a good share of
+        // cases is one hostile field away from a well-formed file.
+        dtype in prop::sample::select(vec![0u8, 1, 0, 1, 2, 255]),
+        label_width in prop::sample::select(vec![0u8, 2, 0, 2, 1, 255]),
+        dim in prop::sample::select(vec![1u32, 3, 7, 1, 3, 0, MAX_DIM as u32, MAX_DIM as u32 + 1, u32::MAX]),
+        count in prop::sample::select(vec![0u64, 1, 2, 5, 0, 1, 2, 5, 1 << 32, 1 << 61, u64::MAX / 3, u64::MAX]),
+        payload in 0u8..3,
+        with_footer in prop::sample::select(vec![1u8, 1, 0]),
+    ) {
+        // Payload absent, short by one row, or exactly what the header
+        // promises (when that is small enough to write).
+        let fsize = if dtype == 1 { 4 } else { 8 };
+        let stride = u64::from(dim) * fsize + if label_width == 2 { 2 } else { 0 };
+        let promised = count.checked_mul(stride).filter(|&b| b <= 1 << 16);
+        let payload_len = match (payload, promised) {
+            (0, _) | (_, None) => 0,
+            (1, Some(b)) => b.saturating_sub(stride),
+            (_, Some(b)) => b,
+        };
+        let mut bytes = header(dtype, label_width, dim, count);
+        bytes.extend((0..payload_len).map(|i| (i * 37) as u8));
+        if with_footer == 1 {
+            bytes.extend(footer(count));
+        }
+        open_hostile(&bytes);
     }
 }

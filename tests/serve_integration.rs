@@ -613,7 +613,7 @@ fn stage_medians_are_consistent_with_end_to_end_latency() {
 
     // A reader records a request's `write` and `total` stages after its
     // reply bytes leave, so the client can get here first: wait (with a
-    // bound) for the last records to be harvested.
+    // bound) for the last rounds to be recorded.
     let served = (workers * per_worker) as u64;
     let deadline = Instant::now() + Duration::from_secs(10);
     let snap = loop {
@@ -695,5 +695,133 @@ fn shed_decisions_are_attributed_with_queue_depth() {
     assert!(snap.shed_depth.min.unwrap_or(0) >= 2);
     assert_eq!(snap.bad_frames, 0, "sheds are not bad frames");
     assert_eq!(server.stats().shed, shed);
+    drop(server);
+}
+
+/// The telemetry accounting contract under concurrency: every served
+/// request is in every stage exactly once. Sixteen connections pipeline
+/// frames against a tiny in-flight bound, so rounds mix scored rows,
+/// sheds and bad frames; one client first hangs up before reading a
+/// reply, so later writes to it fail. Once the readers have recorded everything,
+/// the telemetry agrees exactly with the server's own counters.
+#[test]
+fn every_served_request_is_in_every_stage_exactly_once() {
+    let scorer = trained_scorer(3);
+    let d = scorer.n_features();
+    let artifact = TempArtifact::new("accounting", &scorer);
+    let server = Server::start(
+        artifact.path(),
+        "127.0.0.1:0",
+        ServeConfig {
+            queue_cap: 8,
+            ..ServeConfig::default()
+        },
+    )
+    .expect("server starts");
+    let addr = server.local_addr();
+
+    // Every eighth frame is one feature too wide: a bad frame.
+    let frames = |n: usize, seed: usize| {
+        let mut bytes = Vec::new();
+        for k in 0..n {
+            let width = if k % 8 == 7 { d + 1 } else { d };
+            let req = Request::Score {
+                id: k as u64,
+                features: feature_row(seed + k, width),
+            };
+            write_request(&mut bytes, &req).expect("encodes");
+        }
+        bytes
+    };
+
+    // Four rounds' worth of frames, then a hang-up before any reply is
+    // read: the reader's writes after the first one fail. The hang-up
+    // can race the reader's writes, so it is repeated (boundedly) until
+    // a write has failed.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while server.stats().reply_failures == 0 && Instant::now() < deadline {
+        let mut conn = TcpStream::connect(addr).expect("connects");
+        conn.write_all(&frames(256, 0))
+            .expect("writes the pipeline");
+        drop(conn);
+        std::thread::sleep(Duration::from_millis(20));
+    }
+
+    let clients = 15;
+    let rounds = 20;
+    let per_round = 32;
+    let handles: Vec<_> = (0..clients)
+        .map(|c| {
+            let pipeline = frames(per_round, c * 1000);
+            std::thread::spawn(move || {
+                let mut conn = TcpStream::connect(addr).expect("connects");
+                conn.set_read_timeout(Some(Duration::from_secs(10)))
+                    .unwrap();
+                let (mut scored, mut shed, mut bad) = (0u64, 0u64, 0u64);
+                for _ in 0..rounds {
+                    conn.write_all(&pipeline).expect("writes the pipeline");
+                    for _ in 0..per_round {
+                        match read_reply(&mut conn).expect("one reply per frame") {
+                            Reply::Score { .. } => scored += 1,
+                            Reply::Overloaded { .. } => shed += 1,
+                            Reply::BadRequest { .. } => bad += 1,
+                            other => panic!("unexpected reply {other:?}"),
+                        }
+                    }
+                }
+                (scored, shed, bad)
+            })
+        })
+        .collect();
+    let (mut scored, mut shed, mut bad) = (0u64, 0u64, 0u64);
+    for h in handles {
+        let (s, x, b) = h.join().expect("client");
+        (scored, shed, bad) = (scored + s, shed + x, bad + b);
+    }
+    assert_eq!(scored + shed + bad, (clients * rounds * per_round) as u64);
+    assert_eq!(bad, (clients * rounds * per_round / 8) as u64);
+
+    // A round is recorded after its reply bytes leave, so wait (with a
+    // bound) for the written rows to account for every scored one, with
+    // no round landing while the snapshot is taken.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let (snap, stats) = loop {
+        let stats = server.stats();
+        let snap = server.telemetry_snapshot().expect("telemetry on");
+        let settled =
+            server.stats() == stats && snap.total.count + snap.reply_failures >= stats.scored;
+        if settled || Instant::now() >= deadline {
+            break (snap, stats);
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    assert!(stats.shed > 0 && stats.bad_frames > 0, "{stats:?}");
+    assert!(
+        stats.reply_failures > 0,
+        "the hung-up client must cost failed writes: {stats:?}"
+    );
+    assert_eq!(stats.accepted, stats.scored);
+    for (stage, h) in [
+        ("parse", &snap.parse),
+        ("queue_wait", &snap.queue_wait),
+        ("batch_form", &snap.batch_form),
+        ("score", &snap.score),
+    ] {
+        assert_eq!(h.count, stats.scored, "{stage}");
+    }
+    let written = stats.scored - stats.reply_failures;
+    assert_eq!(snap.write.count, written);
+    assert_eq!(snap.total.count, written);
+    assert_eq!(snap.shed_queue_full, stats.shed);
+    assert_eq!(snap.shed_depth.count, stats.shed);
+    assert_eq!(snap.bad_frames, stats.bad_frames);
+    assert_eq!(snap.reply_failures, stats.reply_failures);
+    let slo_total = snap.slo.windows.last().expect("SLO windows").total;
+    assert_eq!(
+        slo_total,
+        snap.total.count + snap.shed_queue_full + snap.bad_frames + snap.reply_failures
+    );
+    assert_eq!(slo_total, stats.scored + stats.shed + stats.bad_frames);
+    assert_eq!(snap.records_dropped, 0);
     drop(server);
 }
