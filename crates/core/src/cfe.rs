@@ -454,9 +454,9 @@ impl ContinualFeatureExtractor {
             }
             if cnd_obs::enabled() {
                 let denom = batches.max(1) as f64;
-                cnd_obs::histogram_record("cfe.loss.cs.value", sums.0 / denom);
-                cnd_obs::histogram_record("cfe.loss.rec.value", sums.1 / denom);
-                cnd_obs::histogram_record("cfe.loss.cl.value", sums.2 / denom);
+                cnd_obs::gauge_set("cfe.loss.cs.value", sums.0 / denom);
+                cnd_obs::gauge_set("cfe.loss.rec.value", sums.1 / denom);
+                cnd_obs::gauge_set("cfe.loss.cl.value", sums.2 / denom);
             }
             // Divergence guard: a NaN input row or an exploding update
             // poisons the epoch mean; abort instead of finishing the
@@ -465,7 +465,7 @@ impl ContinualFeatureExtractor {
             let epoch_loss =
                 (sums.0 + self.config.lambda_r * sums.1 + self.config.lambda_cl * sums.2)
                     / batches.max(1) as f64;
-            cnd_obs::histogram_record("cfe.loss.total.value", epoch_loss);
+            cnd_obs::gauge_set("cfe.loss.total.value", epoch_loss);
             if !epoch_loss.is_finite() {
                 return Err(CoreError::TrainingDiverged {
                     epoch,

@@ -58,6 +58,12 @@ impl DeployedScorer {
     /// Peak memory is one chunk plus its encoded activations,
     /// regardless of store size. Scores are bitwise identical to the
     /// in-memory path (see module docs).
+    ///
+    /// Each chunk's feature rows are freed only when the next chunk is
+    /// requested, right before the source decodes it. Whatever the
+    /// caller allocates while it handles a [`ScoredChunk`] therefore
+    /// cannot take the space the rows held, and the next chunk's rows
+    /// reuse that space instead of growing the heap by one chunk.
     pub fn score_chunks<'a, E, I>(
         &'a self,
         chunks: I,
@@ -67,16 +73,31 @@ impl DeployedScorer {
         I: IntoIterator<Item = Result<RowChunk, E>>,
         I::IntoIter: 'a,
     {
-        chunks.into_iter().map(move |chunk| {
-            let chunk = chunk?;
+        let mut chunks = chunks.into_iter();
+        let mut held = None;
+        std::iter::from_fn(move || {
+            drop(held.take());
+            let chunk = match chunks.next()? {
+                Ok(chunk) => chunk,
+                Err(e) => return Some(Err(e.into())),
+            };
             let _span = cnd_obs::span!("deploy.score_chunk", rows = chunk.len());
-            let scores = self.anomaly_scores(&chunk.rows)?;
+            let scores = match self.anomaly_scores(&chunk.rows) {
+                Ok(scores) => scores,
+                Err(e) => return Some(Err(e)),
+            };
             cnd_obs::counter_add("deploy.score_chunks.rows.count", scores.len() as u64);
-            Ok(ScoredChunk {
+            let RowChunk {
+                rows,
+                labels,
+                start,
+            } = chunk;
+            held = Some(rows);
+            Some(Ok(ScoredChunk {
                 scores,
-                labels: chunk.labels,
-                start: chunk.start,
-            })
+                labels,
+                start,
+            }))
         })
     }
 }
@@ -262,6 +283,34 @@ mod tests {
             assert_eq!(streamed_labels, labels);
         }
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_failed_chunk_is_yielded_in_place_and_scoring_continues() {
+        let d = 6;
+        let scorer = trained_scorer(d);
+        let chunk = |start: usize| RowChunk {
+            rows: Matrix::from_fn(5, d, |i, j| flow(start + i, j)),
+            labels: vec![1; 5],
+            start: start as u64,
+        };
+        let source = vec![
+            Ok(chunk(0)),
+            Err(cnd_store::StoreError::Usage("unreadable slab".into())),
+            Ok(chunk(10)),
+        ];
+        let out: Vec<_> = scorer.score_chunks(source).collect();
+        assert_eq!(out.len(), 3);
+        for (got, start) in [(&out[0], 0), (&out[2], 10)] {
+            let got = got.as_ref().unwrap();
+            assert_eq!(got.start, start as u64);
+            assert_eq!(got.labels, vec![1; 5]);
+            assert_eq!(
+                got.scores,
+                scorer.anomaly_scores(&chunk(start).rows).unwrap()
+            );
+        }
+        assert!(matches!(out[1], Err(CoreError::Storage(_))));
     }
 
     #[test]

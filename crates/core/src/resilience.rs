@@ -366,17 +366,7 @@ impl ResilientStreamingCndIds {
         // mid-rollback must not steer the trigger logic.
         if let Some(scorer) = &self.fallback {
             for s in scorer.anomaly_scores(&Matrix::from_rows(&accepted)?)? {
-                let outcome = self.core.observe_score(s, &mut events);
-                if outcome.rejected {
-                    cnd_obs::counter_add("stream.drift.rejected.count", 1);
-                }
-                if let Some(v) = outcome.verdict {
-                    cnd_obs::histogram_record("stream.drift.psi.value", v.psi);
-                    cnd_obs::histogram_record("stream.drift.sym_kl.value", v.sym_kl);
-                    if v.drifted {
-                        cnd_obs::counter_add("stream.drift.confirmed.count", 1);
-                    }
-                }
+                self.core.observe_score(s, &mut events);
             }
         }
         let mut dropped = 0;

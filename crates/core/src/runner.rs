@@ -154,8 +154,8 @@ fn emit_quality_record(
     }
     let score_hist = monitor.current_histogram().clone();
     if let Some(v) = monitor.rotate() {
-        cnd_obs::histogram_record("quality.drift.psi.value", v.psi);
-        cnd_obs::histogram_record("quality.drift.sym_kl.value", v.sym_kl);
+        cnd_obs::gauge_set("quality.drift.psi.value", v.psi);
+        cnd_obs::gauge_set("quality.drift.sym_kl.value", v.sym_kl);
         if v.drifted {
             cnd_obs::counter_add("quality.drift.flagged.count", 1);
         }

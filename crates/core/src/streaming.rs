@@ -429,7 +429,20 @@ impl Host {
             Host::Serve => cnd_obs::counter_add_volatile(name, v),
         }
     }
+
+    fn gauge(self, name: &str, v: f64) {
+        match self {
+            Host::Stream => cnd_obs::gauge_set(name, v),
+            Host::Serve => cnd_obs::gauge_set_volatile(name, v),
+        }
+    }
 }
+
+/// Non-finite scores left out of a drift window
+/// ([`ContinualCore::observe_score`]).
+const DRIFT_REJECTED: &str = "continual.drift_rejected.count";
+/// Closed drift windows whose verdict drifted, armed or not.
+const DRIFT_CONFIRMED: &str = "continual.drift_confirmed.count";
 
 /// What kind of [`ContinualEvent`] happened: the key of the status
 /// counts and the `kind` of the event's trace, flight and ledger lines.
@@ -858,17 +871,6 @@ impl fmt::Display for ContinualStatus {
     }
 }
 
-/// What one score did to the drift window
-/// ([`ContinualCore::observe_score`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScoreOutcome {
-    /// The score was non-finite and left out of the histogram.
-    pub rejected: bool,
-    /// The verdict of the window this score closed, if it closed one
-    /// that had a previous window to compare against.
-    pub verdict: Option<DriftVerdict>,
-}
-
 /// The guard, drift, reservoir, backoff and fault decisions of one
 /// continual loop (see the [module docs](self)).
 pub struct ContinualCore {
@@ -899,8 +901,8 @@ pub struct ContinualCore {
 
 impl ContinualCore {
     /// A core guarding inputs with `scaler`'s fitted statistics. Every
-    /// event counter is registered at zero, so a scrape sees it before
-    /// the first cycle.
+    /// event and drift counter is registered at zero, so a scrape sees
+    /// it before the first cycle.
     pub fn new(
         scaler: &StandardScaler,
         config: StreamingConfig,
@@ -910,6 +912,8 @@ impl ContinualCore {
         for kind in EventKind::ALL {
             host.count(kind.metric(), 0);
         }
+        host.count(DRIFT_REJECTED, 0);
+        host.count(DRIFT_CONFIRMED, 0);
         ContinualCore {
             config,
             retry,
@@ -967,28 +971,32 @@ impl ContinualCore {
     /// closes the window when this score fills it to `drift_window`, so
     /// every window holds exactly `drift_window` scores however the host
     /// batches them. A non-finite score is rejected from the histogram
-    /// but still counts toward the window.
+    /// (counted in `continual.drift_rejected.count`) but still counts
+    /// toward the window.
     ///
     /// A closing window's verdict is compared against the previous
-    /// window (there is none for the first window after a reset). A
-    /// drifted verdict arms a retrain until [`reset_drift`](Self::reset_drift):
-    /// arming mints a cycle (unless one is in flight) and records
+    /// window (there is none for the first window after a reset) and
+    /// returned. It sets the `continual.drift.{psi,sym_kl}` gauges, and
+    /// a drifted one bumps `continual.drift_confirmed.count` and arms a
+    /// retrain until [`reset_drift`](Self::reset_drift): arming mints a
+    /// cycle (unless one is in flight) and records
     /// [`ContinualEvent::DriftDetected`] into `events`.
-    pub fn observe_score(&mut self, score: f64, events: &mut Vec<ContinualEvent>) -> ScoreOutcome {
+    pub fn observe_score(
+        &mut self,
+        score: f64,
+        events: &mut Vec<ContinualEvent>,
+    ) -> Option<DriftVerdict> {
         // FRE scores are heavy-tailed; the log keeps a few extreme flows
         // from owning the histogram.
         let value = (1.0 + score.max(0.0)).ln();
         self.window += 1;
-        let rejected = !value.is_finite();
-        if rejected {
-            self.drift_rejections += 1;
-        } else {
+        if value.is_finite() {
             self.drift.observe(value);
+        } else {
+            self.drift_rejections += 1;
+            self.host.count(DRIFT_REJECTED, 1);
         }
-        ScoreOutcome {
-            rejected,
-            verdict: self.close_window(events),
-        }
+        self.close_window(events)
     }
 
     fn close_window(&mut self, events: &mut Vec<ContinualEvent>) -> Option<DriftVerdict> {
@@ -998,6 +1006,11 @@ impl ContinualCore {
         self.window = 0;
         let verdict = self.drift.rotate()?;
         self.last_verdict = Some(verdict);
+        self.host.gauge("continual.drift.psi", verdict.psi);
+        self.host.gauge("continual.drift.sym_kl", verdict.sym_kl);
+        if verdict.drifted {
+            self.host.count(DRIFT_CONFIRMED, 1);
+        }
         if verdict.drifted && !self.armed {
             self.armed = true;
             let drift = DriftProvenance {
@@ -1278,9 +1291,7 @@ mod tests {
     fn window(c: &mut ContinualCore, base: f64) -> Option<DriftVerdict> {
         let mut verdict = None;
         for i in 0..40 {
-            verdict = c
-                .observe_score(base + (i % 8) as f64 * 0.1, &mut Vec::new())
-                .verdict;
+            verdict = c.observe_score(base + (i % 8) as f64 * 0.1, &mut Vec::new());
         }
         verdict
     }
@@ -1329,12 +1340,12 @@ mod tests {
     fn non_finite_scores_are_rejected_but_fill_the_window() {
         let mut c = core(100_000);
         for _ in 0..39 {
-            assert!(!c.observe_score(1.0, &mut Vec::new()).rejected);
+            c.observe_score(1.0, &mut Vec::new());
         }
+        assert_eq!(c.status(0).drift_rejections, 0);
         let last = c.observe_score(f64::INFINITY, &mut Vec::new());
-        assert!(last.rejected);
         assert_eq!(c.status(0).drift_rejections, 1);
-        assert!(last.verdict.is_none(), "the first window is the reference");
+        assert!(last.is_none(), "the first window is the reference");
         assert!(window(&mut c, 0.0).is_some(), "so the second one compares");
     }
 
@@ -1354,10 +1365,7 @@ mod tests {
             Host::Stream,
         );
         let verdicts = (0..3000)
-            .filter_map(|i| {
-                c.observe_score((i % 8) as f64 * 0.1, &mut Vec::new())
-                    .verdict
-            })
+            .filter_map(|i| c.observe_score((i % 8) as f64 * 0.1, &mut Vec::new()))
             .count();
         assert_eq!(verdicts, 3000 / 256 - 1);
         assert!(c.status(0).score_drift.is_some());

@@ -357,17 +357,17 @@ mod tests {
     #[test]
     fn extracts_quality_metrics_from_trace() {
         let trace = concat!(
-            "{\"ev\":\"meta\",\"version\":1,\"clock\":\"deterministic\",\"unit\":\"tick\",\"dropped\":0}\n",
+            "{\"ev\":\"meta\",\"version\":2,\"clock\":\"deterministic\",\"unit\":\"tick\",\"dropped\":0}\n",
             "{\"ev\":\"quality\",\"t\":1,\"experience\":0,\"f1\":[0.9,0.4],\"pr_auc\":0.8,\"threshold\":1.0,",
             "\"avg\":0.9,\"fwd_trans\":0.4,\"bwd_trans\":0.0,",
-            "\"scores\":{\"count\":1,\"zero\":0,\"rejected\":0,\"sum\":1.0,\"min\":1.0,\"max\":1.0,\"buckets\":{\"0\":1}}}\n",
+            "\"scores\":{\"count\":1,\"sum\":4294967296,\"min\":4294967296,\"max\":4294967296,\"buckets\":{\"3328\":1}}}\n",
         );
         let m = extract_metrics(trace).expect("extract");
         assert_eq!(m.get("quality.e0.avg"), Some(&0.9));
         assert_eq!(m.get("quality.e0.pr_auc"), Some(&0.8));
         assert_eq!(m.get("quality.e0.f1_seen"), Some(&0.9));
         assert!(extract_metrics(
-            "{\"ev\":\"meta\",\"version\":1,\"clock\":\"wall\",\"unit\":\"us\",\"dropped\":0}\n"
+            "{\"ev\":\"meta\",\"version\":2,\"clock\":\"wall\",\"unit\":\"us\",\"dropped\":0}\n"
         )
         .is_err());
     }

@@ -4,8 +4,8 @@
 //! Scrape endpoints (std-only, no HTTP library):
 //!
 //! * `GET /metrics` — the metrics registry in Prometheus text
-//!   exposition format 0.0.4 (counters, gauges, and log-bucketed
-//!   histograms rendered as cumulative `_bucket{le="..."}` series).
+//!   exposition format 0.0.4 (counters, gauges, and HDR histograms
+//!   rendered as summaries with quantile series).
 //! * `GET /health`  — a one-object JSON snapshot of recorder state
 //!   (enabled flag, clock kind, event/drop/metric counts).
 //!
@@ -22,7 +22,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::hdr::HdrHistogram;
-use crate::metrics::{Histogram, MetricValue};
+use crate::metrics::MetricValue;
 
 /// Maps a dotted metric name to a Prometheus-legal one: every char
 /// outside `[A-Za-z0-9_:]` becomes `_`, and a leading digit gets a
@@ -53,26 +53,6 @@ fn prom_f64(v: f64) -> String {
         "-Inf".to_string()
     } else {
         format!("{v:?}")
-    }
-}
-
-fn write_histogram(name: &str, h: &Histogram, out: &mut String) {
-    out.push_str(&format!("# TYPE {name} histogram\n"));
-    let mut cumulative = h.zero;
-    if h.zero > 0 {
-        out.push_str(&format!("{name}_bucket{{le=\"0\"}} {cumulative}\n"));
-    }
-    for (&e, &c) in &h.buckets {
-        cumulative += c;
-        let le = prom_f64(((e + 1) as f64).exp2());
-        out.push_str(&format!("{name}_bucket{{le=\"{le}\"}} {cumulative}\n"));
-    }
-    out.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {}\n", h.count));
-    out.push_str(&format!("{name}_sum {}\n", prom_f64(h.sum)));
-    out.push_str(&format!("{name}_count {}\n", h.count));
-    if h.rejected > 0 {
-        out.push_str(&format!("# TYPE {name}_rejected counter\n"));
-        out.push_str(&format!("{name}_rejected {}\n", h.rejected));
     }
 }
 
@@ -111,7 +91,6 @@ pub fn prometheus_text() -> String {
             MetricValue::Gauge(g) => {
                 out.push_str(&format!("# TYPE {pname} gauge\n{pname} {}\n", prom_f64(*g)));
             }
-            MetricValue::Histogram(h) => write_histogram(&pname, h, &mut out),
             MetricValue::Hdr(h) => write_hdr(&pname, h, &mut out),
         }
     }
@@ -312,17 +291,18 @@ mod tests {
         let _session = Session::deterministic();
         crate::counter_add("test.export.count", 3);
         crate::gauge_set("test.export.value", 1.5);
-        crate::histogram_record("test.export.hist", 0.0);
-        crate::histogram_record("test.export.hist", 3.0);
-        crate::histogram_record("test.export.hist", f64::NAN);
+        crate::hdr_record("test.export.us", 0);
+        crate::hdr_record("test.export.us", 3);
         let text = prometheus_text();
         assert!(text.contains("# TYPE test_export_count counter\ntest_export_count 3\n"));
         assert!(text.contains("# TYPE test_export_value gauge\ntest_export_value 1.5\n"));
-        assert!(text.contains("test_export_hist_bucket{le=\"0\"} 1\n"));
-        assert!(text.contains("test_export_hist_bucket{le=\"4.0\"} 2\n"));
-        assert!(text.contains("test_export_hist_bucket{le=\"+Inf\"} 2\n"));
-        assert!(text.contains("test_export_hist_count 2\n"));
-        assert!(text.contains("test_export_hist_rejected 1\n"));
+        assert!(text.contains("# TYPE test_export_us summary\n"));
+        assert!(text.contains("test_export_us{quantile=\"0.5\"} 0\n"));
+        assert!(text.contains("test_export_us_sum 3\ntest_export_us_count 2\n"));
+        assert!(
+            !text.contains("_bucket{"),
+            "no exponent-bucket series remain"
+        );
     }
 
     #[test]

@@ -1,7 +1,9 @@
-//! HDR-style log-bucketed latency histograms.
+//! HDR-style log-bucketed histograms: the one distribution type of
+//! `cnd-obs`.
 //!
 //! [`HdrHistogram`] records unsigned integer values (the serving data
-//! plane feeds it microseconds) into buckets whose width is a fixed
+//! plane feeds it microseconds; the drift monitor feeds it scores
+//! through [`fixed_point`]) into buckets whose width is a fixed
 //! fraction of their magnitude: values below `2^SUB_BITS` are recorded
 //! exactly, larger values share `2^SUB_BITS` linear sub-buckets per
 //! power of two. With [`SUB_BITS`]` = 7` the quantile error is bounded
@@ -76,6 +78,23 @@ pub fn bucket_bounds(i: u32) -> (u64, u64) {
     // exclusive upper bound is 2^64 — inside u64.
     let high = low + ((1u64 << shift) - 1);
     (low, high)
+}
+
+/// `2^32`: the scale of [`fixed_point`].
+const FIXED_SCALE: f64 = 4_294_967_296.0;
+
+/// Maps a finite `v >= 0` to fixed point with 32 fractional bits,
+/// `(v·2³²) as u64`, so `f64` distributions (the drift monitor's
+/// scores) record into an [`HdrHistogram`]. Returns `None` for `NaN`,
+/// `±inf` and negative values.
+///
+/// The power-of-two scale keeps octaves aligned: a `v` in `[2^k,
+/// 2^(k+1))` with `-32 <= k < 32` maps into `[2^(k+32), 2^(k+33))`, so
+/// its bit length is `k + 33`. That range, `[2^-32, 2^32)`, is exact;
+/// smaller values fold to `0` and values `>= 2^32` saturate to
+/// `u64::MAX` (the top bucket).
+pub fn fixed_point(v: f64) -> Option<u64> {
+    (v.is_finite() && v >= 0.0).then_some((v * FIXED_SCALE) as u64)
 }
 
 impl HdrHistogram {
@@ -224,6 +243,43 @@ mod tests {
             last = i;
             let (lo, hi) = bucket_bounds(i);
             assert!(lo <= v && v <= hi, "value {v} outside bucket [{lo}, {hi}]");
+        }
+    }
+
+    #[test]
+    fn buckets_never_straddle_a_power_of_two() {
+        // The drift monitor groups buckets into octaves by the bit
+        // length of their low bound; that is only a partition if both
+        // bounds of every bucket share one bit length.
+        let bits = |v: u64| 64 - v.leading_zeros();
+        for i in 0..=MAX_INDEX {
+            let (lo, hi) = bucket_bounds(i);
+            assert_eq!(bits(lo), bits(hi), "bucket {i} = [{lo}, {hi}]");
+        }
+    }
+
+    #[test]
+    fn fixed_point_scales_by_two_to_the_32() {
+        assert_eq!(fixed_point(0.0), Some(0));
+        assert_eq!(fixed_point(-0.0), Some(0));
+        assert_eq!(fixed_point(1.0), Some(1 << 32));
+        assert_eq!(fixed_point(0.5), Some(1 << 31));
+        assert_eq!(fixed_point(2f64.powi(-32)), Some(1));
+        assert_eq!(
+            fixed_point(2f64.powi(-33)),
+            Some(0),
+            "below 2^-32 folds to 0"
+        );
+        assert_eq!(fixed_point(2f64.powi(32)), Some(u64::MAX), "saturates");
+        assert_eq!(fixed_point(f64::MAX), Some(u64::MAX));
+        for v in [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -1.0,
+            -f64::MIN_POSITIVE,
+        ] {
+            assert_eq!(fixed_point(v), None, "{v} must be refused");
         }
     }
 

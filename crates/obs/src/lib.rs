@@ -1,9 +1,9 @@
 //! `cnd-obs` — zero-dependency observability for CND-IDS.
 //!
-//! Spans (nested wall-time scopes), metrics (counters, gauges,
-//! log-bucketed histograms), and sinks (JSONL trace files, a
-//! human-readable summary table, in-memory snapshots for tests), all
-//! std-only to match the rest of the workspace.
+//! Spans (nested wall-time scopes), metrics (counters, gauges, HDR
+//! histograms), and sinks (JSONL trace files, a human-readable summary
+//! table, in-memory snapshots for tests), all std-only to match the
+//! rest of the workspace.
 //!
 //! # Design rules
 //!
@@ -367,22 +367,6 @@ pub fn gauge_set_volatile(name: &str, v: f64) {
     }
 }
 
-/// Records `v` into the histogram `name`. No-op while disabled.
-#[inline]
-pub fn histogram_record(name: &str, v: f64) {
-    if enabled() {
-        recorder().metrics.histogram_record(name, v, false);
-    }
-}
-
-/// Records into a **volatile** histogram. No-op while disabled.
-#[inline]
-pub fn histogram_record_volatile(name: &str, v: f64) {
-    if enabled() {
-        recorder().metrics.histogram_record(name, v, true);
-    }
-}
-
 /// Records `v` (integer microseconds) into the HDR histogram `name`.
 /// No-op while disabled.
 #[inline]
@@ -521,19 +505,6 @@ pub fn summary() -> String {
                 metrics::MetricValue::Gauge(g) => {
                     let _ = writeln!(out, "  {name:<40} gauge   {g:?}");
                 }
-                metrics::MetricValue::Histogram(h) => {
-                    let _ = writeln!(
-                        out,
-                        "  {name:<40} hist    n={} mean={:.6} min={} max={} rejected={}",
-                        h.count,
-                        h.mean(),
-                        h.min
-                            .map_or_else(|| String::from("-"), |v| format!("{v:.6}")),
-                        h.max
-                            .map_or_else(|| String::from("-"), |v| format!("{v:.6}")),
-                        h.rejected
-                    );
-                }
                 metrics::MetricValue::Hdr(h) => {
                     let (p50, p90, p99, p999) = h.standard_quantiles();
                     let _ = writeln!(
@@ -637,7 +608,6 @@ mod tests {
                 assert_ne!(child.id(), root_id);
             }
             counter_add("test.events.count", 5);
-            histogram_record("test.loss.value", 0.25);
         }
         let text = snapshot_jsonl();
         trace::validate_jsonl(&text).expect("trace validates");
@@ -684,8 +654,8 @@ mod tests {
     #[test]
     fn quality_records_enter_the_trace_stream() {
         let _session = Session::deterministic();
-        let mut scores = metrics::Histogram::default();
-        scores.record(1.0);
+        let mut scores = HdrHistogram::new();
+        scores.record(hdr::fixed_point(1.0).unwrap());
         let record = QualityRecord {
             experience: 0,
             f1_row: vec![1.0],
@@ -712,7 +682,7 @@ mod tests {
         set_enabled(false);
         counter_add("test.off.count", 1);
         gauge_set("test.off.value", 1.0);
-        histogram_record("test.off.hist", 1.0);
+        hdr_record("test.off.us", 1);
         set_enabled(true);
         let text = snapshot_jsonl();
         assert!(!text.contains("test.off"));

@@ -1,8 +1,8 @@
-//! The metrics registry: counters, gauges, and log-bucketed histograms.
+//! The metrics registry: counters, gauges, and HDR histograms.
 //!
 //! Metric names follow the `subsystem.verb.unit` convention documented
 //! in DESIGN.md §8 (e.g. `resilience.quarantine.count`,
-//! `cfe.epoch.loss.value`). Names are kept in a `BTreeMap`, so every
+//! `cfe.loss.total.value`). Names are kept in a `BTreeMap`, so every
 //! export (JSONL, summary table) lists metrics in a deterministic
 //! lexicographic order.
 //!
@@ -17,100 +17,6 @@ use std::collections::BTreeMap;
 
 use crate::hdr::HdrHistogram;
 
-/// Histogram bucket exponents are clamped to `[MIN_EXP, MAX_EXP]`;
-/// bucket `e` covers values in `[2^e, 2^(e+1))`.
-pub const MIN_EXP: i32 = -64;
-/// See [`MIN_EXP`].
-pub const MAX_EXP: i32 = 63;
-
-/// A fixed log-bucketed histogram of non-negative finite values.
-///
-/// Bucketing is by the value's binary exponent, extracted from the IEEE
-/// 754 bit pattern (never from `log2`, whose rounding at bucket
-/// boundaries is platform-dependent), so identical value streams always
-/// produce identical bucket maps:
-///
-/// * `NaN`, `±inf` and negative values are **rejected** (counted in
-///   [`Histogram::rejected`], otherwise ignored);
-/// * exact `0.0` gets its own bucket ([`Histogram::zero`]);
-/// * subnormals clamp into the lowest bucket `MIN_EXP`;
-/// * huge values clamp into the highest bucket `MAX_EXP`.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct Histogram {
-    /// Values accepted (including zeros).
-    pub count: u64,
-    /// Sum of accepted values.
-    pub sum: f64,
-    /// Smallest accepted value (`None` until the first accept).
-    pub min: Option<f64>,
-    /// Largest accepted value (`None` until the first accept).
-    pub max: Option<f64>,
-    /// Exact zeros observed (not assigned to an exponent bucket).
-    pub zero: u64,
-    /// Observations rejected for being NaN, infinite, or negative.
-    pub rejected: u64,
-    /// Sparse bucket map: binary exponent → count.
-    pub buckets: BTreeMap<i32, u64>,
-}
-
-/// Bucket exponent for a strictly positive finite value.
-fn bucket_exp(v: f64) -> i32 {
-    debug_assert!(v.is_finite() && v > 0.0);
-    let biased = ((v.to_bits() >> 52) & 0x7ff) as i32;
-    // Subnormals have biased exponent 0; clamp them (and any other
-    // tiny value) into the lowest bucket.
-    (biased - 1023).clamp(MIN_EXP, MAX_EXP)
-}
-
-impl Histogram {
-    /// Records one observation (see the type docs for edge-case rules).
-    pub fn record(&mut self, v: f64) {
-        if !v.is_finite() || v < 0.0 {
-            self.rejected += 1;
-            return;
-        }
-        self.count += 1;
-        self.sum += v;
-        self.min = Some(self.min.map_or(v, |m| m.min(v)));
-        self.max = Some(self.max.map_or(v, |m| m.max(v)));
-        if v == 0.0 {
-            self.zero += 1;
-        } else {
-            *self.buckets.entry(bucket_exp(v)).or_insert(0) += 1;
-        }
-    }
-
-    /// Mean of accepted values (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Deterministic quantile estimate: the upper bound `2^(e+1)` of the
-    /// bucket containing the `q`-th observation (0 for the zero bucket).
-    /// Returns `None` when empty or `q` is outside `[0, 1]`.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.count == 0 || !(0.0..=1.0).contains(&q) {
-            return None;
-        }
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen = self.zero;
-        if rank <= seen {
-            return Some(0.0);
-        }
-        for (&e, &c) in &self.buckets {
-            seen += c;
-            if rank <= seen {
-                return Some(((e + 1) as f64).exp2());
-            }
-        }
-        self.max
-    }
-}
-
 /// The value side of one registered metric.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MetricValue {
@@ -118,10 +24,8 @@ pub enum MetricValue {
     Counter(u64),
     /// Last-write-wins instantaneous value.
     Gauge(f64),
-    /// Log-bucketed distribution.
-    Histogram(Histogram),
-    /// HDR latency distribution of integer microseconds (~1% relative
-    /// quantile error; see [`crate::hdr`]).
+    /// HDR distribution of integer values, latency microseconds in
+    /// practice (~1% relative quantile error; see [`crate::hdr`]).
     Hdr(HdrHistogram),
 }
 
@@ -131,7 +35,6 @@ impl MetricValue {
         match self {
             MetricValue::Counter(_) => "counter",
             MetricValue::Gauge(_) => "gauge",
-            MetricValue::Histogram(_) => "hist",
             MetricValue::Hdr(_) => "hdr",
         }
     }
@@ -181,18 +84,6 @@ impl Registry {
         m.volatile |= volatile;
         if let MetricValue::Gauge(g) = &mut m.value {
             *g = v;
-        }
-    }
-
-    /// Records `v` into the histogram `name`.
-    pub fn histogram_record(&mut self, name: &str, v: f64, volatile: bool) {
-        let m = self.metrics.entry(name.to_string()).or_insert(Metric {
-            value: MetricValue::Histogram(Histogram::default()),
-            volatile,
-        });
-        m.volatile |= volatile;
-        if let MetricValue::Histogram(h) = &mut m.value {
-            h.record(v);
         }
     }
 
@@ -246,74 +137,88 @@ impl Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hdr::{bucket_bounds, bucket_index, fixed_point, MAX_INDEX};
+
+    /// Records each `f64` that [`fixed_point`] accepts into the HDR
+    /// histogram `name`, the way the drift monitor records scores.
+    fn record_scores(r: &mut Registry, name: &str, vs: &[f64]) {
+        for &v in vs {
+            if let Some(x) = fixed_point(v) {
+                r.hdr_record(name, x, false);
+            }
+        }
+    }
+
+    fn hdr<'a>(r: &'a Registry, name: &str) -> &'a HdrHistogram {
+        match &r.get(name).expect("registered").value {
+            MetricValue::Hdr(h) => h,
+            v => panic!("{name} is a {}", v.kind()),
+        }
+    }
 
     #[test]
     fn histogram_buckets_by_binary_exponent() {
-        let mut h = Histogram::default();
-        for v in [1.0, 1.5, 1.999, 2.0, 3.9, 4.0, 0.5] {
-            h.record(v);
-        }
+        let mut r = Registry::default();
+        record_scores(&mut r, "s", &[1.0, 1.5, 1.999, 2.0, 3.9, 4.0, 0.5]);
+        let h = hdr(&r, "s");
         assert_eq!(h.count, 7);
-        assert_eq!(h.buckets.get(&0), Some(&3)); // [1, 2)
-        assert_eq!(h.buckets.get(&1), Some(&2)); // [2, 4)
-        assert_eq!(h.buckets.get(&2), Some(&1)); // [4, 8)
-        assert_eq!(h.buckets.get(&-1), Some(&1)); // [0.5, 1)
-        assert_eq!(h.rejected, 0);
+        // Bucket counts summed by binary exponent: a fixed-point value
+        // in [2^k, 2^(k+1)) has a low bound of bit length k + 33.
+        let mut by_exp = BTreeMap::new();
+        for (&i, &c) in &h.buckets {
+            let bits = 64 - bucket_bounds(i).0.leading_zeros() as i32;
+            *by_exp.entry(bits - 33).or_insert(0u64) += c;
+        }
+        assert_eq!(by_exp.get(&0), Some(&3)); // [1, 2)
+        assert_eq!(by_exp.get(&1), Some(&2)); // [2, 4)
+        assert_eq!(by_exp.get(&2), Some(&1)); // [4, 8)
+        assert_eq!(by_exp.get(&-1), Some(&1)); // [0.5, 1)
+        assert_eq!(by_exp.len(), 4);
     }
 
     #[test]
     fn histogram_zero_has_its_own_bucket() {
-        let mut h = Histogram::default();
-        h.record(0.0);
-        h.record(0.0);
-        assert_eq!(h.zero, 2);
+        let mut r = Registry::default();
+        record_scores(&mut r, "s", &[0.0, 0.0]);
+        let h = hdr(&r, "s");
         assert_eq!(h.count, 2);
-        assert!(h.buckets.is_empty());
-        assert_eq!(h.min, Some(0.0));
-        assert_eq!(h.quantile(0.5), Some(0.0));
+        let zero = bucket_index(0);
+        assert_eq!(bucket_bounds(zero), (0, 0), "the zero bucket holds only 0");
+        assert_eq!(h.buckets.len(), 1);
+        assert_eq!(h.buckets.get(&zero), Some(&2));
+        assert_eq!(h.min, Some(0));
+        assert_eq!(h.quantile(0.5), Some(0));
     }
 
     #[test]
     fn histogram_subnormals_clamp_to_lowest_bucket() {
-        let mut h = Histogram::default();
+        let mut r = Registry::default();
         let sub = f64::MIN_POSITIVE / 4.0;
         assert!(sub > 0.0 && !sub.is_normal());
-        h.record(sub);
-        h.record(f64::MIN_POSITIVE); // smallest normal, exp -1022 -> clamped
-        assert_eq!(h.count, 2);
-        assert_eq!(h.buckets.get(&MIN_EXP), Some(&2));
-        assert_eq!(h.rejected, 0);
+        record_scores(&mut r, "s", &[sub, f64::MIN_POSITIVE, 2f64.powi(-33)]);
+        let h = hdr(&r, "s");
+        assert_eq!(h.count, 3);
+        assert_eq!(bucket_index(0), 0, "zero is the lowest bucket");
+        assert_eq!(h.buckets.get(&0), Some(&3));
+        assert_eq!(h.buckets.len(), 1);
     }
 
     #[test]
     fn histogram_rejects_nonfinite_and_negative() {
-        let mut h = Histogram::default();
-        h.record(f64::NAN);
-        h.record(f64::INFINITY);
-        h.record(f64::NEG_INFINITY);
-        h.record(-1.0);
-        assert_eq!(h.rejected, 4);
-        assert_eq!(h.count, 0);
-        assert_eq!(h.min, None);
-        assert_eq!(h.quantile(0.5), None);
-        // Huge finite values clamp instead of being rejected.
-        h.record(f64::MAX);
+        let mut r = Registry::default();
+        record_scores(
+            &mut r,
+            "s",
+            &[f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0],
+        );
+        assert!(r.get("s").is_none(), "refused values record nothing");
+        assert!(r.is_empty());
+        // Huge finite values clamp into the top bucket instead of being
+        // refused.
+        record_scores(&mut r, "s", &[f64::MAX]);
+        let h = hdr(&r, "s");
         assert_eq!(h.count, 1);
-        assert_eq!(h.buckets.get(&MAX_EXP), Some(&1));
-    }
-
-    #[test]
-    fn histogram_quantiles_are_bucket_upper_bounds() {
-        let mut h = Histogram::default();
-        for _ in 0..90 {
-            h.record(1.0); // bucket 0 -> upper bound 2
-        }
-        for _ in 0..10 {
-            h.record(100.0); // bucket 6 -> upper bound 128
-        }
-        assert_eq!(h.quantile(0.5), Some(2.0));
-        assert_eq!(h.quantile(0.99), Some(128.0));
-        assert!((h.mean() - (90.0 + 1000.0) / 100.0).abs() < 1e-12);
+        assert_eq!(h.buckets.get(&MAX_INDEX), Some(&1));
     }
 
     #[test]

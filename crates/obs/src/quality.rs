@@ -4,11 +4,20 @@
 //! CND-IDS's continual evaluation produces, per experience, an F1
 //! matrix row, PR-AUC, the Best-F threshold, and the running continual
 //! summary (AVG / FwdTrans / BwdTrans). A [`QualityRecord`] packages
-//! those together with a log-bucketed histogram of the novelty scores
-//! so the trace stream carries *model* quality next to timing spans.
+//! those together with an [`HdrHistogram`] of the novelty scores so the
+//! trace stream carries *model* quality next to timing spans.
 //!
-//! Drift between score distributions is measured on the histograms
-//! with two standard divergences (DESIGN.md §9):
+//! Scores enter the histograms in fixed point ([`fixed_point`],
+//! `v·2³²`), and the divergences compare them by **octave**: HDR
+//! buckets grouped by the bit length of their low bound, the zero
+//! bucket as octave 0. No HDR bucket straddles a power of two, so for
+//! scores that are 0 or lie in `[2^-32, 2^32)` octave `k + 33` holds
+//! exactly the scores in `[2^k, 2^(k+1))`. Smaller positive scores
+//! fold into the zero octave, and scores `>= 2^32` saturate into the
+//! top one (octave 64, shared with `[2^31, 2^32)`).
+//!
+//! Drift between score distributions is measured on the octaves with
+//! two standard divergences (DESIGN.md §9):
 //!
 //! * **PSI** (population stability index):
 //!   `Σ_b (p_b − q_b) · ln(p_b / q_b)` — the industry-standard
@@ -16,11 +25,13 @@
 //! * **Symmetric KL**: `(KL(p‖q) + KL(q‖p)) / 2` — a smoother
 //!   companion that weights tail buckets less aggressively.
 //!
-//! Both are computed over the union of occupied buckets (plus the zero
-//! bucket) with additive smoothing, so empty buckets never produce
-//! infinities and the result is deterministic for identical inputs.
+//! Both are computed over the union of occupied octaves with additive
+//! smoothing, so empty octaves never produce infinities and the result
+//! is deterministic for identical inputs.
 
-use crate::metrics::Histogram;
+use std::collections::BTreeMap;
+
+use crate::hdr::{bucket_bounds, fixed_point, HdrHistogram};
 
 /// Per-experience model-quality payload carried by `quality` trace
 /// events. All floats come from seeded, bit-reproducible model math,
@@ -42,8 +53,9 @@ pub struct QualityRecord {
     pub fwd_trans: f64,
     /// Backward transfer over experiences seen so far (0 at step 0).
     pub bwd_trans: f64,
-    /// Log-bucketed histogram of the novelty scores at this step.
-    pub scores: Histogram,
+    /// The novelty scores at this step, in fixed point
+    /// ([`fixed_point`]).
+    pub scores: HdrHistogram,
 }
 
 /// Thresholds above which a [`DriftVerdict`] flags drift.
@@ -79,51 +91,47 @@ pub struct DriftVerdict {
 /// divergences finite when a bucket is occupied on one side only.
 const SMOOTHING: f64 = 0.5;
 
-/// Sentinel bucket key for the histogram's dedicated zero bucket.
-const ZERO_BUCKET: i32 = i32::MIN;
+/// The octave of HDR bucket `i`: the bit length of its low bound (0
+/// for the zero bucket).
+fn octave(i: u32) -> u32 {
+    64 - bucket_bounds(i).0.leading_zeros()
+}
+
+/// Bucket counts of `h` summed per octave.
+fn octaves(h: &HdrHistogram) -> BTreeMap<u32, u64> {
+    let mut out = BTreeMap::new();
+    for (&i, &c) in &h.buckets {
+        *out.entry(octave(i)).or_insert(0) += c;
+    }
+    out
+}
 
 /// Smoothed probability vectors for `p` and `q` over the union of
-/// their occupied buckets (zero bucket included). Empty union → empty
+/// their occupied octaves, in octave order. Empty union → empty
 /// vectors.
-fn aligned_probabilities(p: &Histogram, q: &Histogram) -> (Vec<f64>, Vec<f64>) {
-    let mut keys: Vec<i32> = Vec::new();
-    if p.zero > 0 || q.zero > 0 {
-        keys.push(ZERO_BUCKET);
-    }
-    keys.extend(p.buckets.keys().copied());
-    for &k in q.buckets.keys() {
-        if !p.buckets.contains_key(&k) {
-            keys.push(k);
-        }
-    }
+fn aligned_probabilities(p: &HdrHistogram, q: &HdrHistogram) -> (Vec<f64>, Vec<f64>) {
+    let (po, qo) = (octaves(p), octaves(q));
+    let mut keys: Vec<u32> = po.keys().chain(qo.keys()).copied().collect();
     keys.sort_unstable();
-    if keys.is_empty() {
-        return (Vec::new(), Vec::new());
-    }
-    let count = |h: &Histogram, k: i32| -> f64 {
-        if k == ZERO_BUCKET {
-            h.zero as f64
-        } else {
-            h.buckets.get(&k).copied().unwrap_or(0) as f64
-        }
-    };
+    keys.dedup();
+    let count = |o: &BTreeMap<u32, u64>, k: u32| o.get(&k).copied().unwrap_or(0) as f64;
     let k_total = keys.len() as f64;
     let p_total = p.count as f64 + SMOOTHING * k_total;
     let q_total = q.count as f64 + SMOOTHING * k_total;
     let pv = keys
         .iter()
-        .map(|&k| (count(p, k) + SMOOTHING) / p_total)
+        .map(|&k| (count(&po, k) + SMOOTHING) / p_total)
         .collect();
     let qv = keys
         .iter()
-        .map(|&k| (count(q, k) + SMOOTHING) / q_total)
+        .map(|&k| (count(&qo, k) + SMOOTHING) / q_total)
         .collect();
     (pv, qv)
 }
 
 /// Population stability index between two histograms (0 when both are
 /// empty). Always finite and non-negative.
-pub fn psi(p: &Histogram, q: &Histogram) -> f64 {
+pub fn psi(p: &HdrHistogram, q: &HdrHistogram) -> f64 {
     let (pv, qv) = aligned_probabilities(p, q);
     pv.iter()
         .zip(&qv)
@@ -133,7 +141,7 @@ pub fn psi(p: &Histogram, q: &Histogram) -> f64 {
 
 /// Symmetric KL divergence `(KL(p‖q) + KL(q‖p)) / 2` between two
 /// histograms (0 when both are empty). Always finite and non-negative.
-pub fn symmetric_kl(p: &Histogram, q: &Histogram) -> f64 {
+pub fn symmetric_kl(p: &HdrHistogram, q: &HdrHistogram) -> f64 {
     let (pv, qv) = aligned_probabilities(p, q);
     let kl = |x: &[f64], y: &[f64]| -> f64 {
         x.iter()
@@ -145,7 +153,11 @@ pub fn symmetric_kl(p: &Histogram, q: &Histogram) -> f64 {
 }
 
 /// Compares two histograms against thresholds.
-pub fn compare(previous: &Histogram, current: &Histogram, th: DriftThresholds) -> DriftVerdict {
+pub fn compare(
+    previous: &HdrHistogram,
+    current: &HdrHistogram,
+    th: DriftThresholds,
+) -> DriftVerdict {
     let psi = psi(previous, current);
     let sym_kl = symmetric_kl(previous, current);
     DriftVerdict {
@@ -167,8 +179,8 @@ pub fn compare(previous: &Histogram, current: &Histogram, th: DriftThresholds) -
 #[derive(Debug, Clone, PartialEq)]
 pub struct DriftMonitor {
     thresholds: DriftThresholds,
-    previous: Option<Histogram>,
-    current: Histogram,
+    previous: Option<HdrHistogram>,
+    current: HdrHistogram,
     last: Option<DriftVerdict>,
     rotations: u64,
 }
@@ -185,15 +197,18 @@ impl DriftMonitor {
         DriftMonitor {
             thresholds,
             previous: None,
-            current: Histogram::default(),
+            current: HdrHistogram::new(),
             last: None,
             rotations: 0,
         }
     }
 
-    /// Records one score into the current window.
+    /// Records one score into the current window, in fixed point;
+    /// `NaN`, `±inf` and negative scores are refused.
     pub fn observe(&mut self, score: f64) {
-        self.current.record(score);
+        if let Some(v) = fixed_point(score) {
+            self.current.record(v);
+        }
     }
 
     /// Scores accepted into the current (un-rotated) window.
@@ -202,7 +217,7 @@ impl DriftMonitor {
     }
 
     /// The current window's histogram (snapshot for quality records).
-    pub fn current_histogram(&self) -> &Histogram {
+    pub fn current_histogram(&self) -> &HdrHistogram {
         &self.current
     }
 
@@ -214,7 +229,6 @@ impl DriftMonitor {
     /// blind the monitor).
     pub fn rotate(&mut self) -> Option<DriftVerdict> {
         if self.current.count == 0 {
-            self.current = Histogram::default();
             return None;
         }
         let window = std::mem::take(&mut self.current);
@@ -245,10 +259,10 @@ impl DriftMonitor {
 mod tests {
     use super::*;
 
-    fn hist(values: &[f64]) -> Histogram {
-        let mut h = Histogram::default();
+    fn hist(values: &[f64]) -> HdrHistogram {
+        let mut h = HdrHistogram::new();
         for &v in values {
-            h.record(v);
+            h.record(fixed_point(v).expect("finite, non-negative"));
         }
         h
     }
@@ -272,13 +286,86 @@ mod tests {
         assert!(v.drifted);
     }
 
+    /// Drift referee: `psi` and `sym_kl` bits pinned from the
+    /// exponent-bucket histogram this monitor replaced. Octave grouping
+    /// must reproduce them exactly for scores that are 0 or lie in
+    /// `[2^-32, 2^32)`.
+    #[test]
+    fn drift_divergences_keep_their_exponent_bucket_bits() {
+        // The `shifted_distributions_flag_drift` windows.
+        let low: Vec<f64> = (0..200).map(|i| 0.5 + (i % 7) as f64 * 0.1).collect();
+        let high: Vec<f64> = (0..200).map(|i| 64.0 + (i % 7) as f64 * 8.0).collect();
+        // A zero-containing pair over five octaves.
+        let zp: Vec<f64> = (0..120)
+            .map(|i| {
+                if i % 4 == 0 {
+                    0.0
+                } else {
+                    0.25 * (i % 9) as f64
+                }
+            })
+            .collect();
+        let zq: Vec<f64> = (0..90)
+            .map(|i| {
+                if i % 9 == 0 {
+                    0.0
+                } else {
+                    0.5 * (i % 13) as f64
+                }
+            })
+            .collect();
+        // A single-octave pair: both windows inside [1, 2), on
+        // different HDR buckets, so only octave grouping reads 0.
+        let sp: Vec<f64> = (0..100).map(|i| 1.0 + (i % 10) as f64 * 0.05).collect();
+        let sq: Vec<f64> = (0..150).map(|i| 1.5 + (i % 10) as f64 * 0.049).collect();
+        let cases: [(&[f64], &[f64], u64, u64); 3] = [
+            (&low, &high, 0x4026_a00e_c37a_3fa6, 0x4016_a00e_c37a_3fa6),
+            (&zp, &zq, 0x4002_abe8_2b8b_8429, 0x3ff2_abe8_2b8b_8429),
+            (&sp, &sq, 0, 0),
+        ];
+        for (i, (p, q, psi_bits, kl_bits)) in cases.into_iter().enumerate() {
+            let (p, q) = (hist(p), hist(q));
+            assert_eq!(psi(&p, &q).to_bits(), psi_bits, "case {i}: psi");
+            assert_eq!(symmetric_kl(&p, &q).to_bits(), kl_bits, "case {i}: sym_kl");
+        }
+    }
+
+    #[test]
+    fn octave_of_a_fixed_point_score_is_its_binary_exponent_plus_33() {
+        // Deterministic xorshift64: random exponents in [-32, 32) and
+        // random mantissas, so v covers the exact range [2^-32, 2^32).
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for _ in 0..20_000 {
+            let k = (next() % 64) as i32 - 32;
+            let mantissa = 1.0 + (next() >> 11) as f64 / (1u64 << 53) as f64;
+            let v = mantissa * 2f64.powi(k);
+            assert!(v >= 2f64.powi(k) && v < 2f64.powi(k + 1));
+            let fixed = fixed_point(v).expect("in range");
+            let key = octave(crate::hdr::bucket_index(fixed));
+            assert_eq!(key as i32, k + 33, "v = {v:e}");
+        }
+        assert_eq!(octave(crate::hdr::bucket_index(0)), 0, "zero octave");
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.5, -1e300] {
+            assert_eq!(fixed_point(v), None, "{v} must be refused");
+            let mut m = DriftMonitor::default();
+            m.observe(v);
+            assert_eq!(m.observed(), 0, "{v} must not enter a window");
+        }
+    }
+
     #[test]
     fn divergences_are_finite_with_disjoint_and_empty_buckets() {
         let p = hist(&[1.0, 1.5]);
         let q = hist(&[1024.0, 2048.0]);
         assert!(psi(&p, &q).is_finite());
         assert!(symmetric_kl(&p, &q).is_finite());
-        let empty = Histogram::default();
+        let empty = HdrHistogram::new();
         assert_eq!(psi(&empty, &empty), 0.0);
         assert_eq!(symmetric_kl(&empty, &empty), 0.0);
         assert!(psi(&p, &empty).is_finite());

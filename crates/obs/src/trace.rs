@@ -3,12 +3,17 @@
 //! A trace is a sequence of JSON objects, one per line:
 //!
 //! ```text
-//! {"ev":"meta","version":1,"clock":"deterministic","unit":"tick"}
+//! {"ev":"meta","version":2,"clock":"deterministic","unit":"tick","dropped":0}
 //! {"ev":"span_begin","t":1,"id":1,"parent":0,"name":"runner.evaluate","fields":{...}}
 //! {"ev":"span_end","t":8,"id":1,"dur":7}
-//! {"ev":"counter","name":"stream.retrain.count","value":3}
-//! {"ev":"hist","name":"cfe.epoch.loss.value","count":10,...}
+//! {"ev":"counter","name":"continual.retrain.count","value":3}
+//! {"ev":"gauge","name":"cfe.loss.total.value","value":0.42}
+//! {"ev":"hdr","name":"serve.stage.score.us","count":10,"sum":...,"buckets":{...}}
 //! ```
+//!
+//! Every distribution is an `hdr` body, the `scores` of a `quality`
+//! line included. The validator accepts only [`TRACE_VERSION`], so a
+//! version-1 trace (exponent-bucket `hist` lines) is refused.
 //!
 //! Serialization is fully deterministic: events in recording order,
 //! metrics sorted by name, floats formatted with `{:?}` (shortest
@@ -22,14 +27,14 @@ use std::fmt::Write as _;
 
 use crate::clock::ClockKind;
 use crate::json::{escape_json, write_f64};
-use crate::metrics::{Histogram, Metric, MetricValue, Registry};
+use crate::metrics::{Metric, MetricValue, Registry};
 use crate::quality::QualityRecord;
 use crate::Value;
 
 pub use crate::json::{parse_json, Json};
 
 /// Trace format version written into the meta line.
-pub const TRACE_VERSION: u64 = 1;
+pub const TRACE_VERSION: u64 = 2;
 
 /// One recorded event (spans only; metrics are snapshotted at flush).
 #[derive(Debug, Clone, PartialEq)]
@@ -103,37 +108,9 @@ fn write_value(v: &Value, out: &mut String) {
     }
 }
 
-/// Writes the field list shared by `hist` metric lines and the `scores`
+/// Writes the field list shared by `hdr` metric lines and the `scores`
 /// object inside `quality` events (everything after the opening brace).
-fn write_histogram_body(h: &Histogram, out: &mut String) {
-    let _ = write!(
-        out,
-        "\"count\":{},\"zero\":{},\"rejected\":{},\"sum\":",
-        h.count, h.zero, h.rejected
-    );
-    write_f64(h.sum, out);
-    out.push_str(",\"min\":");
-    match h.min {
-        Some(v) => write_f64(v, out),
-        None => out.push_str("null"),
-    }
-    out.push_str(",\"max\":");
-    match h.max {
-        Some(v) => write_f64(v, out),
-        None => out.push_str("null"),
-    }
-    out.push_str(",\"buckets\":{");
-    for (i, (e, c)) in h.buckets.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{e}\":{c}");
-    }
-    out.push('}');
-}
-
-/// Writes the field list of an `hdr` metric line (everything after the
-/// opening brace). Bucket keys are HDR bucket indices (see
+/// Bucket keys are HDR bucket indices (see
 /// [`crate::hdr::bucket_index`]), values are counts.
 fn write_hdr_body(h: &crate::hdr::HdrHistogram, out: &mut String) {
     let _ = write!(out, "\"count\":{},\"sum\":{},\"min\":", h.count, h.sum);
@@ -226,7 +203,7 @@ fn write_event(ev: &Event, out: &mut String) {
             out.push_str(",\"bwd_trans\":");
             write_f64(record.bwd_trans, out);
             out.push_str(",\"scores\":{");
-            write_histogram_body(&record.scores, out);
+            write_hdr_body(&record.scores, out);
             out.push_str("}}");
         }
         Event::Continual {
@@ -259,7 +236,6 @@ fn write_metric(name: &str, m: &Metric, out: &mut String) {
             out.push_str("\"value\":");
             write_f64(*g, out);
         }
-        MetricValue::Histogram(h) => write_histogram_body(h, out),
         MetricValue::Hdr(h) => write_hdr_body(h, out),
     }
     out.push('}');
@@ -295,6 +271,26 @@ pub fn to_jsonl(
         out.push('\n');
     }
     out
+}
+
+/// Checks the fields [`write_hdr_body`] writes: `count` and `sum` as
+/// integers, `min` and `max` present, and a `buckets` object. `what`
+/// prefixes the error.
+fn check_hdr_body(obj: &Json, what: &str) -> Result<(), String> {
+    for field in ["count", "sum"] {
+        obj.get(field)
+            .and_then(Json::as_u64)
+            .ok_or(format!("{what} missing {field}"))?;
+    }
+    for field in ["min", "max"] {
+        if obj.get(field).is_none() {
+            return Err(format!("{what} missing {field}"));
+        }
+    }
+    if !matches!(obj.get("buckets"), Some(Json::Obj(_))) {
+        return Err(format!("{what} missing buckets object"));
+    }
+    Ok(())
 }
 
 /// Structural validation of a JSONL trace. Checks that the first line
@@ -378,36 +374,11 @@ pub fn validate_jsonl(text: &str) -> Result<usize, String> {
                         return Err(format!("line {n}: {ev} missing value"));
                     }
                 }
-                "hist" => {
-                    obj.get("name")
-                        .and_then(Json::as_str)
-                        .ok_or(format!("line {n}: hist missing name"))?;
-                    for field in ["count", "zero", "rejected"] {
-                        obj.get(field)
-                            .and_then(Json::as_u64)
-                            .ok_or(format!("line {n}: hist missing {field}"))?;
-                    }
-                    if !matches!(obj.get("buckets"), Some(Json::Obj(_))) {
-                        return Err(format!("line {n}: hist missing buckets object"));
-                    }
-                }
                 "hdr" => {
                     obj.get("name")
                         .and_then(Json::as_str)
                         .ok_or(format!("line {n}: hdr missing name"))?;
-                    for field in ["count", "sum"] {
-                        obj.get(field)
-                            .and_then(Json::as_u64)
-                            .ok_or(format!("line {n}: hdr missing {field}"))?;
-                    }
-                    for field in ["min", "max"] {
-                        if obj.get(field).is_none() {
-                            return Err(format!("line {n}: hdr missing {field}"));
-                        }
-                    }
-                    if !matches!(obj.get("buckets"), Some(Json::Obj(_))) {
-                        return Err(format!("line {n}: hdr missing buckets object"));
-                    }
+                    check_hdr_body(&obj, &format!("line {n}: hdr"))?;
                 }
                 "quality" => {
                     obj.get("t")
@@ -430,17 +401,8 @@ pub fn validate_jsonl(text: &str) -> Result<usize, String> {
                     }
                     let scores = obj
                         .get("scores")
-                        .and_then(Json::as_obj)
                         .ok_or(format!("line {n}: quality missing scores object"))?;
-                    for field in ["count", "zero", "rejected"] {
-                        scores
-                            .get(field)
-                            .and_then(Json::as_u64)
-                            .ok_or(format!("line {n}: quality scores missing {field}"))?;
-                    }
-                    if !matches!(scores.get("buckets"), Some(Json::Obj(_))) {
-                        return Err(format!("line {n}: quality scores missing buckets"));
-                    }
+                    check_hdr_body(scores, &format!("line {n}: quality scores"))?;
                 }
                 "cevent" => {
                     for field in ["t", "cycle"] {
@@ -471,11 +433,12 @@ pub fn validate_jsonl(text: &str) -> Result<usize, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hdr::{fixed_point, HdrHistogram};
 
     fn sample_trace() -> String {
         let mut reg = Registry::default();
-        reg.counter_add("stream.retrain.count", 3, false);
-        reg.histogram_record("cfe.epoch.loss.value", 0.5, false);
+        reg.counter_add("continual.retrain.count", 3, false);
+        reg.gauge_set("cfe.loss.total.value", 0.5, false);
         reg.gauge_set("pool.threads.value", 4.0, true);
         let events = vec![
             Event::SpanBegin {
@@ -526,9 +489,9 @@ mod tests {
 
     #[test]
     fn quality_events_serialize_and_validate() {
-        let mut scores = Histogram::default();
+        let mut scores = HdrHistogram::new();
         for v in [0.5, 1.5, 2.5, 0.0] {
-            scores.record(v);
+            scores.record(fixed_point(v).unwrap());
         }
         let record = QualityRecord {
             experience: 1,
@@ -560,13 +523,17 @@ mod tests {
         assert_eq!(obj.get("pr_auc").and_then(Json::as_f64), Some(0.875));
         let scores = obj.get("scores").unwrap();
         assert_eq!(scores.get("count").and_then(Json::as_u64), Some(4));
-        assert_eq!(scores.get("zero").and_then(Json::as_u64), Some(1));
+        assert_eq!(scores.get("min").and_then(Json::as_u64), Some(0));
+        assert_eq!(scores.get("max").and_then(Json::as_u64), fixed_point(2.5));
+        let buckets = scores.get("buckets").and_then(Json::as_obj).unwrap();
+        assert_eq!(buckets.len(), 4, "one bucket per distinct score");
+        assert!(buckets.iter().any(|(k, _)| k == "0"), "zero bucket");
     }
 
     #[test]
     fn quality_events_with_missing_fields_are_rejected() {
         let meta =
-            "{\"ev\":\"meta\",\"version\":1,\"clock\":\"wall\",\"unit\":\"us\",\"dropped\":0}";
+            "{\"ev\":\"meta\",\"version\":2,\"clock\":\"wall\",\"unit\":\"us\",\"dropped\":0}";
         let no_scores = format!(
             "{meta}\n{{\"ev\":\"quality\",\"t\":1,\"experience\":0,\"f1\":[0.5],\"avg\":0.5,\"fwd_trans\":0.0,\"bwd_trans\":0.0}}"
         );
@@ -574,9 +541,16 @@ mod tests {
             .unwrap_err()
             .contains("missing scores"));
         let no_f1 = format!(
-            "{meta}\n{{\"ev\":\"quality\",\"t\":1,\"experience\":0,\"avg\":0.5,\"fwd_trans\":0.0,\"bwd_trans\":0.0,\"scores\":{{\"count\":0,\"zero\":0,\"rejected\":0,\"buckets\":{{}}}}}}"
+            "{meta}\n{{\"ev\":\"quality\",\"t\":1,\"experience\":0,\"avg\":0.5,\"fwd_trans\":0.0,\"bwd_trans\":0.0,\"scores\":{{\"count\":0,\"sum\":0,\"min\":null,\"max\":null,\"buckets\":{{}}}}}}"
         );
         assert!(validate_jsonl(&no_f1).unwrap_err().contains("missing f1"));
+        // Version 1's exponent-bucket `scores` shape no longer validates.
+        let old_scores = format!(
+            "{meta}\n{{\"ev\":\"quality\",\"t\":1,\"experience\":0,\"f1\":[0.5],\"avg\":0.5,\"fwd_trans\":0.0,\"bwd_trans\":0.0,\"scores\":{{\"count\":2,\"zero\":0,\"rejected\":0,\"sum\":2.75,\"min\":1.25,\"max\":1.5,\"buckets\":{{\"0\":2}}}}}}"
+        );
+        assert!(validate_jsonl(&old_scores)
+            .unwrap_err()
+            .contains("quality scores missing sum"));
     }
 
     #[test]
@@ -603,7 +577,7 @@ mod tests {
     #[test]
     fn hdr_lines_with_missing_fields_are_rejected() {
         let meta =
-            "{\"ev\":\"meta\",\"version\":1,\"clock\":\"wall\",\"unit\":\"us\",\"dropped\":0}";
+            "{\"ev\":\"meta\",\"version\":2,\"clock\":\"wall\",\"unit\":\"us\",\"dropped\":0}";
         let no_buckets = format!(
             "{meta}\n{{\"ev\":\"hdr\",\"name\":\"x\",\"count\":1,\"sum\":5,\"min\":5,\"max\":5}}"
         );
@@ -637,7 +611,7 @@ mod tests {
         assert_eq!(obj.get("cycle").and_then(Json::as_u64), Some(2));
         assert_eq!(obj.get("kind").and_then(Json::as_str), Some("swapped"));
         let meta =
-            "{\"ev\":\"meta\",\"version\":1,\"clock\":\"wall\",\"unit\":\"us\",\"dropped\":0}";
+            "{\"ev\":\"meta\",\"version\":2,\"clock\":\"wall\",\"unit\":\"us\",\"dropped\":0}";
         let no_cycle =
             format!("{meta}\n{{\"ev\":\"cevent\",\"t\":1,\"kind\":\"x\",\"detail\":\"y\"}}");
         assert!(validate_jsonl(&no_cycle)
@@ -649,11 +623,11 @@ mod tests {
     fn validator_rejects_malformed_traces() {
         assert!(validate_jsonl("").is_err());
         assert!(validate_jsonl("{\"ev\":\"span_end\",\"t\":1,\"id\":1,\"dur\":0}").is_err());
-        let no_close = "{\"ev\":\"meta\",\"version\":1,\"clock\":\"wall\",\"unit\":\"us\",\"dropped\":0}\n{\"ev\":\"span_begin\",\"t\":1,\"id\":1,\"parent\":0,\"name\":\"x\"}";
+        let no_close = "{\"ev\":\"meta\",\"version\":2,\"clock\":\"wall\",\"unit\":\"us\",\"dropped\":0}\n{\"ev\":\"span_begin\",\"t\":1,\"id\":1,\"parent\":0,\"name\":\"x\"}";
         assert!(validate_jsonl(no_close)
             .unwrap_err()
             .contains("never closed"));
-        let bad_dur = "{\"ev\":\"meta\",\"version\":1,\"clock\":\"wall\",\"unit\":\"us\",\"dropped\":0}\n{\"ev\":\"span_begin\",\"t\":5,\"id\":1,\"parent\":0,\"name\":\"x\"}\n{\"ev\":\"span_end\",\"t\":9,\"id\":1,\"dur\":3}";
+        let bad_dur = "{\"ev\":\"meta\",\"version\":2,\"clock\":\"wall\",\"unit\":\"us\",\"dropped\":0}\n{\"ev\":\"span_begin\",\"t\":5,\"id\":1,\"parent\":0,\"name\":\"x\"}\n{\"ev\":\"span_end\",\"t\":9,\"id\":1,\"dur\":3}";
         assert!(validate_jsonl(bad_dur).unwrap_err().contains("mismatch"));
     }
 

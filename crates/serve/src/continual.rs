@@ -674,14 +674,11 @@ impl ContinualController {
         for sample in self.drain_sanitized() {
             if sample.model_version == live_version {
                 let cycle = self.core.cycle();
-                if let Some(verdict) = self.core.observe_score(sample.score, events).verdict {
-                    cnd_obs::gauge_set_volatile("continual.drift.psi", verdict.psi);
-                    cnd_obs::gauge_set_volatile("continual.drift.sym_kl", verdict.sym_kl);
-                    if self.core.cycle() != cycle {
-                        // The verdict armed a new cycle: its ledger entries
-                        // name the model serving now as their parent.
-                        self.cycle_parent = u64::from(live_version);
-                    }
+                self.core.observe_score(sample.score, events);
+                if self.core.cycle() != cycle {
+                    // A verdict armed a new cycle: its ledger entries
+                    // name the model serving now as their parent.
+                    self.cycle_parent = u64::from(live_version);
                 }
             }
             self.core.offer(sample.features);

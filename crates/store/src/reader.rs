@@ -228,6 +228,9 @@ pub struct ChunkIter {
     next_row: u64,
     crc: Crc32,
     done: bool,
+    /// Raw payload of the chunk being decoded, kept across chunks so a
+    /// pass allocates it once.
+    raw: Vec<u8>,
 }
 
 impl ChunkIter {
@@ -245,6 +248,7 @@ impl ChunkIter {
             next_row: 0,
             crc: Crc32::new(),
             done: false,
+            raw: Vec::new(),
         })
     }
 
@@ -268,10 +272,10 @@ impl ChunkIter {
         }
         let remaining = self.meta.count - self.next_row;
         let rows = (self.chunk_rows as u64).min(remaining) as usize;
-        let mut bytes = vec![0u8; rows * self.meta.stride()];
-        self.reader.read_exact(&mut bytes)?;
-        self.crc.update(&bytes);
-        let chunk = decode_rows(&bytes, &self.meta, rows, self.next_row)?;
+        self.raw.resize(rows * self.meta.stride(), 0);
+        self.reader.read_exact(&mut self.raw)?;
+        self.crc.update(&self.raw);
+        let chunk = decode_rows(&self.raw, &self.meta, rows, self.next_row)?;
         self.next_row += rows as u64;
         cnd_obs::counter_add("store.rows.read.count", rows as u64);
         Ok(Some(chunk))

@@ -238,7 +238,7 @@ fn observe_rejects_unclosed_span_with_nonzero_exit() {
     std::fs::write(
         &trace,
         concat!(
-            "{\"ev\":\"meta\",\"version\":1,\"clock\":\"deterministic\",\"unit\":\"tick\",\"dropped\":0}\n",
+            "{\"ev\":\"meta\",\"version\":2,\"clock\":\"deterministic\",\"unit\":\"tick\",\"dropped\":0}\n",
             "{\"ev\":\"span_begin\",\"t\":1,\"id\":1,\"parent\":0,\"name\":\"runner.train\",\"fields\":{}}\n",
         ),
     )
@@ -261,7 +261,7 @@ fn observe_top_prints_self_time_profile() {
     std::fs::write(
         &trace,
         concat!(
-            "{\"ev\":\"meta\",\"version\":1,\"clock\":\"deterministic\",\"unit\":\"tick\",\"dropped\":0}\n",
+            "{\"ev\":\"meta\",\"version\":2,\"clock\":\"deterministic\",\"unit\":\"tick\",\"dropped\":0}\n",
             "{\"ev\":\"span_begin\",\"t\":1,\"id\":1,\"parent\":0,\"name\":\"runner.train\",\"fields\":{}}\n",
             "{\"ev\":\"span_end\",\"t\":5,\"id\":1,\"name\":\"runner.train\",\"dur\":4}\n",
         ),

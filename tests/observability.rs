@@ -83,6 +83,16 @@ fn quality_events_one_per_experience() {
         .filter(|l| l.starts_with("{\"ev\":\"quality\""))
         .collect();
     assert_eq!(quality.len(), m, "one quality event per experience");
+    assert!(
+        !jsonl.contains("\"ev\":\"hist\""),
+        "every distribution is an hdr body"
+    );
+    for name in ["cfe.loss.total.value", "quality.drift.psi.value"] {
+        assert!(
+            jsonl.contains(&format!("{{\"ev\":\"gauge\",\"name\":\"{name}\"")),
+            "{name} is a gauge"
+        );
+    }
     for (i, line) in quality.iter().enumerate() {
         let obj = obs::trace::parse_json(line).expect("quality line parses");
         assert_eq!(
@@ -92,11 +102,19 @@ fn quality_events_one_per_experience() {
         let f1 = obj.get("f1").and_then(|v| v.as_arr()).expect("f1 row");
         assert_eq!(f1.len(), m, "f1 row spans all experiences");
         let scores = obj.get("scores").and_then(|v| v.as_obj()).expect("scores");
-        let count = scores
-            .iter()
-            .find(|(k, _)| k.as_str() == "count")
-            .expect("count");
-        assert!(count.1.as_f64().unwrap() > 0.0, "scores histogram nonempty");
+        let count = scores.get("count").and_then(|v| v.as_u64()).expect("count");
+        assert!(count > 0, "scores histogram nonempty");
+        // The scores are an hdr body (integer count and sum, min, max,
+        // buckets) whose bucket counts add up to the count.
+        let body = &line[line.find("\"scores\":{").unwrap() + 10..line.len() - 2];
+        let hdr_line = format!(
+            "{{\"ev\":\"meta\",\"version\":{},\"clock\":\"deterministic\"}}\n{{\"ev\":\"hdr\",\"name\":\"scores\",{body}}}",
+            obs::trace::TRACE_VERSION
+        );
+        obs::trace::validate_jsonl(&hdr_line).expect("scores validate as an hdr body");
+        let buckets = scores.get("buckets").and_then(|v| v.as_obj()).unwrap();
+        let total: u64 = buckets.values().map(|c| c.as_u64().unwrap()).sum();
+        assert_eq!(total, count, "bucket counts sum to count");
         for key in ["avg", "fwd_trans", "bwd_trans"] {
             assert!(
                 obj.get(key).and_then(|v| v.as_f64()).is_some(),
