@@ -256,6 +256,8 @@ impl UclBaseline {
                 self.train_batch(&xb, past_b.as_ref(), prev_centroids.as_ref())?;
             }
         }
+        self.encoder.release_workspace();
+        self.decoder.release_workspace();
 
         // Latent clustering + labelled-cluster voting.
         let h = self.encoder.forward_inference(&xs);
@@ -324,49 +326,50 @@ impl UclBaseline {
         self.encoder.zero_grad();
         self.decoder.zero_grad();
         let h = self.encoder.forward(xb);
-        let x_hat = self.decoder.forward(&h);
+        let x_hat = self.decoder.forward(h);
 
         // Reconstruction loss is the common learning signal.
-        let (_l_r, d_xhat) = loss::mse(&x_hat, xb)?;
-        let mut d_h = self.decoder.backward(&d_xhat)?;
+        let (_l_r, d_xhat) = loss::mse(x_hat, xb)?;
+        // LwF's distillation gradient at the decoder output, taken before
+        // the decoder's backward reuses its workspace.
+        let distill = match (self.method, past) {
+            (UclMethod::Lwf, Some(old_recon)) => Some(loss::mse(x_hat, old_recon)?.1),
+            _ => None,
+        };
+        let mut d_h = self.decoder.backward(&d_xhat)?.clone();
 
         match self.method {
             UclMethod::Adcn => {
                 // Latent regularization toward the previous encoder.
                 if let Some(h_past) = past {
-                    let (_l, g) = loss::mse(&h, h_past)?;
+                    let (_l, g) = loss::mse(h, h_past)?;
                     d_h = d_h.add(&g.scale(self.config.lambda_cl))?;
                 }
                 // Pull-to-centroid clustering loss.
                 if let Some(cents) = prev_centroids {
-                    let dists = stats::pairwise_sq_distances(&h, cents)?;
+                    let dists = stats::pairwise_sq_distances(h, cents)?;
                     let mut target = h.clone();
                     for i in 0..h.rows() {
                         let (c, _) = vector::argmin(dists.row(i)).expect("k >= 1");
                         target.row_mut(i).copy_from_slice(cents.row(c));
                     }
-                    let (_l, g) = loss::mse(&h, &target)?;
+                    let (_l, g) = loss::mse(h, &target)?;
                     d_h = d_h.add(&g.scale(self.config.lambda_cluster))?;
                 }
             }
             UclMethod::Lwf => {
-                // Distill the previous model's reconstruction.
-                if let Some(old_recon) = past {
-                    let (_l, g) = loss::mse(&x_hat, old_recon)?;
-                    // This gradient enters at the decoder output.
-                    let extra_d_h = {
-                        // Fresh backward through a cloned decoder to avoid
-                        // double-counting accumulated grads: we reuse the
-                        // same decoder but gradients simply accumulate,
-                        // which is the correct summed-loss behaviour.
-                        self.decoder.backward(&g.scale(self.config.lambda_cl))?
-                    };
-                    d_h = d_h.add(&extra_d_h)?;
+                // Distill the previous model's reconstruction: the gradient
+                // enters at the decoder output, and a second backward through
+                // the same decoder accumulates its parameter gradients, the
+                // summed-loss behaviour.
+                if let Some(g) = distill {
+                    let extra_d_h = self.decoder.backward(&g.scale(self.config.lambda_cl))?;
+                    d_h = d_h.add(extra_d_h)?;
                 }
             }
         }
 
-        self.encoder.backward(&d_h)?;
+        self.encoder.backward_params(&d_h)?;
         self.encoder.apply_gradients_offset(&mut self.optimizer, 0);
         self.decoder
             .apply_gradients_offset(&mut self.optimizer, 100_000);

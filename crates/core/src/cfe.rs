@@ -251,6 +251,31 @@ pub struct ContinualFeatureExtractor {
     experiences_trained: usize,
     input_dim: usize,
     rng: StdRng,
+    /// Minibatch buffers reused from step to step.
+    batch: Minibatch,
+}
+
+/// One training step's inputs and the gradient at the embedding,
+/// gathered into buffers that keep their allocations across steps.
+#[derive(Debug, Default)]
+struct Minibatch {
+    /// The minibatch rows.
+    x: Matrix,
+    /// Their pseudo-labels.
+    y: Vec<u8>,
+    /// Each snapshot's latents for the minibatch rows.
+    past: Vec<Matrix>,
+    /// Row indices into the snapshot latents block.
+    past_rows: Vec<usize>,
+    /// `dL/dh`: every loss term's gradient at the embedding, summed.
+    d_h: Matrix,
+}
+
+impl Clone for Minibatch {
+    /// Scratch only: a copy starts empty.
+    fn clone(&self) -> Self {
+        Minibatch::default()
+    }
 }
 
 impl ContinualFeatureExtractor {
@@ -293,6 +318,7 @@ impl ContinualFeatureExtractor {
             experiences_trained: 0,
             input_dim,
             rng,
+            batch: Minibatch::default(),
         })
     }
 
@@ -319,6 +345,11 @@ impl ContinualFeatureExtractor {
     /// Borrow of the encoder network (for persistence and inspection).
     pub fn encoder(&self) -> &Sequential {
         &self.encoder
+    }
+
+    /// Borrow of the decoder network (for inspection).
+    pub fn decoder(&self) -> &Sequential {
+        &self.decoder
     }
 
     /// Encodes a batch (inference mode).
@@ -422,7 +453,8 @@ impl ContinualFeatureExtractor {
         ) {
             past.forward_inference_into(x_train, block);
         }
-        let mut past_rows = Vec::with_capacity(self.config.batch_size);
+        let snapshots = self.past_encoders.len();
+        self.batch.past.resize_with(snapshots, Matrix::default);
 
         let mut order: Vec<usize> = (0..n).collect();
         let mut last_epoch = (0.0, 0.0, 0.0);
@@ -437,16 +469,16 @@ impl ContinualFeatureExtractor {
             let mut sums = (0.0, 0.0, 0.0);
             let mut batches = 0usize;
             for chunk in order.chunks(self.config.batch_size) {
-                let xb = x_train.select_rows(chunk)?;
-                let yb: Vec<u8> = chunk.iter().map(|&i| pseudo[i]).collect();
-                let past_b = (0..self.past_encoders.len())
-                    .map(|s| {
-                        past_rows.clear();
-                        past_rows.extend(chunk.iter().map(|&i| s * n + i));
-                        past_latents.select_rows(&past_rows)
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                let (cs, rec, cl) = self.train_batch(&xb, &yb, &past_b)?;
+                let b = &mut self.batch;
+                x_train.select_rows_into(chunk, &mut b.x)?;
+                b.y.clear();
+                b.y.extend(chunk.iter().map(|&i| pseudo[i]));
+                for (s, past) in b.past.iter_mut().enumerate() {
+                    b.past_rows.clear();
+                    b.past_rows.extend(chunk.iter().map(|&i| s * n + i));
+                    past_latents.select_rows_into(&b.past_rows, past)?;
+                }
+                let (cs, rec, cl) = self.train_batch()?;
                 sums.0 += cs;
                 sums.1 += rec;
                 sums.2 += cl;
@@ -491,6 +523,12 @@ impl ContinualFeatureExtractor {
                 );
             }
         }
+
+        // The training buffers live for one experience, so a trained
+        // model kept for scoring holds none of them.
+        self.encoder.release_workspace();
+        self.decoder.release_workspace();
+        self.batch = Minibatch::default();
 
         // Snapshot the encoder for future L_CL terms (model state only —
         // no data is retained, per the paper's storage argument).
@@ -554,53 +592,61 @@ impl ContinualFeatureExtractor {
         }
     }
 
-    /// One optimization step on a mini-batch, given each snapshot's
-    /// latents for its rows; returns the three loss values
-    /// `(L_CS, L_R, L_CL)` before weighting.
-    fn train_batch(
-        &mut self,
-        xb: &Matrix,
-        yb: &[u8],
-        past_latents: &[Matrix],
-    ) -> Result<(f64, f64, f64), CoreError> {
+    /// One optimization step on the gathered minibatch (`self.batch`:
+    /// rows, pseudo-labels and each snapshot's latents for them);
+    /// returns the three loss values `(L_CS, L_R, L_CL)` before weighting.
+    fn train_batch(&mut self) -> Result<(f64, f64, f64), CoreError> {
         let cfg = self.config;
+        let b = &mut self.batch;
         self.encoder.zero_grad();
         self.decoder.zero_grad();
 
-        let h = self.encoder.forward(xb);
-        let mut d_h = Matrix::zeros(h.rows(), h.cols());
+        let h = self.encoder.forward(&b.x);
+        // `dL/dh` sums from +0.0: `L_CS`, then the decoder's gradient,
+        // then each snapshot's `λ_CL`-scaled term.
+        b.d_h.reset_zeros(h.rows(), h.cols());
         let mut l_cs = 0.0;
         let mut l_r = 0.0;
         let mut l_cl = 0.0;
 
         if cfg.losses.cluster_separation {
-            let (l, g) = loss::triplet_margin(&h, yb, cfg.margin, &mut self.rng)?;
+            let (l, g) = loss::triplet_margin(h, &b.y, cfg.margin, &mut self.rng)?;
             l_cs = l;
-            d_h = d_h.add(&g)?;
+            add_into(&mut b.d_h, &g);
         }
 
         if cfg.losses.reconstruction {
-            let x_hat = self.decoder.forward(&h);
-            let (l, d_xhat) = loss::mse(&x_hat, xb)?;
+            let x_hat = self.decoder.forward(h);
+            let (l, mut d_xhat) = loss::mse(x_hat, &b.x)?;
             l_r = l;
-            let d_from_decoder = self.decoder.backward(&d_xhat.scale(cfg.lambda_r))?;
-            d_h = d_h.add(&d_from_decoder)?;
+            d_xhat.map_inplace(|v| v * cfg.lambda_r);
+            add_into(&mut b.d_h, self.decoder.backward(&d_xhat)?);
         }
 
         // Empty unless `L_CL` is on: snapshots are taken only then.
-        for h_past in past_latents {
-            let (l, g) = loss::mse(&h, h_past)?;
+        for h_past in &b.past {
+            let (l, mut g) = loss::mse(h, h_past)?;
             l_cl += l;
-            d_h = d_h.add(&g.scale(cfg.lambda_cl))?;
+            g.map_inplace(|v| v * cfg.lambda_cl);
+            add_into(&mut b.d_h, &g);
         }
 
-        self.encoder.backward(&d_h)?;
+        // Nothing reads the input gradient: its product is skipped.
+        self.encoder.backward_params(&b.d_h)?;
         self.encoder.apply_gradients_offset(&mut self.optimizer, 0);
         if cfg.losses.reconstruction {
             self.decoder
                 .apply_gradients_offset(&mut self.optimizer, 100_000);
         }
         Ok((l_cs, l_r, l_cl))
+    }
+}
+
+/// `acc += g` element by element: the bits of `acc.add(g)`.
+fn add_into(acc: &mut Matrix, g: &Matrix) {
+    debug_assert_eq!(acc.shape(), g.shape());
+    for (a, &v) in acc.as_mut_slice().iter_mut().zip(g.as_slice()) {
+        *a += v;
     }
 }
 

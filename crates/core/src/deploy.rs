@@ -175,7 +175,7 @@ impl DeployedScorer {
                     write_floats(&mut w, lin.weights().as_slice())?;
                     write_floats(&mut w, lin.bias())?;
                 }
-                Layer::Activation { act, .. } => {
+                Layer::Activation(act) => {
                     writeln!(w, "act {}", act_name(*act))?;
                 }
             }

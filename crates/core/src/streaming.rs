@@ -970,9 +970,9 @@ impl ContinualCore {
     /// Adds one serving-model score to the current drift window, and
     /// closes the window when this score fills it to `drift_window`, so
     /// every window holds exactly `drift_window` scores however the host
-    /// batches them. A non-finite score is rejected from the histogram
-    /// (counted in `continual.drift_rejected.count`) but still counts
-    /// toward the window.
+    /// batches them. A `NaN` or `+inf` score is rejected from the
+    /// histogram (counted in `continual.drift_rejected.count`) but still
+    /// counts toward the window.
     ///
     /// A closing window's verdict is compared against the previous
     /// window (there is none for the first window after a reset) and
@@ -987,10 +987,11 @@ impl ContinualCore {
         events: &mut Vec<ContinualEvent>,
     ) -> Option<DriftVerdict> {
         // FRE scores are heavy-tailed; the log keeps a few extreme flows
-        // from owning the histogram.
+        // from owning the histogram. `max` maps NaN to 0, so NaN is
+        // refused before it.
         let value = (1.0 + score.max(0.0)).ln();
         self.window += 1;
-        if value.is_finite() {
+        if !score.is_nan() && value.is_finite() {
             self.drift.observe(value);
         } else {
             self.drift_rejections += 1;
@@ -1347,6 +1348,18 @@ mod tests {
         assert_eq!(c.status(0).drift_rejections, 1);
         assert!(last.is_none(), "the first window is the reference");
         assert!(window(&mut c, 0.0).is_some(), "so the second one compares");
+    }
+
+    #[test]
+    fn nan_scores_are_rejected_not_observed_as_zero() {
+        let mut c = core(100_000);
+        assert_eq!(c.observe_score(f64::NAN, &mut Vec::new()), None);
+        assert_eq!(c.status(0).drift_rejections, 1);
+        assert_eq!(c.drift.observed(), 0);
+        // A finite score still lands in the histogram.
+        c.observe_score(0.5, &mut Vec::new());
+        assert_eq!(c.drift.observed(), 1);
+        assert_eq!(c.status(0).drift_rejections, 1);
     }
 
     #[test]

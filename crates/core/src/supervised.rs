@@ -94,12 +94,13 @@ impl MlpClassifier {
                 let p = net.forward(&xb);
                 // MSE on probabilities — a Brier-score objective; simple
                 // and sufficient for the motivational figure.
-                let (_l, d) = loss::mse(&p, &tb)?;
-                net.backward(&d)?;
+                let (_l, d) = loss::mse(p, &tb)?;
+                net.backward_params(&d)?;
                 net.apply_gradients(&mut opt);
             }
         }
         self.scaler = Some(scaler);
+        net.release_workspace();
         self.net = Some(net);
         Ok(())
     }

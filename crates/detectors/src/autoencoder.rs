@@ -128,15 +128,17 @@ impl NoveltyDetector for AutoencoderDetector {
                 encoder.zero_grad();
                 decoder.zero_grad();
                 let h = encoder.forward(&xb);
-                let y = decoder.forward(&h);
-                let (_l, d) = loss::mse(&y, &xb)?;
+                let y = decoder.forward(h);
+                let (_l, d) = loss::mse(y, &xb)?;
                 let dh = decoder.backward(&d)?;
-                encoder.backward(&dh)?;
+                encoder.backward_params(dh)?;
                 encoder.apply_gradients_offset(&mut opt, 0);
                 decoder.apply_gradients_offset(&mut opt, 100_000);
             }
         }
         self.scaler = Some(scaler);
+        encoder.release_workspace();
+        decoder.release_workspace();
         self.encoder = Some(encoder);
         self.decoder = Some(decoder);
         Ok(())

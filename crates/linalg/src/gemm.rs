@@ -120,7 +120,7 @@ fn avx2_available() -> bool {
 /// Packing reads any strides, so a transposed view packs as cheaply as
 /// a row-major matrix. Build it once for an operand that does not
 /// change and pass it to [`matmul_packed_into`] for every product.
-#[derive(Clone, PartialEq)]
+#[derive(Clone, PartialEq, Default)]
 pub struct PackedB {
     data: Vec<f64>,
     /// Elements per k-block: `panels * kc_slot * NR`.
@@ -141,13 +141,24 @@ impl std::fmt::Debug for PackedB {
 impl PackedB {
     /// Packs `b` (any strides) into GEMM panels.
     pub fn pack(b: MatrixRef<'_>) -> PackedB {
+        let mut packed = PackedB::default();
+        packed.repack(b);
+        packed
+    }
+
+    /// Packs `b` into this buffer, keeping its allocation when it is
+    /// large enough: an operand that changes every step (a training
+    /// weight) repacks without allocating.
+    pub fn repack(&mut self, b: MatrixRef<'_>) {
         let (m, p) = b.shape();
         let (rs, cs) = b.strides();
         let panels = p.div_ceil(NR);
         let blocks = m.div_ceil(KC).max(1);
         let kc_slot = KC.min(m);
         let block_stride = panels * kc_slot * NR;
-        let mut data = vec![0.0; blocks * block_stride];
+        let data = &mut self.data;
+        data.clear();
+        data.resize(blocks * block_stride, 0.0);
         for (kb, k0) in (0..m).step_by(KC).enumerate() {
             let kc = KC.min(m - k0);
             for jp in 0..panels {
@@ -156,11 +167,10 @@ impl PackedB {
                 let panel = &mut data[kb * block_stride + jp * kc_slot * NR..][..kc * NR];
                 if cs == 1 {
                     // Row-contiguous source: copy NR-wide row segments.
-                    for kk in 0..kc {
+                    let raw = b.raw();
+                    for (kk, dst) in panel.chunks_exact_mut(NR).enumerate() {
                         let src = (k0 + kk) * rs + j0;
-                        for jj in 0..nv {
-                            panel[kk * NR + jj] = b.flat(src + jj);
-                        }
+                        dst[..nv].copy_from_slice(&raw[src..src + nv]);
                     }
                 } else {
                     for kk in 0..kc {
@@ -172,12 +182,9 @@ impl PackedB {
                 }
             }
         }
-        PackedB {
-            data,
-            block_stride,
-            rows: m,
-            cols: p,
-        }
+        self.block_stride = block_stride;
+        self.rows = m;
+        self.cols = p;
     }
 
     /// Rows of the packed operand (the product's k-depth).

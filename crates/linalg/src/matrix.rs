@@ -255,7 +255,26 @@ impl Matrix {
     ///
     /// Returns [`LinalgError::IndexOutOfBounds`] if any index is out of range.
     pub fn select_rows(&self, indices: &[usize]) -> Result<Matrix, LinalgError> {
-        let mut data = Vec::with_capacity(indices.len() * self.cols);
+        let mut out = Matrix {
+            rows: 0,
+            cols: self.cols,
+            data: Vec::with_capacity(indices.len() * self.cols),
+        };
+        self.select_rows_into(indices, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`select_rows`](Self::select_rows) into `out`, keeping its
+    /// allocation when it is large enough. On error `out` holds the
+    /// rows before the bad index.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::IndexOutOfBounds`] if any index is out of range.
+    pub fn select_rows_into(&self, indices: &[usize], out: &mut Matrix) -> Result<(), LinalgError> {
+        out.data.clear();
+        out.rows = 0;
+        out.cols = self.cols;
         for &i in indices {
             if i >= self.rows {
                 return Err(LinalgError::IndexOutOfBounds {
@@ -263,13 +282,19 @@ impl Matrix {
                     len: self.rows,
                 });
             }
-            data.extend_from_slice(self.row(i));
+            out.data.extend_from_slice(self.row(i));
+            out.rows += 1;
         }
-        Ok(Matrix {
-            rows: indices.len(),
-            cols: self.cols,
-            data,
-        })
+        Ok(())
+    }
+
+    /// Makes this a `rows × cols` matrix of `+0.0`, keeping its
+    /// allocation when it is large enough.
+    pub fn reset_zeros(&mut self, rows: usize, cols: usize) {
+        self.data.clear();
+        self.data.resize(rows * cols, 0.0);
+        self.rows = rows;
+        self.cols = cols;
     }
 
     /// Returns the sub-matrix of rows `start..end` (half-open).
@@ -570,14 +595,33 @@ impl Matrix {
     /// order — and therefore the result, bit for bit — depends only on
     /// the row count, never on the pool size.
     pub fn col_sums(&self) -> Vec<f64> {
+        let mut out = vec![0.0; self.cols];
+        self.col_sums_into(&mut out);
+        out
+    }
+
+    /// [`col_sums`](Self::col_sums) written into `out`, with the same
+    /// bits; allocates nothing up to `COL_SUM_CHUNK` = 512 rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != self.cols()`.
+    pub fn col_sums_into(&self, out: &mut [f64]) {
+        assert_eq!(out.len(), self.cols, "col_sums_into: output width");
         if self.rows <= COL_SUM_CHUNK || self.cols == 0 {
-            return self.col_sums_range(0..self.rows);
+            out.fill(0.0);
+            self.col_sums_range(0..self.rows, out);
+            return;
         }
-        cnd_parallel::current()
+        let sums = cnd_parallel::current()
             .par_reduce(
                 self.rows,
                 COL_SUM_CHUNK,
-                |r| self.col_sums_range(r),
+                |r| {
+                    let mut part = vec![0.0; self.cols];
+                    self.col_sums_range(r, &mut part);
+                    part
+                },
                 |mut acc, part| {
                     for (a, b) in acc.iter_mut().zip(&part) {
                         *a += b;
@@ -585,18 +629,17 @@ impl Matrix {
                     acc
                 },
             )
-            .unwrap_or_else(|| vec![0.0; self.cols])
+            .expect("more than COL_SUM_CHUNK rows give partials");
+        out.copy_from_slice(&sums);
     }
 
-    /// Serial column sums over a row range.
-    fn col_sums_range(&self, rows: Range<usize>) -> Vec<f64> {
-        let mut out = vec![0.0; self.cols];
+    /// Serial column sums over a row range, added into `out`.
+    fn col_sums_range(&self, rows: Range<usize>, out: &mut [f64]) {
         for i in rows {
             for (o, &v) in out.iter_mut().zip(self.row(i)) {
                 *o += v;
             }
         }
-        out
     }
 
     /// Maximum absolute elementwise difference between two matrices.
@@ -690,6 +733,18 @@ fn transpose_block_into(src: &[f64], out: &mut [f64], rows: usize, cols: usize, 
                 }
             }
         }
+    }
+}
+
+impl AsRef<[f64]> for Matrix {
+    fn as_ref(&self) -> &[f64] {
+        &self.data
+    }
+}
+
+impl AsMut<[f64]> for Matrix {
+    fn as_mut(&mut self) -> &mut [f64] {
+        &mut self.data
     }
 }
 

@@ -1,14 +1,14 @@
-use cnd_linalg::Matrix;
+use cnd_linalg::{matmul_packed_into, Matrix, MatrixRef, PackedB};
 use rand::Rng;
 
-use crate::{init, NnError, Optimizer};
+use crate::{init, Activation, NnError, Optimizer};
 
 /// A fully connected layer computing `y = xW + b` over a batch.
 ///
 /// Weights have shape `(fan_in, fan_out)`; inputs are one sample per row.
-/// The layer caches its input during [`forward`](Linear::forward) so that
-/// [`backward`](Linear::backward) can compute parameter gradients.
-/// Gradients *accumulate* across backward calls until
+/// The layer caches nothing: in training, the owning
+/// [`Sequential`](crate::Sequential)'s workspace holds the input its
+/// backward reads. Gradients *accumulate* across backward calls until
 /// [`zero_grad`](Linear::zero_grad) — this is what lets the CFE sum
 /// gradient contributions from several losses.
 #[derive(Debug, Clone, PartialEq)]
@@ -17,19 +17,30 @@ pub struct Linear {
     b: Vec<f64>,
     grad_w: Matrix,
     grad_b: Vec<f64>,
-    cached_input: Option<Matrix>,
 }
+
+/// Buffers one layer backward reuses from call to call: `d` packed for
+/// `dW = xᵀ·d`, `Wᵀ` packed for `dx = d·Wᵀ`, and this call's `dW` and
+/// `db` before they are added to the accumulated gradients.
+#[derive(Debug, Default)]
+pub(crate) struct BackwardScratch {
+    packed_d: PackedB,
+    packed_wt: PackedB,
+    dw: Vec<f64>,
+    db: Vec<f64>,
+}
+
+/// Multiply-adds of one layer backward below which it runs on the
+/// calling thread: a pool dispatch costs more than it splits.
+const PAR_BACKWARD_MADDS_MIN: usize = 1 << 16;
 
 impl Linear {
     /// Creates a layer with Xavier-uniform weights and zero biases.
     pub fn new<R: Rng + ?Sized>(fan_in: usize, fan_out: usize, rng: &mut R) -> Self {
-        Linear {
-            w: init::xavier_uniform(fan_in, fan_out, rng),
-            b: vec![0.0; fan_out],
-            grad_w: Matrix::zeros(fan_in, fan_out),
-            grad_b: vec![0.0; fan_out],
-            cached_input: None,
-        }
+        Linear::from_parts(
+            init::xavier_uniform(fan_in, fan_out, rng),
+            vec![0.0; fan_out],
+        )
     }
 
     /// Creates a layer from explicit parameters (used by tests and
@@ -46,7 +57,6 @@ impl Linear {
             b,
             grad_w: Matrix::zeros(fan_in, fan_out),
             grad_b: vec![0.0; fan_out],
-            cached_input: None,
         }
     }
 
@@ -85,17 +95,6 @@ impl Linear {
         self.w.len() + self.b.len()
     }
 
-    /// Forward pass over a batch, caching the input for backward.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `x.cols() != fan_in`.
-    pub fn forward(&mut self, x: &Matrix) -> Result<Matrix, NnError> {
-        let y = x.matmul(&self.w)?.add_row_broadcast(&self.b)?;
-        self.cached_input = Some(x.clone());
-        Ok(y)
-    }
-
     /// Forward pass without caching — used for inference.
     ///
     /// # Errors
@@ -105,39 +104,112 @@ impl Linear {
         Ok(x.matmul(&self.w)?.add_row_broadcast(&self.b)?)
     }
 
-    /// Backward pass: accumulates `dW`, `db` and returns `dL/dx`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::NoForwardPass`] if called before `forward`, or a
-    /// shape error if `d_out` does not match the cached batch.
-    pub fn backward(&mut self, d_out: &Matrix) -> Result<Matrix, NnError> {
-        let x = self.cached_input.as_ref().ok_or(NnError::NoForwardPass)?;
-        if d_out.rows() != x.rows() || d_out.cols() != self.w.cols() {
-            return Err(NnError::BatchMismatch {
-                left: d_out.shape(),
-                right: (x.rows(), self.w.cols()),
-            });
+    /// `out = x·W + b` for the rows of `x`, row-major, against `packed`,
+    /// this layer's weights packed for the GEMM. Serial: the training
+    /// forward calls it once per row block.
+    pub(crate) fn forward_rows(&self, x: MatrixRef<'_>, packed: &PackedB, out: &mut [f64]) {
+        matmul_packed_into(x, packed, out).expect("sequential: layer widths are inconsistent");
+        for row in out.chunks_exact_mut(self.b.len().max(1)) {
+            for (v, &bias) in row.iter_mut().zip(&self.b) {
+                *v += bias;
+            }
         }
-        // Transposed views feed the packed GEMM directly; no clone of
-        // xᵀ / Wᵀ is materialized per backward step.
-        let dw = x.view().t().matmul(&d_out.view())?;
-        debug_assert_eq!(dw.shape(), self.grad_w.shape());
-        for (g, d) in self.grad_w.as_mut_slice().iter_mut().zip(dw.as_slice()) {
-            *g += d;
-        }
-        for (gb, s) in self.grad_b.iter_mut().zip(d_out.col_sums()) {
-            *gb += s;
-        }
-        let dx = d_out.view().matmul(&self.w.view().t())?;
-        Ok(dx)
     }
 
-    /// Clears accumulated gradients (in place) and the cached input.
+    /// Backward pass for the batch input `x` and output gradient `d`:
+    /// adds `dW = xᵀ·d` and `db = Σ_rows d` to the accumulated
+    /// gradients, and, when `dx` is given, writes `dx = d·Wᵀ` into it,
+    /// each element then multiplied by `act′` at the value in `at` when
+    /// an activation is fused in. Shapes are the caller's to check.
+    ///
+    /// One pool dispatch when the layer is large enough: `dx` splits by
+    /// batch rows and `dW` by its own rows, one block of each per pool
+    /// thread, all side by side. Every output element still sums its
+    /// terms over ascending batch rows (`dW`) or outputs (`dx`) from
+    /// `+0.0`, so the split never changes a bit.
+    pub(crate) fn backward_into(
+        &mut self,
+        x: &Matrix,
+        d: &Matrix,
+        dx: Option<(&mut Matrix, Option<(Activation, &Matrix)>)>,
+        scratch: &mut BackwardScratch,
+    ) {
+        let (rows, fan_in, fan_out) = (d.rows(), self.fan_in(), self.fan_out());
+        scratch.db.resize(fan_out, 0.0);
+        d.col_sums_into(&mut scratch.db);
+        for (gb, s) in self.grad_b.iter_mut().zip(&scratch.db) {
+            *gb += s;
+        }
+        scratch.packed_d.repack(d.view());
+        scratch.dw.resize(fan_in * fan_out, 0.0);
+        let mut madds = rows * fan_in * fan_out;
+        let dx = dx.map(|(dx, fused)| {
+            scratch.packed_wt.repack(self.w.view().t());
+            crate::sequential::overwritable(dx, rows, fan_in);
+            madds *= 2;
+            (dx, fused)
+        });
+        let xt = x.view().t();
+        let packed_d = &scratch.packed_d;
+        let packed_wt = &scratch.packed_wt;
+        let dw_rows = |r0: usize, dw: &mut [f64], grad: &mut [f64]| {
+            let r1 = r0 + grad.len() / fan_out.max(1);
+            matmul_packed_into(xt.rows_view(r0, r1), packed_d, dw)
+                .expect("linear: cached input does not match the layer");
+            for (g, v) in grad.iter_mut().zip(dw.iter()) {
+                *g += v;
+            }
+        };
+        let dx_rows = |r0: usize, out: &mut [f64], fused: Option<(Activation, &Matrix)>| {
+            let r1 = r0 + out.len() / fan_in.max(1);
+            matmul_packed_into(d.view().rows_view(r0, r1), packed_wt, out)
+                .expect("linear: gradient does not match the layer");
+            if let Some((act, at)) = fused {
+                // In place as `dx * act′`, the operand order of `hadamard`.
+                let at = &at.as_slice()[r0 * fan_in..r1 * fan_in];
+                for (g, &v) in out.iter_mut().zip(at) {
+                    *g *= act.derivative_cached(v);
+                }
+            }
+        };
+        let pool = cnd_parallel::current();
+        let blocks = if madds >= PAR_BACKWARD_MADDS_MIN {
+            pool.split_count()
+        } else {
+            1
+        };
+        let grad_w = self.grad_w.as_mut_slice();
+        if blocks == 1 {
+            dw_rows(0, &mut scratch.dw, grad_w);
+            if let Some((dx, fused)) = dx {
+                dx_rows(0, dx.as_mut_slice(), fused);
+            }
+            return;
+        }
+        pool.scope(|s| {
+            let (dw_rows, dx_rows) = (&dw_rows, &dx_rows);
+            let step = fan_in.div_ceil(blocks) * fan_out;
+            for (i, (dw, grad)) in scratch
+                .dw
+                .chunks_mut(step)
+                .zip(grad_w.chunks_mut(step))
+                .enumerate()
+            {
+                s.spawn(move || dw_rows(i * step / fan_out, dw, grad));
+            }
+            if let Some((dx, fused)) = dx {
+                let step = rows.div_ceil(blocks) * fan_in;
+                for (i, out) in dx.as_mut_slice().chunks_mut(step).enumerate() {
+                    s.spawn(move || dx_rows(i * step / fan_in, out, fused));
+                }
+            }
+        });
+    }
+
+    /// Clears accumulated gradients (in place).
     pub fn zero_grad(&mut self) {
         self.grad_w.as_mut_slice().fill(0.0);
         self.grad_b.fill(0.0);
-        self.cached_input = None;
     }
 
     /// Accumulated weight gradient (for tests).
@@ -164,28 +236,40 @@ impl Linear {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Sequential;
     use rand::SeedableRng;
 
-    fn layer_2x3() -> Linear {
+    /// The layer alone in a network: training runs through `Sequential`.
+    fn net(layer: Linear) -> Sequential {
+        let mut net = Sequential::new();
+        net.push_layer(layer);
+        net
+    }
+
+    fn layer_2x3() -> Sequential {
         let w = Matrix::from_rows(&[vec![1.0, 0.0, 2.0], vec![0.0, 1.0, -1.0]]).unwrap();
-        Linear::from_parts(w, vec![0.5, -0.5, 0.0])
+        net(Linear::from_parts(w, vec![0.5, -0.5, 0.0]))
+    }
+
+    fn only(net: &Sequential) -> &Linear {
+        net.linear_layers().next().unwrap()
     }
 
     #[test]
     fn forward_known_values() {
         let mut l = layer_2x3();
         let x = Matrix::from_rows(&[vec![1.0, 2.0]]).unwrap();
-        let y = l.forward(&x).unwrap();
+        let y = l.forward(&x);
         assert_eq!(y.row(0), &[1.5, 1.5, 0.0]);
     }
 
     #[test]
     fn forward_inference_matches_forward() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        let mut l = Linear::new(4, 3, &mut rng);
+        let mut l = net(Linear::new(4, 3, &mut rng));
         let x = Matrix::from_fn(5, 4, |i, j| (i + j) as f64 * 0.1);
-        let a = l.forward(&x).unwrap();
-        let b = l.forward_inference(&x).unwrap();
+        let b = only(&l).forward_inference(&x).unwrap();
+        let a = l.forward(&x);
         assert!(a.max_abs_diff(&b) < 1e-15);
     }
 
@@ -200,37 +284,37 @@ mod tests {
     fn backward_shapes_and_values() {
         let mut l = layer_2x3();
         let x = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
-        l.forward(&x).unwrap();
+        l.forward(&x);
         let d_out = Matrix::filled(2, 3, 1.0);
         let dx = l.backward(&d_out).unwrap();
         assert_eq!(dx.shape(), (2, 2));
         // dx = d_out * W^T; row i = col sums of W.
         assert_eq!(dx.row(0), &[3.0, 0.0]);
         // dW = x^T d_out: entry (0,0) = 1+3 = 4.
-        assert_eq!(l.grad_weights()[(0, 0)], 4.0);
+        assert_eq!(only(&l).grad_weights()[(0, 0)], 4.0);
         // db = column sums of d_out = [2,2,2].
-        assert_eq!(l.grad_bias(), &[2.0, 2.0, 2.0]);
+        assert_eq!(only(&l).grad_bias(), &[2.0, 2.0, 2.0]);
     }
 
     #[test]
     fn gradients_accumulate_until_zeroed() {
         let mut l = layer_2x3();
         let x = Matrix::filled(1, 2, 1.0);
-        l.forward(&x).unwrap();
+        l.forward(&x);
         let d = Matrix::filled(1, 3, 1.0);
         l.backward(&d).unwrap();
-        l.forward(&x).unwrap();
+        l.forward(&x);
         l.backward(&d).unwrap();
-        assert_eq!(l.grad_bias(), &[2.0, 2.0, 2.0]);
+        assert_eq!(only(&l).grad_bias(), &[2.0, 2.0, 2.0]);
         l.zero_grad();
-        assert_eq!(l.grad_bias(), &[0.0, 0.0, 0.0]);
+        assert_eq!(only(&l).grad_bias(), &[0.0, 0.0, 0.0]);
     }
 
     #[test]
     fn backward_rejects_bad_shape() {
         let mut l = layer_2x3();
         let x = Matrix::filled(2, 2, 1.0);
-        l.forward(&x).unwrap();
+        l.forward(&x);
         let d = Matrix::zeros(3, 3);
         assert!(matches!(l.backward(&d), Err(NnError::BatchMismatch { .. })));
     }
@@ -243,6 +327,6 @@ mod tests {
 
     #[test]
     fn param_count() {
-        assert_eq!(layer_2x3().param_count(), 9);
+        assert_eq!(only(&layer_2x3()).param_count(), 9);
     }
 }

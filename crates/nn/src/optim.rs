@@ -160,13 +160,17 @@ impl Optimizer for Adam {
         st.t += 1;
         let b1t = 1.0 - self.beta1.powi(st.t as i32);
         let b2t = 1.0 - self.beta2.powi(st.t as i32);
+        // Hyper-parameters in locals and moments as slices: the loop then
+        // reloads nothing through `self` after each store.
+        let (lr, beta1, beta2, eps) = (self.lr, self.beta1, self.beta2, self.eps);
+        let (m, v) = (st.m.as_mut_slice(), st.v.as_mut_slice());
         for i in 0..params.len() {
             let g = grads[i];
-            st.m[i] = self.beta1 * st.m[i] + (1.0 - self.beta1) * g;
-            st.v[i] = self.beta2 * st.v[i] + (1.0 - self.beta2) * g * g;
-            let m_hat = st.m[i] / b1t;
-            let v_hat = st.v[i] / b2t;
-            params[i] -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
+            m[i] = beta1 * m[i] + (1.0 - beta1) * g;
+            v[i] = beta2 * v[i] + (1.0 - beta2) * g * g;
+            let m_hat = m[i] / b1t;
+            let v_hat = v[i] / b2t;
+            params[i] -= lr * m_hat / (v_hat.sqrt() + eps);
         }
     }
 

@@ -1,6 +1,7 @@
 use cnd_linalg::{matmul_packed_into, Matrix, MatrixRef, PackedB};
 use rand::Rng;
 
+use crate::linear::BackwardScratch;
 use crate::{Activation, Linear, NnError, Optimizer};
 
 /// One layer of a [`Sequential`] network.
@@ -8,32 +9,32 @@ use crate::{Activation, Linear, NnError, Optimizer};
 pub enum Layer {
     /// Fully connected layer.
     Linear(Linear),
-    /// Elementwise activation; caches between forward and backward what
-    /// its derivative reads. Tanh and sigmoid cache their output, so
-    /// backward takes `1 − y·y` and `y·(1 − y)` without a second `tanh`
-    /// or `exp`, bit-identical to the derivative at the input. The
-    /// piecewise-linear activations cache their input and keep the
-    /// derivative rule at it: a negative-slope `LeakyRelu` output does
-    /// not keep the input's sign.
-    Activation {
-        /// The activation function.
-        act: Activation,
-        /// The last forward pass's output (tanh, sigmoid) or input (the
-        /// piecewise-linear activations).
-        cached: Option<Matrix>,
-    },
+    /// Elementwise activation. It caches nothing itself: the network's
+    /// training workspace keeps every layer's output, and backward
+    /// reads the derivative from there. Tanh and sigmoid read their
+    /// output, so backward takes `1 − y·y` and `y·(1 − y)` without a
+    /// second `tanh` or `exp`, bit-identical to the derivative at the
+    /// input. The piecewise-linear activations read their input and
+    /// keep the derivative rule at it: a negative-slope `LeakyRelu`
+    /// output does not keep the input's sign.
+    Activation(Activation),
 }
 
 /// A feed-forward stack of layers with explicit backward passes.
 ///
 /// `Sequential` is the building block for the CFE encoder and decoder:
-/// `forward` caches activations, `backward` consumes an output gradient
-/// and returns the input gradient while accumulating parameter gradients,
-/// and `apply_gradients` hands the accumulated gradients to an optimizer.
+/// `forward` keeps every layer's output in the network's training
+/// workspace, `backward` consumes an output gradient and returns the
+/// input gradient while accumulating parameter gradients, and
+/// `apply_gradients` hands the accumulated gradients to an optimizer.
 ///
 /// Because gradients accumulate until [`zero_grad`](Sequential::zero_grad),
 /// a training step may run several loss functions, sum their gradients at
 /// any interface, and push each stream through the network.
+///
+/// The workspace is sized by the first batch and reused after, so a
+/// training step at a fixed batch size allocates nothing on a serial
+/// pool. Cloning a network copies its parameters, not its workspace.
 ///
 /// # Example
 ///
@@ -52,12 +53,51 @@ pub enum Layer {
 #[derive(Debug, Clone, Default)]
 pub struct Sequential {
     layers: Vec<Layer>,
+    ws: Workspace,
 }
+
+/// What a training step keeps between forward and backward, and the
+/// buffers both reuse from step to step.
+#[derive(Default)]
+struct Workspace {
+    /// `vals[0]` is a copy of the last forward's input and `vals[l + 1]`
+    /// is layer `l`'s output: the next layer's input and what backward
+    /// reads for layer `l + 1`'s `dW` or layer `l`'s derivative.
+    vals: Vec<Matrix>,
+    /// Each linear layer's weights packed for the forward GEMM, indexed
+    /// like the layers (empty for activations).
+    packed: Vec<PackedB>,
+    /// The gradients at layer boundaries; backward alternates between them.
+    grads: [Matrix; 2],
+    scratch: BackwardScratch,
+    /// `true` from a forward until the next `zero_grad`.
+    forwarded: bool,
+}
+
+impl Clone for Workspace {
+    /// A fresh, empty workspace: snapshots and copies of a network never
+    /// carry its training buffers.
+    fn clone(&self) -> Self {
+        Workspace::default()
+    }
+}
+
+impl std::fmt::Debug for Workspace {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Workspace")
+            .field("forwarded", &self.forwarded)
+            .finish_non_exhaustive()
+    }
+}
+
+/// Multiply-adds of a whole forward pass below which it runs on the
+/// calling thread: a pool dispatch costs more than it splits.
+const PAR_FORWARD_MADDS_MIN: usize = 1 << 16;
 
 impl Sequential {
     /// Creates an empty network.
     pub fn new() -> Self {
-        Sequential { layers: Vec::new() }
+        Sequential::default()
     }
 
     /// Builds an MLP from a list of layer widths, inserting `act` between
@@ -97,7 +137,7 @@ impl Sequential {
 
     /// Appends an activation layer.
     pub fn push_activation(&mut self, act: Activation) {
-        self.layers.push(Layer::Activation { act, cached: None });
+        self.layers.push(Layer::Activation(act));
     }
 
     /// Number of layers (linear and activation combined).
@@ -112,13 +152,7 @@ impl Sequential {
 
     /// Total trainable parameter count.
     pub fn param_count(&self) -> usize {
-        self.layers
-            .iter()
-            .map(|l| match l {
-                Layer::Linear(lin) => lin.param_count(),
-                Layer::Activation { .. } => 0,
-            })
-            .sum()
+        self.linear_layers().map(Linear::param_count).sum()
     }
 
     /// All layers in order (for inspection and model persistence).
@@ -130,36 +164,83 @@ impl Sequential {
     pub fn linear_layers(&self) -> impl Iterator<Item = &Linear> {
         self.layers.iter().filter_map(|l| match l {
             Layer::Linear(lin) => Some(lin),
-            Layer::Activation { .. } => None,
+            Layer::Activation(_) => None,
         })
     }
 
-    /// Forward pass with caching (training mode).
+    /// Forward pass (training mode): every layer's output stays in the
+    /// workspace for [`backward`](Self::backward), and the last one is
+    /// returned.
+    ///
+    /// Packs each weight once, then runs the network as one pool
+    /// dispatch: each thread takes one contiguous row block through
+    /// every layer and writes its rows of every layer's output. Every
+    /// row passes through the identical serial layer sequence, so the
+    /// output is bit-identical at any pool size.
     ///
     /// # Panics
     ///
     /// Panics if an internal shape mismatch occurs, which indicates the
     /// network was built with inconsistent widths.
-    pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        let mut h = x.clone();
-        for layer in &mut self.layers {
-            h = match layer {
-                Layer::Linear(lin) => lin
-                    .forward(&h)
-                    .expect("sequential: layer widths are inconsistent"),
-                Layer::Activation { act, cached } => {
-                    let a = *act;
-                    let y = h.map(move |v| a.apply(v));
-                    *cached = Some(if a.backward_reads_output() {
-                        y.clone()
-                    } else {
-                        h
-                    });
-                    y
-                }
-            };
+    pub fn forward(&mut self, x: &Matrix) -> &Matrix {
+        let ws = &mut self.ws;
+        let (rows, mut width) = x.shape();
+        ws.vals.resize_with(self.layers.len() + 1, Matrix::default);
+        ws.packed.resize_with(self.layers.len(), PackedB::default);
+        let mut madds = 0;
+        for ((layer, val), packed) in self
+            .layers
+            .iter()
+            .zip(&mut ws.vals[1..])
+            .zip(&mut ws.packed)
+        {
+            if let Layer::Linear(lin) = layer {
+                assert_eq!(
+                    lin.fan_in(),
+                    width,
+                    "sequential: layer widths are inconsistent"
+                );
+                packed.repack(lin.weights().view());
+                madds += rows * lin.fan_in() * lin.fan_out();
+                width = lin.fan_out();
+            }
+            overwritable(val, rows, width);
         }
-        h
+        copy_into(&mut ws.vals[0], x);
+        ws.forwarded = true;
+        let pool = cnd_parallel::current();
+        let blocks = if madds >= PAR_FORWARD_MADDS_MIN {
+            pool.split_count()
+        } else {
+            1
+        };
+        let (input, outs) = ws.vals.split_first_mut().expect("vals holds the input");
+        let layers = &self.layers;
+        let packed = &ws.packed;
+        if blocks == 1 {
+            forward_rows(layers, packed, input.as_slice(), x.cols(), outs);
+        } else {
+            let step = rows.div_ceil(blocks);
+            let mut pieces: Vec<_> = outs
+                .iter_mut()
+                .map(|m| {
+                    let cols = m.cols();
+                    m.as_mut_slice().chunks_mut((step * cols).max(1))
+                })
+                .collect();
+            let x_cols = x.cols();
+            pool.scope(|s| {
+                for r0 in (0..rows).step_by(step) {
+                    let x_rows = &input.as_slice()[r0 * x_cols..(r0 + step).min(rows) * x_cols];
+                    let mut block: Vec<&mut [f64]> = pieces
+                        .iter_mut()
+                        .map(|p| p.next().unwrap_or_default())
+                        .collect();
+                    s.spawn(move || forward_rows(layers, packed, x_rows, x_cols, &mut block));
+                }
+            });
+        }
+        ws.vals.last().expect("vals holds the input")
     }
 
     /// Forward pass without caching (inference mode, `&self`).
@@ -193,43 +274,135 @@ impl Sequential {
     /// Backward pass: takes `dL/d_output`, returns `dL/d_input`,
     /// accumulating parameter gradients in each linear layer.
     ///
+    /// Each linear layer's backward is one pool dispatch: `dx` splits
+    /// by batch rows, with the preceding activation's derivative fused
+    /// in, and `dW` by its own rows (never by the batch rows it sums
+    /// over), so the result is bit-identical at any pool size.
+    ///
     /// # Errors
     ///
     /// Returns [`NnError::NoForwardPass`] if `forward` has not been called
-    /// since construction or the last `zero_grad`.
-    pub fn backward(&mut self, d_out: &Matrix) -> Result<Matrix, NnError> {
-        let mut d = d_out.clone();
-        for layer in self.layers.iter_mut().rev() {
-            d = match layer {
-                Layer::Linear(lin) => lin.backward(&d)?,
-                Layer::Activation { act, cached } => {
-                    let c = cached.as_ref().ok_or(NnError::NoForwardPass)?;
-                    if c.shape() != d.shape() {
-                        return Err(NnError::BatchMismatch {
-                            left: d.shape(),
-                            right: c.shape(),
-                        });
-                    }
-                    let a = *act;
-                    // In place as `d * act′`, the operand order of `hadamard`.
-                    for (g, &v) in d.as_mut_slice().iter_mut().zip(c.as_slice()) {
-                        *g *= a.derivative_cached(v);
-                    }
-                    d
-                }
-            };
-        }
-        Ok(d)
+    /// since construction or the last `zero_grad`, and
+    /// [`NnError::BatchMismatch`] if `d_out` is not shaped like its output.
+    pub fn backward(&mut self, d_out: &Matrix) -> Result<&Matrix, NnError> {
+        let at = self.backward_impl(d_out, true)?;
+        Ok(&self.ws.grads[at.expect("backward with dx fills a gradient buffer")])
     }
 
-    /// Clears all accumulated gradients and cached activations.
-    pub fn zero_grad(&mut self) {
-        for layer in &mut self.layers {
-            match layer {
-                Layer::Linear(lin) => lin.zero_grad(),
-                Layer::Activation { cached, .. } => *cached = None,
+    /// [`backward`](Self::backward) for training: accumulates the same
+    /// parameter gradients, bit for bit, but skips the input gradient
+    /// nothing reads, the first linear layer's `dx` and everything below it.
+    ///
+    /// # Errors
+    ///
+    /// As [`backward`](Self::backward).
+    pub fn backward_params(&mut self, d_out: &Matrix) -> Result<(), NnError> {
+        self.backward_impl(d_out, false).map(drop)
+    }
+
+    /// The backward walk. Returns which `grads` buffer holds the input
+    /// gradient when `want_dx`.
+    fn backward_impl(&mut self, d_out: &Matrix, want_dx: bool) -> Result<Option<usize>, NnError> {
+        let ws = &mut self.ws;
+        if !ws.forwarded {
+            return Err(NnError::NoForwardPass);
+        }
+        let out = ws.vals.last().expect("a forward pass fills vals");
+        if d_out.shape() != out.shape() {
+            return Err(NnError::BatchMismatch {
+                left: d_out.shape(),
+                right: out.shape(),
+            });
+        }
+        // Layers below this one need no input gradient when it is not wanted.
+        let stop = if want_dx {
+            0
+        } else {
+            self.layers
+                .iter()
+                .position(|l| matches!(l, Layer::Linear(_)))
+                .map_or(self.layers.len(), |first| first + 1)
+        };
+        // Which `grads` buffer holds the gradient at the current layer's
+        // output; `None` while it is still `d_out`.
+        let mut cur: Option<usize> = None;
+        let mut l = self.layers.len();
+        while l > 0 {
+            l -= 1;
+            let (below, rest) = self.layers.split_at_mut(l);
+            match &mut rest[0] {
+                Layer::Activation(act) => {
+                    if l < stop {
+                        break;
+                    }
+                    let act = *act;
+                    let i = match cur {
+                        Some(i) => i,
+                        None => {
+                            copy_into(&mut ws.grads[0], d_out);
+                            0
+                        }
+                    };
+                    let at = &ws.vals[l + usize::from(act.backward_reads_output())];
+                    // In place as `d * act′`, the operand order of `hadamard`.
+                    for (g, &v) in ws.grads[i].as_mut_slice().iter_mut().zip(at.as_slice()) {
+                        *g *= act.derivative_cached(v);
+                    }
+                    cur = Some(i);
+                }
+                Layer::Linear(lin) => {
+                    let next = cur.map_or(0, |i| 1 - i);
+                    let [g0, g1] = &mut ws.grads;
+                    let (d, dx) = match (cur, next) {
+                        (None, _) => (d_out, g0),
+                        (Some(_), 0) => (&*g1, g0),
+                        _ => (&*g0, g1),
+                    };
+                    let x = &ws.vals[l];
+                    if l < stop {
+                        lin.backward_into(x, d, None, &mut ws.scratch);
+                        return Ok(None);
+                    }
+                    // Fuse the derivative of an activation right below.
+                    let fused = match below.last() {
+                        Some(Layer::Activation(act)) => Some((
+                            *act,
+                            &ws.vals[l - 1 + usize::from(act.backward_reads_output())],
+                        )),
+                        _ => None,
+                    };
+                    lin.backward_into(x, d, Some((dx, fused)), &mut ws.scratch);
+                    cur = Some(next);
+                    if fused.is_some() {
+                        l -= 1;
+                    }
+                }
             }
         }
+        if want_dx && cur.is_none() {
+            // No layers: the input gradient is `d_out`.
+            copy_into(&mut ws.grads[0], d_out);
+            cur = Some(0);
+        }
+        Ok(cur)
+    }
+
+    /// Frees the training workspace, so a trained network kept for
+    /// inference holds no training buffers. The next forward sizes a
+    /// new one.
+    pub fn release_workspace(&mut self) {
+        self.ws = Workspace::default();
+    }
+
+    /// Clears all accumulated gradients and marks the workspace stale:
+    /// the next backward needs a new forward.
+    pub fn zero_grad(&mut self) {
+        for layer in &mut self.layers {
+            if let Layer::Linear(lin) = layer {
+                lin.zero_grad();
+            }
+        }
+        self.ws.forwarded = false;
     }
 
     /// Applies one optimizer step to every linear layer.
@@ -237,11 +410,7 @@ impl Sequential {
     /// Tensor ids are assigned as `2 * layer_index` / `2 * layer_index + 1`
     /// so optimizer state stays attached to the same tensors across steps.
     pub fn apply_gradients<O: Optimizer + ?Sized>(&mut self, opt: &mut O) {
-        for (i, layer) in self.layers.iter_mut().enumerate() {
-            if let Layer::Linear(lin) = layer {
-                lin.apply_gradients(opt, 2 * i);
-            }
-        }
+        self.apply_gradients_offset(opt, 0);
     }
 
     /// Applies gradients with tensor ids offset by `id_offset` — lets two
@@ -279,8 +448,52 @@ impl Sequential {
                     );
                     *la = Linear::from_parts(lb.weights().clone(), lb.bias().to_vec());
                 }
-                (Layer::Activation { .. }, Layer::Activation { .. }) => {}
+                (Layer::Activation(_), Layer::Activation(_)) => {}
                 _ => panic!("copy_params_from: layer kind mismatch"),
+            }
+        }
+    }
+}
+
+/// Shapes a workspace buffer as `rows × cols` for a writer that
+/// overwrites every element: only a change of shape pays for zeroing.
+pub(crate) fn overwritable(m: &mut Matrix, rows: usize, cols: usize) {
+    if m.shape() != (rows, cols) {
+        m.reset_zeros(rows, cols);
+    }
+}
+
+/// Copies `src` into the workspace buffer `dst`.
+fn copy_into(dst: &mut Matrix, src: &Matrix) {
+    overwritable(dst, src.rows(), src.cols());
+    dst.as_mut_slice().copy_from_slice(src.as_slice());
+}
+
+/// Runs the rows of `x` (`x_cols` wide, row-major) through every layer,
+/// serially, writing each layer's output for those rows into `outs`.
+fn forward_rows<S: AsRef<[f64]> + AsMut<[f64]>>(
+    layers: &[Layer],
+    packed: &[PackedB],
+    x: &[f64],
+    x_cols: usize,
+    outs: &mut [S],
+) {
+    let rows = x.len().checked_div(x_cols).unwrap_or(0);
+    let mut width = x_cols;
+    for (l, layer) in layers.iter().enumerate() {
+        let (done, rest) = outs.split_at_mut(l);
+        let input = done.last().map_or(x, |prev| prev.as_ref());
+        let out = rest[0].as_mut();
+        match layer {
+            Layer::Linear(lin) => {
+                lin.forward_rows(MatrixRef::from_slice(rows, width, input), &packed[l], out);
+                width = lin.fan_out();
+            }
+            Layer::Activation(act) => {
+                let a = *act;
+                for (y, &v) in out.iter_mut().zip(input) {
+                    *y = a.apply(v);
+                }
             }
         }
     }
@@ -315,7 +528,7 @@ impl PackedSequential {
                     w: PackedB::pack(lin.weights().view()),
                     b: lin.bias().to_vec(),
                 },
-                Layer::Activation { act, .. } => PackedLayer::Activation(*act),
+                Layer::Activation(act) => PackedLayer::Activation(*act),
             })
             .collect();
         PackedSequential { layers }
@@ -466,8 +679,8 @@ mod tests {
         let mut r = rng();
         let mut net = Sequential::mlp(&[4, 6, 4], Activation::Sigmoid, &mut r);
         let x = Matrix::from_fn(5, 4, |i, j| ((i * j) as f64).sin());
-        let a = net.forward(&x);
         let b = net.forward_inference(&x);
+        let a = net.forward(&x);
         assert!(a.max_abs_diff(&b) < 1e-15);
     }
 
@@ -493,53 +706,49 @@ mod tests {
         net.forward_inference_into(&Matrix::zeros(2, 4), &mut [0.0; 5]);
     }
 
-    /// Reference backward pass: each activation keeps its input and
-    /// multiplies the gradient by `derivative(x)` through `hadamard`.
-    /// Returns the input gradient and the linear layers with their
-    /// accumulated gradients.
+    /// Reference backward pass from whole-matrix products: each
+    /// activation keeps its input and multiplies the gradient by
+    /// `derivative(x)` through `hadamard`; each linear layer takes
+    /// `dW = xᵀ·d`, `db = Σ_rows d` and `dx = d·Wᵀ` from transposed
+    /// copies. Returns the input gradient and each linear layer's
+    /// `(dW, db)`.
     fn backward_by_input_derivative(
         net: &Sequential,
         x: &Matrix,
         d_out: &Matrix,
-    ) -> (Matrix, Vec<Linear>) {
-        enum Step {
-            Lin(Linear),
-            Act(Activation, Matrix),
-        }
-        let mut steps = Vec::new();
+    ) -> (Matrix, Vec<(Matrix, Vec<f64>)>) {
+        let mut inputs = Vec::new();
         let mut h = x.clone();
         for layer in net.layers() {
-            match layer {
-                Layer::Linear(lin) => {
-                    let mut lin = lin.clone();
-                    h = lin.forward(&h).unwrap();
-                    steps.push(Step::Lin(lin));
+            let y = match layer {
+                Layer::Linear(lin) => h
+                    .matmul(lin.weights())
+                    .unwrap()
+                    .add_row_broadcast(lin.bias())
+                    .unwrap(),
+                Layer::Activation(a) => {
+                    let a = *a;
+                    h.map(move |v| a.apply(v))
                 }
-                Layer::Activation { act, .. } => {
-                    let a = *act;
-                    let y = h.map(move |v| a.apply(v));
-                    steps.push(Step::Act(a, std::mem::replace(&mut h, y)));
-                }
-            }
+            };
+            inputs.push(std::mem::replace(&mut h, y));
         }
         let mut d = d_out.clone();
-        for step in steps.iter_mut().rev() {
-            d = match step {
-                Step::Lin(lin) => lin.backward(&d).unwrap(),
-                Step::Act(a, x) => {
+        let mut grads = Vec::new();
+        for (layer, x) in net.layers().iter().zip(&inputs).rev() {
+            d = match layer {
+                Layer::Linear(lin) => {
+                    grads.push((x.transpose().matmul(&d).unwrap(), d.col_sums()));
+                    d.matmul(&lin.weights().transpose()).unwrap()
+                }
+                Layer::Activation(a) => {
                     let a = *a;
                     d.hadamard(&x.map(move |v| a.derivative(v))).unwrap()
                 }
             };
         }
-        let lins = steps
-            .into_iter()
-            .filter_map(|s| match s {
-                Step::Lin(lin) => Some(lin),
-                Step::Act(..) => None,
-            })
-            .collect();
-        (d, lins)
+        grads.reverse();
+        (d, grads)
     }
 
     fn bits(v: &[f64]) -> Vec<u64> {
@@ -585,23 +794,19 @@ mod tests {
             net.push_activation(act);
             net.push_layer(Linear::from_parts(w2.clone(), vec![0.05, -0.05, 0.0]));
             net.push_activation(act);
-            let (want_dx, want_lins) = backward_by_input_derivative(&net, &x, &d_out);
+            let (want_dx, want_grads) = backward_by_input_derivative(&net, &x, &d_out);
             net.forward(&x);
             let dx = net.backward(&d_out).unwrap();
             assert_eq!(bits(dx.as_slice()), bits(want_dx.as_slice()), "{act:?} dx");
             let lins: Vec<&Linear> = net.linear_layers().collect();
-            assert_eq!(lins.len(), want_lins.len());
-            for (got, want) in lins.iter().zip(&want_lins) {
+            assert_eq!(lins.len(), want_grads.len());
+            for (got, (want_w, want_b)) in lins.iter().zip(&want_grads) {
                 assert_eq!(
                     bits(got.grad_weights().as_slice()),
-                    bits(want.grad_weights().as_slice()),
+                    bits(want_w.as_slice()),
                     "{act:?} grad_weights"
                 );
-                assert_eq!(
-                    bits(got.grad_bias()),
-                    bits(want.grad_bias()),
-                    "{act:?} grad_bias"
-                );
+                assert_eq!(bits(got.grad_bias()), bits(want_b), "{act:?} grad_bias");
             }
         }
     }
@@ -647,7 +852,7 @@ mod tests {
         let mut a = Sequential::mlp(&[3, 5, 3], Activation::Relu, &mut r);
         let mut b = Sequential::mlp(&[3, 5, 3], Activation::Relu, &mut r);
         let x = Matrix::from_fn(4, 3, |i, j| (i + j) as f64 * 0.3);
-        assert!(a.forward(&x).max_abs_diff(&b.forward(&x)) > 1e-6);
+        assert!(a.forward(&x).max_abs_diff(b.forward(&x)) > 1e-6);
         b.copy_params_from(&a);
         assert!(
             a.forward_inference(&x)
@@ -675,10 +880,10 @@ mod tests {
         enc.zero_grad();
         dec.zero_grad();
         let h = enc.forward(&x);
-        let y = dec.forward(&h);
+        let y = dec.forward(h);
         let d = y.sub(&x).unwrap().scale(2.0 / x.len() as f64);
         let dh = dec.backward(&d).unwrap();
-        enc.backward(&dh).unwrap();
+        enc.backward(dh).unwrap();
         enc.apply_gradients_offset(&mut opt, 0);
         dec.apply_gradients_offset(&mut opt, 1000);
         // Smoke: both nets updated without state-collision panics.

@@ -19,7 +19,7 @@ fn net_loss(net: &Sequential, x: &Matrix, target: &Matrix) -> f64 {
 fn check_gradients(mut net: Sequential, x: &Matrix, target: &Matrix, tol: f64) {
     net.zero_grad();
     let y = net.forward(x);
-    let (_, d) = loss::mse(&y, target).expect("shapes agree");
+    let (_, d) = loss::mse(y, target).expect("shapes agree");
     net.backward(&d).expect("backward succeeds");
 
     // Collect analytic grads per linear layer.

@@ -349,6 +349,18 @@ impl ThreadPool {
         self.threads
     }
 
+    /// How many pieces to cut independent work into: one per thread, or
+    /// 1 on a serial pool and inside a pool job, where nested work runs
+    /// inline. Callers that hand each piece to [`scope`](Self::scope)
+    /// run a single piece on the calling thread instead.
+    pub fn split_count(&self) -> usize {
+        if in_pool() {
+            1
+        } else {
+            self.threads.max(1)
+        }
+    }
+
     /// Whether deterministic chunking is active.
     pub fn is_deterministic(&self) -> bool {
         self.deterministic

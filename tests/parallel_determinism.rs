@@ -13,7 +13,7 @@
 //! parallel cut-off).
 
 use cnd_ids::core::deploy::DeployedScorer;
-use cnd_ids::core::{CndIds, CndIdsConfig};
+use cnd_ids::core::{CfeConfig, CndIds, CndIdsConfig, ContinualFeatureExtractor};
 use cnd_ids::linalg::Matrix;
 use cnd_ids::ml::pca::{ComponentSelection, Pca};
 use cnd_ids::ml::KMeans;
@@ -211,7 +211,11 @@ const FLOW_DIM: usize = 10;
 
 /// A flow matrix with a normal bulk and a shifted anomalous tail.
 fn flows(rows: usize, offset: usize) -> Matrix {
-    Matrix::from_fn(rows, FLOW_DIM, |i, j| {
+    flows_of_width(rows, FLOW_DIM, offset)
+}
+
+fn flows_of_width(rows: usize, dim: usize, offset: usize) -> Matrix {
+    Matrix::from_fn(rows, dim, |i, j| {
         let i = i + offset;
         let base = ((i * 7 + j * 3) % 13) as f64 * 0.1 + ((i * j) as f64 * 0.37).sin() * 0.05;
         if i.is_multiple_of(9) {
@@ -266,6 +270,39 @@ fn deployed_scorer_bit_identical_across_pool_sizes_batches_and_reload() {
                 }
             }
         });
+    }
+}
+
+/// Bit patterns of every weight and bias of a network, layer by layer.
+fn net_bits(net: &Sequential) -> Vec<u64> {
+    net.linear_layers()
+        .flat_map(|l| l.weights().iter().chain(l.bias()).map(|v| v.to_bits()))
+        .collect()
+}
+
+#[test]
+fn cfe_training_bit_identical_across_pool_sizes() {
+    // Three experiences with L_CL on: the third trains against two
+    // snapshots. 210 rows make a full 128-row minibatch and a partial
+    // 82-row one, and the training forward and backward split both into
+    // uneven row blocks at 3 and 7 threads. 48 features give each
+    // network over 8192 parameters, so Adam splits too.
+    let dim = 48;
+    let (x, n_c) = (flows_of_width(210, dim, 0), flows_of_width(40, dim, 5000));
+    let train = || {
+        let mut cfe =
+            ContinualFeatureExtractor::new(dim, CfeConfig::fast(11)).expect("valid config");
+        for e in 0..3 {
+            let xe = x.map(|v| v + 0.3 * e as f64);
+            cfe.train_experience(&xe, &n_c).expect("trains");
+        }
+        (net_bits(cfe.encoder()), net_bits(cfe.decoder()))
+    };
+    let reference = ThreadPool::new(1).install(train);
+    for t in [2, 3, 4, 7] {
+        let got = ThreadPool::new(t).install(train);
+        assert!(got.0 == reference.0, "encoder bits diverged at {t} threads");
+        assert!(got.1 == reference.1, "decoder bits diverged at {t} threads");
     }
 }
 
