@@ -736,18 +736,6 @@ fn transpose_block_into(src: &[f64], out: &mut [f64], rows: usize, cols: usize, 
     }
 }
 
-impl AsRef<[f64]> for Matrix {
-    fn as_ref(&self) -> &[f64] {
-        &self.data
-    }
-}
-
-impl AsMut<[f64]> for Matrix {
-    fn as_mut(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-}
-
 impl Index<(usize, usize)> for Matrix {
     type Output = f64;
 

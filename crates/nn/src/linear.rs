@@ -1,6 +1,7 @@
-use cnd_linalg::{matmul_packed_into, Matrix, MatrixRef, PackedB};
+use cnd_linalg::{matmul_packed_into, Matrix, PackedB};
 use rand::Rng;
 
+use crate::sequential::{overwritable, pass_blocks};
 use crate::{init, Activation, NnError, Optimizer};
 
 /// A fully connected layer computing `y = xW + b` over a batch.
@@ -29,10 +30,6 @@ pub(crate) struct BackwardScratch {
     dw: Vec<f64>,
     db: Vec<f64>,
 }
-
-/// Multiply-adds of one layer backward below which it runs on the
-/// calling thread: a pool dispatch costs more than it splits.
-const PAR_BACKWARD_MADDS_MIN: usize = 1 << 16;
 
 impl Linear {
     /// Creates a layer with Xavier-uniform weights and zero biases.
@@ -104,18 +101,6 @@ impl Linear {
         Ok(x.matmul(&self.w)?.add_row_broadcast(&self.b)?)
     }
 
-    /// `out = x·W + b` for the rows of `x`, row-major, against `packed`,
-    /// this layer's weights packed for the GEMM. Serial: the training
-    /// forward calls it once per row block.
-    pub(crate) fn forward_rows(&self, x: MatrixRef<'_>, packed: &PackedB, out: &mut [f64]) {
-        matmul_packed_into(x, packed, out).expect("sequential: layer widths are inconsistent");
-        for row in out.chunks_exact_mut(self.b.len().max(1)) {
-            for (v, &bias) in row.iter_mut().zip(&self.b) {
-                *v += bias;
-            }
-        }
-    }
-
     /// Backward pass for the batch input `x` and output gradient `d`:
     /// adds `dW = xᵀ·d` and `db = Σ_rows d` to the accumulated
     /// gradients, and, when `dx` is given, writes `dx = d·Wᵀ` into it,
@@ -145,7 +130,7 @@ impl Linear {
         let mut madds = rows * fan_in * fan_out;
         let dx = dx.map(|(dx, fused)| {
             scratch.packed_wt.repack(self.w.view().t());
-            crate::sequential::overwritable(dx, rows, fan_in);
+            overwritable(dx, rows, fan_in);
             madds *= 2;
             (dx, fused)
         });
@@ -173,34 +158,26 @@ impl Linear {
             }
         };
         let pool = cnd_parallel::current();
-        let blocks = if madds >= PAR_BACKWARD_MADDS_MIN {
-            pool.split_count()
-        } else {
-            1
-        };
         let grad_w = self.grad_w.as_mut_slice();
-        if blocks == 1 {
+        let Some(blocks) = pass_blocks(&pool, madds) else {
             dw_rows(0, &mut scratch.dw, grad_w);
             if let Some((dx, fused)) = dx {
                 dx_rows(0, dx.as_mut_slice(), fused);
             }
             return;
-        }
+        };
+        let dw_step = fan_in.div_ceil(blocks);
+        let step = dw_step * fan_out;
+        let dw_blocks = scratch.dw.chunks_mut(step).zip(grad_w.chunks_mut(step));
         pool.scope(|s| {
             let (dw_rows, dx_rows) = (&dw_rows, &dx_rows);
-            let step = fan_in.div_ceil(blocks) * fan_out;
-            for (i, (dw, grad)) in scratch
-                .dw
-                .chunks_mut(step)
-                .zip(grad_w.chunks_mut(step))
-                .enumerate()
-            {
-                s.spawn(move || dw_rows(i * step / fan_out, dw, grad));
+            for (i, (dw, grad)) in dw_blocks.enumerate() {
+                s.spawn(move || dw_rows(i * dw_step, dw, grad));
             }
             if let Some((dx, fused)) = dx {
-                let step = rows.div_ceil(blocks) * fan_in;
-                for (i, out) in dx.as_mut_slice().chunks_mut(step).enumerate() {
-                    s.spawn(move || dx_rows(i * step / fan_in, out, fused));
+                let dx_step = rows.div_ceil(blocks);
+                for (i, out) in dx.as_mut_slice().chunks_mut(dx_step * fan_in).enumerate() {
+                    s.spawn(move || dx_rows(i * dx_step, out, fused));
                 }
             }
         });

@@ -1,4 +1,5 @@
 use cnd_linalg::{matmul_packed_into, Matrix, MatrixRef, PackedB};
+use cnd_parallel::ThreadPool;
 use rand::Rng;
 
 use crate::linear::BackwardScratch;
@@ -33,8 +34,9 @@ pub enum Layer {
 /// any interface, and push each stream through the network.
 ///
 /// The workspace is sized by the first batch and reused after, so a
-/// training step at a fixed batch size allocates nothing on a serial
-/// pool. Cloning a network copies its parameters, not its workspace.
+/// `zero_grad → forward → backward → apply_gradients` step at a fixed
+/// batch size allocates nothing on a serial pool. Cloning a network
+/// copies its parameters, not its workspace.
 ///
 /// # Example
 ///
@@ -89,10 +91,6 @@ impl std::fmt::Debug for Workspace {
             .finish_non_exhaustive()
     }
 }
-
-/// Multiply-adds of a whole forward pass below which it runs on the
-/// calling thread: a pool dispatch costs more than it splits.
-const PAR_FORWARD_MADDS_MIN: usize = 1 << 16;
 
 impl Sequential {
     /// Creates an empty network.
@@ -208,38 +206,45 @@ impl Sequential {
         }
         copy_into(&mut ws.vals[0], x);
         ws.forwarded = true;
+        let (layers, packed) = (&self.layers, &ws.packed);
         let pool = cnd_parallel::current();
-        let blocks = if madds >= PAR_FORWARD_MADDS_MIN {
-            pool.split_count()
-        } else {
-            1
+        let Some(blocks) = pass_blocks(&pool, madds) else {
+            for (l, layer) in layers.iter().enumerate() {
+                let (done, rest) = ws.vals.split_at_mut(l + 1);
+                layer_rows(
+                    layer,
+                    &packed[l],
+                    done[l].as_slice(),
+                    rest[0].as_mut_slice(),
+                );
+            }
+            return ws.vals.last().expect("vals holds the input");
         };
-        let (input, outs) = ws.vals.split_first_mut().expect("vals holds the input");
-        let layers = &self.layers;
-        let packed = &ws.packed;
-        if blocks == 1 {
-            forward_rows(layers, packed, input.as_slice(), x.cols(), outs);
-        } else {
-            let step = rows.div_ceil(blocks);
-            let mut pieces: Vec<_> = outs
-                .iter_mut()
-                .map(|m| {
-                    let cols = m.cols();
-                    m.as_mut_slice().chunks_mut((step * cols).max(1))
-                })
-                .collect();
-            let x_cols = x.cols();
-            pool.scope(|s| {
-                for r0 in (0..rows).step_by(step) {
-                    let x_rows = &input.as_slice()[r0 * x_cols..(r0 + step).min(rows) * x_cols];
-                    let mut block: Vec<&mut [f64]> = pieces
-                        .iter_mut()
-                        .map(|p| p.next().unwrap_or_default())
-                        .collect();
-                    s.spawn(move || forward_rows(layers, packed, x_rows, x_cols, &mut block));
-                }
-            });
-        }
+        let step = rows.div_ceil(blocks);
+        let mut pieces: Vec<_> = ws.vals[1..]
+            .iter_mut()
+            .map(|m| {
+                let cols = m.cols();
+                m.as_mut_slice().chunks_mut((step * cols).max(1))
+            })
+            .collect();
+        let x_cols = x.cols();
+        pool.scope(|s| {
+            for r0 in (0..rows).step_by(step) {
+                let x_rows = &x.as_slice()[r0 * x_cols..(r0 + step).min(rows) * x_cols];
+                let block: Vec<&mut [f64]> = pieces
+                    .iter_mut()
+                    .map(|p| p.next().unwrap_or_default())
+                    .collect();
+                s.spawn(move || {
+                    let mut input = x_rows;
+                    for ((layer, packed), out) in layers.iter().zip(packed).zip(block) {
+                        layer_rows(layer, packed, input, out);
+                        input = out;
+                    }
+                });
+            }
+        });
         ws.vals.last().expect("vals holds the input")
     }
 
@@ -469,32 +474,50 @@ fn copy_into(dst: &mut Matrix, src: &Matrix) {
     dst.as_mut_slice().copy_from_slice(src.as_slice());
 }
 
-/// Runs the rows of `x` (`x_cols` wide, row-major) through every layer,
-/// serially, writing each layer's output for those rows into `outs`.
-fn forward_rows<S: AsRef<[f64]> + AsMut<[f64]>>(
-    layers: &[Layer],
-    packed: &[PackedB],
-    x: &[f64],
-    x_cols: usize,
-    outs: &mut [S],
-) {
-    let rows = x.len().checked_div(x_cols).unwrap_or(0);
-    let mut width = x_cols;
-    for (l, layer) in layers.iter().enumerate() {
-        let (done, rest) = outs.split_at_mut(l);
-        let input = done.last().map_or(x, |prev| prev.as_ref());
-        let out = rest[0].as_mut();
-        match layer {
-            Layer::Linear(lin) => {
-                lin.forward_rows(MatrixRef::from_slice(rows, width, input), &packed[l], out);
-                width = lin.fan_out();
+/// Multiply-adds from which a training pass (a network's forward, or one
+/// linear layer's backward) splits across the pool. Two sweeps of a
+/// 2-way split of one fast-config layer (64→116, tanh; a 2-vCPU host
+/// whose second core is shared; medians of 21 rounds) ran its backward
+/// (`dW` and `dx`) at 0.89–1.44× the serial time below 2¹⁹·⁹
+/// multiply-adds and at 0.65–1.09× from there, and its forward at
+/// 0.53–0.76× from 2¹⁸·⁹. A network's forward counts all its layers, so
+/// at 2²⁰ it is past that point too.
+const PAR_TRAIN_MADDS_MIN: usize = 1 << 20;
+
+/// How many blocks a training pass of `madds` multiply-adds splits into
+/// across `pool`, one per thread; `None` when it runs on the calling
+/// thread: below [`PAR_TRAIN_MADDS_MIN`], on a serial pool, or inside a
+/// pool job.
+pub(crate) fn pass_blocks(pool: &ThreadPool, madds: usize) -> Option<usize> {
+    let blocks = pool.split_count();
+    (madds >= PAR_TRAIN_MADDS_MIN && blocks > 1).then_some(blocks)
+}
+
+/// One layer over the rows of `x`, row-major, serially: the step each
+/// block of the training forward runs per layer.
+fn layer_rows(layer: &Layer, packed: &PackedB, x: &[f64], out: &mut [f64]) {
+    match layer {
+        Layer::Linear(lin) => {
+            let x = MatrixRef::from_slice(x.len() / lin.fan_in().max(1), lin.fan_in(), x);
+            affine_rows(x, packed, lin.bias(), out);
+        }
+        Layer::Activation(act) => {
+            let a = *act;
+            for (y, &v) in out.iter_mut().zip(x) {
+                *y = a.apply(v);
             }
-            Layer::Activation(act) => {
-                let a = *act;
-                for (y, &v) in out.iter_mut().zip(input) {
-                    *y = a.apply(v);
-                }
-            }
+        }
+    }
+}
+
+/// `out = x·W + b` for the rows of `x`, against `w`, the layer's weights
+/// packed for the GEMM: the linear step of both the training and the
+/// inference forward.
+fn affine_rows(x: MatrixRef<'_>, w: &PackedB, b: &[f64], out: &mut [f64]) {
+    matmul_packed_into(x, w, out).expect("sequential: layer widths are inconsistent");
+    for row in out.chunks_exact_mut(b.len().max(1)) {
+        for (v, &bias) in row.iter_mut().zip(b) {
+            *v += bias;
         }
     }
 }
@@ -605,14 +628,8 @@ impl PackedSequential {
                     } else {
                         MatrixRef::from_slice(rows, width, h)
                     };
-                    matmul_packed_into(input, w, tmp)
-                        .expect("sequential: layer widths are inconsistent");
+                    affine_rows(input, w, b, tmp);
                     width = w.cols();
-                    for row in tmp.chunks_exact_mut(width) {
-                        for (v, &bias) in row.iter_mut().zip(b) {
-                            *v += bias;
-                        }
-                    }
                     std::mem::swap(h, tmp);
                 }
                 PackedLayer::Activation(act) => {

@@ -1,4 +1,5 @@
-//! The training step allocates nothing once its workspace is sized.
+//! A `Sequential` training step allocates nothing once its workspace is
+//! sized.
 //!
 //! A counting global allocator keeps one counter per thread, so tests
 //! running in parallel do not see each other's allocations. The step
@@ -72,8 +73,6 @@ fn allocations_after_first_step(mut step: impl FnMut()) -> u64 {
 #[test]
 fn training_steps_after_the_first_allocate_nothing() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-    // Large enough that a wider pool would split the forward and every
-    // layer backward.
     let mut net = Sequential::mlp(&[20, 48, 48, 8], Activation::Tanh, &mut rng);
     let x = Matrix::from_fn(64, 20, |i, j| ((i * 20 + j) as f64 * 0.13).sin());
     let d_out = Matrix::from_fn(64, 8, |i, j| ((i + 3 * j) as f64 * 0.29).cos() * 0.01);

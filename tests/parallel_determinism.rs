@@ -284,10 +284,11 @@ fn net_bits(net: &Sequential) -> Vec<u64> {
 fn cfe_training_bit_identical_across_pool_sizes() {
     // Three experiences with L_CL on: the third trains against two
     // snapshots. 210 rows make a full 128-row minibatch and a partial
-    // 82-row one, and the training forward and backward split both into
-    // uneven row blocks at 3 and 7 threads. 48 features give each
-    // network over 8192 parameters, so Adam splits too.
-    let dim = 48;
+    // 82-row one. 72 features (latent 144) put both minibatches' forward
+    // and the 64↔144 layers' backward past the training cut-off (2²⁰
+    // multiply-adds), so they split into uneven row blocks at 3 and 7
+    // threads.
+    let dim = 72;
     let (x, n_c) = (flows_of_width(210, dim, 0), flows_of_width(40, dim, 5000));
     let train = || {
         let mut cfe =
