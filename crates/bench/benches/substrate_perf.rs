@@ -3,7 +3,7 @@
 //! Not a paper artifact — this target measures the hot kernels behind
 //! CFE/PCA scoring (blocked matmul, batch FRE scoring, batched network
 //! inference) serially and on the `cnd-parallel` pool, asserts the two
-//! paths are bit-identical in deterministic mode, and writes the numbers
+//! paths are bit-identical, and writes the numbers
 //! to `BENCH_substrate.json` for CI trend tracking.
 //!
 //! Env knobs:
@@ -409,10 +409,9 @@ fn main() {
         "not a paper artifact (kernel performance tracking)",
     );
     println!(
-        "mode: {}, parallel pool: {} thread(s), deterministic: {}",
+        "mode: {}, parallel pool: {} thread(s)",
         if quick { "quick" } else { "full" },
         parallel.threads(),
-        parallel.is_deterministic(),
     );
 
     // Trace each kernel measurement so the report can carry a
@@ -476,7 +475,7 @@ fn main() {
     for m in &results {
         assert!(
             m.bit_identical,
-            "{}: deterministic parallel output diverged from serial",
+            "{}: parallel output diverged from serial",
             m.name
         );
         println!(

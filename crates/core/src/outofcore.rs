@@ -7,12 +7,11 @@
 //!
 //! * [`DeployedScorer::score_chunks`] scores a stream of [`RowChunk`]s
 //!   one slab at a time, never holding more than a single chunk of
-//!   features in memory. In the default f64 deterministic mode every
-//!   score is **bitwise identical** to the score the same flow would
-//!   receive from [`DeployedScorer::anomaly_scores`] on the fully
-//!   materialized matrix — scoring is row-independent, so slab
-//!   boundaries cannot perturb it (property-tested in
-//!   `tests/out_of_core.rs`).
+//!   features in memory. Every score is **bitwise identical** to the
+//!   score the same flow would receive from
+//!   [`DeployedScorer::anomaly_scores`] on the fully materialized
+//!   matrix — scoring is row-independent, so slab boundaries cannot
+//!   perturb it (property-tested in `tests/out_of_core.rs`).
 //! * [`train_from_store`] runs Algorithm 1's per-experience step
 //!   against a store of arbitrary size with O(reservoir) memory: one
 //!   sequential pass feeds two seeded Algorithm-R reservoirs (clean

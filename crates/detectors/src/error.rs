@@ -33,11 +33,6 @@ pub enum DetectorError {
     Ml(MlError),
     /// An underlying neural-network operation failed.
     Nn(NnError),
-    /// An out-of-core chunk source failed (IO, corruption, format).
-    ///
-    /// Carries the rendered message rather than the source error so the
-    /// enum stays `Clone + PartialEq`.
-    Storage(String),
 }
 
 impl fmt::Display for DetectorError {
@@ -57,7 +52,6 @@ impl fmt::Display for DetectorError {
             DetectorError::Linalg(e) => write!(f, "linear algebra error: {e}"),
             DetectorError::Ml(e) => write!(f, "ml estimator error: {e}"),
             DetectorError::Nn(e) => write!(f, "neural network error: {e}"),
-            DetectorError::Storage(msg) => write!(f, "chunk source failed: {msg}"),
         }
     }
 }
@@ -88,12 +82,6 @@ impl From<MlError> for DetectorError {
 impl From<NnError> for DetectorError {
     fn from(e: NnError) -> Self {
         DetectorError::Nn(e)
-    }
-}
-
-impl From<cnd_store::StoreError> for DetectorError {
-    fn from(e: cnd_store::StoreError) -> Self {
-        DetectorError::Storage(e.to_string())
     }
 }
 

@@ -73,7 +73,6 @@ pub use ocsvm::{OneClassSvm, OneClassSvmConfig};
 pub use pca_detector::PcaDetector;
 
 use cnd_linalg::Matrix;
-use cnd_store::RowChunk;
 
 /// Common interface for all novelty detectors.
 ///
@@ -102,33 +101,6 @@ pub trait NoveltyDetector {
     fn name(&self) -> &'static str;
 }
 
-/// Scores a `.cnds` chunk stream against any fitted detector, one slab
-/// at a time — peak memory is one [`RowChunk`] regardless of store
-/// size.
-///
-/// A free function (not a trait method) so [`NoveltyDetector`] stays
-/// object-safe; it takes `&dyn` and therefore works on the runner's
-/// heterogeneous `Vec<Box<dyn NoveltyDetector>>`. Yields
-/// `(start_row, scores)` per chunk. Detector scoring is row-independent
-/// for every implementation in this crate, so concatenated chunked
-/// scores are bitwise identical to scoring the materialized matrix.
-pub fn score_chunks<'a, E, I>(
-    detector: &'a dyn NoveltyDetector,
-    chunks: I,
-) -> impl Iterator<Item = Result<(u64, Vec<f64>), DetectorError>> + 'a
-where
-    DetectorError: From<E>,
-    I: IntoIterator<Item = Result<RowChunk, E>>,
-    I::IntoIter: 'a,
-{
-    chunks.into_iter().map(move |chunk| {
-        let chunk = chunk?;
-        let scores = detector.anomaly_scores(&chunk.rows)?;
-        cnd_obs::counter_add("detector.score_chunks.rows.count", scores.len() as u64);
-        Ok((chunk.start, scores))
-    })
-}
-
 #[cfg(test)]
 mod trait_tests {
     use super::*;
@@ -138,33 +110,5 @@ mod trait_tests {
         fn takes_boxed(_: &dyn NoveltyDetector) {}
         let d = IsolationForest::new(5, 16, 0);
         takes_boxed(&d);
-    }
-
-    #[test]
-    fn chunked_scoring_matches_in_memory_bitwise() {
-        let train = Matrix::from_fn(256, 3, |i, j| ((i * 31 + j * 17) % 97) as f64 / 97.0);
-        let mut forest = IsolationForest::new(20, 64, 42);
-        forest.fit(&train).unwrap();
-        let test = Matrix::from_fn(101, 3, |i, j| ((i * 13 + j * 7) % 89) as f64 / 11.0);
-        let oracle = forest.anomaly_scores(&test).unwrap();
-
-        let path = std::env::temp_dir().join(format!("cnd_det_chunks_{}.cnds", std::process::id()));
-        let mut w =
-            cnd_store::StoreWriter::create(&path, test.cols(), cnd_store::DType::F64, false)
-                .unwrap();
-        w.push_matrix(&test, &[]).unwrap();
-        w.finalize().unwrap();
-        let store = cnd_store::FlowStore::open(&path).unwrap();
-
-        for chunk_rows in [1usize, 10, 101, 500] {
-            let mut streamed = Vec::new();
-            for part in score_chunks(&forest, store.chunks(chunk_rows).unwrap()) {
-                let (start, scores) = part.unwrap();
-                assert_eq!(start as usize, streamed.len());
-                streamed.extend_from_slice(&scores);
-            }
-            assert_eq!(streamed, oracle, "chunk_rows={chunk_rows}");
-        }
-        let _ = std::fs::remove_file(&path);
     }
 }

@@ -32,11 +32,6 @@ pub enum MlError {
         /// Human-readable constraint.
         constraint: &'static str,
     },
-    /// An out-of-core chunk source failed (IO, corruption, format).
-    ///
-    /// Carries the rendered message rather than the source error so the
-    /// enum stays `Clone + PartialEq` for the rest of the crate.
-    Storage(String),
 }
 
 impl fmt::Display for MlError {
@@ -53,7 +48,6 @@ impl fmt::Display for MlError {
             MlError::InvalidParameter { name, constraint } => {
                 write!(f, "parameter {name} violates constraint: {constraint}")
             }
-            MlError::Storage(msg) => write!(f, "chunk source failed: {msg}"),
         }
     }
 }
@@ -70,12 +64,6 @@ impl Error for MlError {
 impl From<LinalgError> for MlError {
     fn from(e: LinalgError) -> Self {
         MlError::Linalg(e)
-    }
-}
-
-impl From<cnd_store::StoreError> for MlError {
-    fn from(e: cnd_store::StoreError) -> Self {
-        MlError::Storage(e.to_string())
     }
 }
 

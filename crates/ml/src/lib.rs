@@ -40,7 +40,6 @@
 
 mod error;
 
-pub mod chunked;
 pub mod kmeans;
 pub mod pca;
 pub mod scaler;

@@ -70,19 +70,6 @@ impl Pca {
         }
         let mean = stats::column_means(x)?;
         let cov = stats::covariance(x)?;
-        Self::fit_from_moments(mean, cov, selection)
-    }
-
-    /// Fits PCA from precomputed first/second moments: the column means
-    /// and the sample covariance of the data. This is the shared tail of
-    /// [`Pca::fit`] and the chunked out-of-core fit — eigendecomposition,
-    /// PSD clamping, explained-variance ratios, and component selection
-    /// all happen here, so the two paths cannot drift.
-    pub(crate) fn fit_from_moments(
-        mean: Vec<f64>,
-        cov: Matrix,
-        selection: ComponentSelection,
-    ) -> Result<Self, MlError> {
         match selection {
             ComponentSelection::VarianceFraction(f) if !(f > 0.0 && f <= 1.0) => {
                 return Err(MlError::InvalidParameter {

@@ -2,7 +2,7 @@ use cnd_linalg::{matmul_packed_into, Matrix, PackedB};
 use rand::Rng;
 
 use crate::sequential::{overwritable, pass_blocks};
-use crate::{init, Activation, NnError, Optimizer};
+use crate::{init, Activation, Optimizer};
 
 /// A fully connected layer computing `y = xW + b` over a batch.
 ///
@@ -90,15 +90,6 @@ impl Linear {
     /// Number of trainable parameters.
     pub fn param_count(&self) -> usize {
         self.w.len() + self.b.len()
-    }
-
-    /// Forward pass without caching — used for inference.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `x.cols() != fan_in`.
-    pub fn forward_inference(&self, x: &Matrix) -> Result<Matrix, NnError> {
-        Ok(x.matmul(&self.w)?.add_row_broadcast(&self.b)?)
     }
 
     /// Backward pass for the batch input `x` and output gradient `d`:
@@ -213,8 +204,7 @@ impl Linear {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Sequential;
-    use rand::SeedableRng;
+    use crate::{NnError, Sequential};
 
     /// The layer alone in a network: training runs through `Sequential`.
     fn net(layer: Linear) -> Sequential {
@@ -238,16 +228,6 @@ mod tests {
         let x = Matrix::from_rows(&[vec![1.0, 2.0]]).unwrap();
         let y = l.forward(&x);
         assert_eq!(y.row(0), &[1.5, 1.5, 0.0]);
-    }
-
-    #[test]
-    fn forward_inference_matches_forward() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        let mut l = net(Linear::new(4, 3, &mut rng));
-        let x = Matrix::from_fn(5, 4, |i, j| (i + j) as f64 * 0.1);
-        let b = only(&l).forward_inference(&x).unwrap();
-        let a = l.forward(&x);
-        assert!(a.max_abs_diff(&b) < 1e-15);
     }
 
     #[test]

@@ -16,17 +16,16 @@
 //!   This makes nested parallelism (a parallel batched forward pass whose
 //!   per-chunk matmuls would themselves like to fan out) deadlock-free by
 //!   construction and avoids oversubscription.
-//! * Pool size comes from the builder, falling back to the `CND_THREADS`
-//!   environment variable, falling back to
+//! * Pool size is the argument of [`ThreadPool::new`]; `0` falls back
+//!   to the `CND_THREADS` environment variable, then to
 //!   [`std::thread::available_parallelism`].
 //!
 //! # Determinism guarantee
 //!
-//! In deterministic mode (the default) every primitive produces results
-//! **bit-identical to the serial computation, for every pool size**:
+//! Every primitive produces results **bit-identical to the serial
+//! computation, for every pool size**:
 //!
 //! * [`par_chunks`](ThreadPool::par_chunks) /
-//!   [`par_chunks_mut`](ThreadPool::par_chunks_mut) /
 //!   [`par_map_rows`](ThreadPool::par_map_rows) assign fixed, caller-stated
 //!   chunk boundaries and collect results in chunk order — parallelism only
 //!   changes *which thread* computes a chunk, never what is computed.
@@ -38,11 +37,6 @@
 //!   with an **ordered tree reduction** whose shape depends only on the
 //!   chunk count, so floating-point accumulation order is a pure function
 //!   of `(len, chunk)`.
-//!
-//! With `deterministic(false)` the helpers may coarsen chunk boundaries
-//! based on the pool size for better load balancing; row-independent maps
-//! are still exact, but reductions may then differ across pool sizes by
-//! floating-point reassociation.
 //!
 //! # Example
 //!
@@ -187,65 +181,6 @@ impl Latch {
     }
 }
 
-/// Configures and builds a [`ThreadPool`].
-#[derive(Debug, Clone, Default)]
-pub struct ThreadPoolBuilder {
-    threads: Option<usize>,
-    deterministic: Option<bool>,
-}
-
-impl ThreadPoolBuilder {
-    /// Starts from the environment defaults.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Fixes the pool size (compute threads, including the scope owner).
-    /// `0` restores the automatic choice.
-    pub fn threads(mut self, n: usize) -> Self {
-        self.threads = if n == 0 { None } else { Some(n) };
-        self
-    }
-
-    /// Enables or disables deterministic chunking (default: enabled).
-    pub fn deterministic(mut self, on: bool) -> Self {
-        self.deterministic = Some(on);
-        self
-    }
-
-    /// Builds the pool, spawning `threads - 1` workers.
-    pub fn build(self) -> ThreadPool {
-        let threads = self.threads.unwrap_or_else(threads_from_env).max(1);
-        let deterministic = self.deterministic.unwrap_or(true);
-        let shared = Arc::new(Shared {
-            state: Mutex::new(QueueState {
-                jobs: VecDeque::new(),
-                shutdown: false,
-            }),
-            work_available: Condvar::new(),
-        });
-        let mut handles = Vec::with_capacity(threads.saturating_sub(1));
-        for w in 1..threads {
-            let shared = Arc::clone(&shared);
-            let handle = thread::Builder::new()
-                .name(format!("cnd-pool-{w}"))
-                .spawn(move || worker_loop(shared))
-                .expect("failed to spawn pool worker");
-            handles.push(handle);
-        }
-        cnd_obs::gauge_set_volatile("pool.threads.value", threads as f64);
-        ThreadPool {
-            shared: Arc::clone(&shared),
-            threads,
-            deterministic,
-            _core: Arc::new(PoolCore {
-                shared,
-                handles: Mutex::new(handles),
-            }),
-        }
-    }
-}
-
 /// Pool size from `CND_THREADS`, else the machine's available parallelism.
 fn threads_from_env() -> usize {
     if let Ok(v) = std::env::var("CND_THREADS") {
@@ -290,7 +225,6 @@ fn worker_loop(shared: Arc<Shared>) {
 pub struct ThreadPool {
     shared: Arc<Shared>,
     threads: usize,
-    deterministic: bool,
     _core: Arc<PoolCore>,
 }
 
@@ -298,7 +232,6 @@ impl std::fmt::Debug for ThreadPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ThreadPool")
             .field("threads", &self.threads)
-            .field("deterministic", &self.deterministic)
             .finish()
     }
 }
@@ -309,7 +242,7 @@ static GLOBAL: OnceLock<ThreadPool> = OnceLock::new();
 /// The process-wide pool, created on first use from `CND_THREADS` /
 /// available parallelism.
 pub fn global() -> &'static ThreadPool {
-    GLOBAL.get_or_init(|| ThreadPoolBuilder::new().build())
+    GLOBAL.get_or_init(|| ThreadPool::new(0))
 }
 
 /// The pool the current thread should fan work out onto: the innermost
@@ -334,14 +267,40 @@ impl Drop for InstallGuard {
 
 impl ThreadPool {
     /// A pool with exactly `threads` compute threads (`1` = fully serial,
-    /// no threads spawned).
+    /// no threads spawned; `0` = the automatic size from `CND_THREADS`,
+    /// else the machine's available parallelism). Spawns `threads - 1`
+    /// workers.
     pub fn new(threads: usize) -> Self {
-        ThreadPoolBuilder::new().threads(threads).build()
-    }
-
-    /// Starts a builder.
-    pub fn builder() -> ThreadPoolBuilder {
-        ThreadPoolBuilder::new()
+        let threads = if threads == 0 {
+            threads_from_env()
+        } else {
+            threads
+        };
+        let shared = Arc::new(Shared {
+            state: Mutex::new(QueueState {
+                jobs: VecDeque::new(),
+                shutdown: false,
+            }),
+            work_available: Condvar::new(),
+        });
+        let mut handles = Vec::with_capacity(threads - 1);
+        for w in 1..threads {
+            let shared = Arc::clone(&shared);
+            let handle = thread::Builder::new()
+                .name(format!("cnd-pool-{w}"))
+                .spawn(move || worker_loop(shared))
+                .expect("failed to spawn pool worker");
+            handles.push(handle);
+        }
+        cnd_obs::gauge_set_volatile("pool.threads.value", threads as f64);
+        ThreadPool {
+            shared: Arc::clone(&shared),
+            threads,
+            _core: Arc::new(PoolCore {
+                shared,
+                handles: Mutex::new(handles),
+            }),
+        }
     }
 
     /// Number of compute threads (scope owner included).
@@ -359,11 +318,6 @@ impl ThreadPool {
         } else {
             self.threads.max(1)
         }
-    }
-
-    /// Whether deterministic chunking is active.
-    pub fn is_deterministic(&self) -> bool {
-        self.deterministic
     }
 
     /// Makes this pool the [`current`] pool for the duration of `f` on
@@ -433,20 +387,9 @@ impl ThreadPool {
         }
     }
 
-    /// Chunk length used by the helpers: fixed at `min_chunk` in
-    /// deterministic mode (boundaries independent of pool size), coarsened
-    /// towards `len / (2 × threads)` otherwise.
-    pub fn chunk_len(&self, len: usize, min_chunk: usize) -> usize {
-        let min_chunk = min_chunk.max(1);
-        if self.deterministic {
-            min_chunk
-        } else {
-            min_chunk.max(len.div_ceil((self.threads * 2).max(1)))
-        }
-    }
-
-    /// Splits `0..len` into fixed chunks of `chunk_len(len, min_chunk)`
-    /// and maps each chunk with `f`, returning results **in chunk order**.
+    /// Splits `0..len` into fixed chunks of `min_chunk` (at least 1) and
+    /// maps each chunk with `f`, returning results **in chunk order**.
+    /// The boundaries do not depend on the pool size.
     ///
     /// `f` runs on pool threads for chunked work and inline for small or
     /// serial cases; either way the output is identical.
@@ -455,7 +398,7 @@ impl ThreadPool {
         R: Send,
         F: Fn(Range<usize>) -> R + Sync,
     {
-        let chunk = self.chunk_len(len, min_chunk);
+        let chunk = min_chunk.max(1);
         let n_chunks = len.div_ceil(chunk);
         let mut out: Vec<Option<R>> = Vec::with_capacity(n_chunks);
         out.resize_with(n_chunks, || None);
@@ -483,7 +426,7 @@ impl ThreadPool {
     /// Splits `data` into consecutive chunks of at most `chunk` elements
     /// and calls `f(offset, chunk_slice)` on each, in parallel. Chunks are
     /// disjoint, so no synchronization is needed inside `f`.
-    pub fn par_chunks_mut<T, F>(&self, data: &mut [T], chunk: usize, f: F)
+    fn par_chunks_mut<T, F>(&self, data: &mut [T], chunk: usize, f: F)
     where
         T: Send,
         F: Fn(usize, &mut [T]) + Sync,
@@ -503,9 +446,9 @@ impl ThreadPool {
         }
     }
 
-    /// Row-blocked variant of [`par_chunks_mut`](Self::par_chunks_mut) for
-    /// a row-major `rows × cols` buffer: calls `f(first_row, row_block)`
-    /// on blocks of at least `min_rows` rows.
+    /// Splits a row-major `rows × cols` buffer into fixed blocks of
+    /// `min_rows` rows (at least 1; the last may be shorter) and calls
+    /// `f(first_row, row_block)` on each, in parallel.
     ///
     /// # Panics
     ///
@@ -529,7 +472,7 @@ impl ThreadPool {
         if cols == 0 || rows == 0 {
             return;
         }
-        let block_rows = self.chunk_len(rows, min_rows);
+        let block_rows = min_rows.max(1);
         self.par_chunks_mut(data, block_rows * cols, |off, block| f(off / cols, block));
     }
 
@@ -894,24 +837,21 @@ mod tests {
 
     #[test]
     fn builder_env_and_bounds() {
-        assert_eq!(ThreadPool::builder().threads(7).build().threads(), 7);
-        // threads(0) restores the automatic choice, which is >= 1.
-        assert!(ThreadPool::builder().threads(0).build().threads() >= 1);
-        let nd = ThreadPool::builder()
-            .threads(4)
-            .deterministic(false)
-            .build();
-        assert!(!nd.is_deterministic());
-        // Non-deterministic chunking coarsens; deterministic stays fixed.
-        assert_eq!(ThreadPool::new(4).chunk_len(1 << 20, 64), 64);
-        assert!(nd.chunk_len(1 << 20, 64) > 64);
+        assert_eq!(ThreadPool::new(7).threads(), 7);
+        // 0 is the automatic choice, which is >= 1.
+        assert!(ThreadPool::new(0).threads() >= 1);
     }
 
     #[test]
     fn deterministic_chunk_boundaries_ignore_pool_size() {
+        let want: Vec<_> = (0..100_000)
+            .step_by(128)
+            .map(|lo| lo..(lo + 128).min(100_000))
+            .collect();
+        assert_eq!(want.len(), 782);
         for threads in [1, 2, 4, 7] {
             let pool = ThreadPool::new(threads);
-            assert_eq!(pool.chunk_len(100_000, 128), 128);
+            assert_eq!(pool.par_chunks(100_000, 128, |r| r), want, "t={threads}");
         }
     }
 

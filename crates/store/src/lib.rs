@@ -15,21 +15,19 @@
 //! * [`ReservoirBuffer`] — seeded Algorithm-R reservoir sampling, the
 //!   bounded replacement for whole-dataset replay memory in the
 //!   streaming/continual paths (CITADEL's memory-budget argument).
-//! * [`stream`] — streaming column-statistics accumulators whose
-//!   floating-point association order **matches the in-memory kernels
-//!   bit for bit** in deterministic mode, so a chunked fit is not an
-//!   approximation of the in-memory fit; it *is* the in-memory fit.
+//!
+//! Fitting stays in memory: `cnd_core::outofcore::train_from_store`
+//! fills two reservoirs in one pass over a store and runs the ordinary
+//! in-memory fits on them.
 //!
 //! # Determinism contract
 //!
 //! The on-disk format stores raw IEEE-754 little-endian bits, so a
 //! write→read round trip of f64 rows is bitwise lossless (f32 stores are
-//! lossless in f32; readers widen to f64). The [`stream`] accumulators
-//! replicate the exact fixed-chunk association order of
-//! `Matrix::col_sums` (512-row blocks + ordered tree reduction) and the
-//! sequential row-order variance/covariance passes, which makes chunked
-//! statistics independent of the reader's chunk size and bitwise equal
-//! to their in-memory counterparts in deterministic mode (the default).
+//! lossless in f32; readers widen to f64). Scoring is row-independent,
+//! so scores streamed chunk by chunk equal the in-memory scores bit for
+//! bit at any chunk size, and a reservoir below capacity keeps every
+//! row, in store order.
 //!
 //! # Hostile input
 //!
@@ -44,7 +42,6 @@
 mod format;
 mod reader;
 mod reservoir;
-pub mod stream;
 mod writer;
 
 pub use format::{DType, StoreMeta, FOOTER_LEN, HEADER_LEN, MAX_DIM};

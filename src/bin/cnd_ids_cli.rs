@@ -15,12 +15,12 @@
 //! * `train <data.csv|data.cnds> <model.txt> [--experiences M] [--seed N]`
 //!   — train on the whole stream and persist a frozen scorer. With a
 //!   `.cnds` store the training is out-of-core: rows stream through
-//!   seeded reservoirs (`--clean-cap`, `--train-cap`, `--chunk-rows`)
-//!   and only the sample is ever materialized.
+//!   seeded reservoirs (`--clean-cap`, `--train-cap`) and only the
+//!   sample is ever materialized.
 //! * `score <model.txt> <data.csv|data.cnds> [--quantile Q]` — score a
 //!   capture with a deployed model; prints one score (and alert flag)
 //!   per line. A `.cnds` store is scored chunk-at-a-time with output
-//!   byte-identical to the CSV path (`--chunk-rows` tunes the slab).
+//!   byte-identical to the CSV path.
 //! * `stream <data.csv> [--experiences M] [--seed N] [--chunk N]
 //!   [--fault-rate R] [--health]` — drive the fault-tolerant streaming
 //!   pipeline over the stream (optionally with seeded input corruption)
@@ -69,6 +69,9 @@
 //! `CND_OBS_OUT` when that is set). Setting `CND_OBS_LISTEN=<addr>`
 //! additionally serves live Prometheus `/metrics` and JSON `/health`
 //! over HTTP for the lifetime of the process.
+//!
+//! Store chunks: `train`, `score` and `serve --continual` read a `.cnds`
+//! store in slabs of `CND_STORE_CHUNK_ROWS` rows (default 8192).
 //!
 //! Exit code is non-zero on any error, including a `--` flag the
 //! subcommand does not read (`--trace-out` is accepted everywhere);
@@ -145,10 +148,10 @@ const USAGE: &str = "usage:
   cnd-ids-cli generate <profile> <out.csv> [--seed N] [--samples N]
   cnd-ids-cli ingest <data.csv> <out.cnds> [--header] [--f32]
   cnd-ids-cli run <data.csv> [--experiences M] [--seed N] [--paper]
-  cnd-ids-cli train <data.csv|data.cnds> <model.txt> [--experiences M] [--seed N] [--clean-cap N] [--train-cap N] [--chunk-rows N]
-  cnd-ids-cli score <model.txt> <data.csv|data.cnds> [--quantile Q] [--chunk-rows N]
+  cnd-ids-cli train <data.csv|data.cnds> <model.txt> [--experiences M] [--seed N] [--clean-cap N] [--train-cap N]
+  cnd-ids-cli score <model.txt> <data.csv|data.cnds> [--quantile Q]
   cnd-ids-cli stream <data.csv> [--experiences M] [--seed N] [--chunk N] [--fault-rate R] [--health]
-  cnd-ids-cli serve <model.txt> [--addr 127.0.0.1:7071] [--max-batch N] [--queue-cap N] [--threshold T] [--quantile Q] [--calibrate N] [--watch] [--watch-interval-ms MS] [--no-telemetry] [--runtime-s S] [--continual --data <labelled.csv|.cnds> [--experiences M] [--seed N] [--chunk-rows N] [--drift-window N] [--min-retrain N] [--probation N] [--ledger <path>] [--flight-dump <path>] [--mirror-spill <out.cnds>]]
+  cnd-ids-cli serve <model.txt> [--addr 127.0.0.1:7071] [--max-batch N] [--queue-cap N] [--threshold T] [--quantile Q] [--calibrate N] [--watch] [--watch-interval-ms MS] [--no-telemetry] [--runtime-s S] [--continual --data <labelled.csv|.cnds> [--experiences M] [--seed N] [--drift-window N] [--min-retrain N] [--probation N] [--ledger <path>] [--flight-dump <path>] [--mirror-spill <out.cnds>]]
   cnd-ids-cli loadgen <addr> [--flows N] [--concurrency C] [--rate R] [--seed N] [--reload-midway] [--tag T] [--out <path>] [--append]
   cnd-ids-cli observe <trace.jsonl> [--top [N]] [--latency] [--timeline]
   cnd-ids-cli bench-check <current> [--baseline <path>] [--update] [--tolerance T]
@@ -156,7 +159,8 @@ const USAGE: &str = "usage:
 observability: every subcommand accepts --trace-out <path> to record a
 span/metric trace; CND_OBS=1 (wall) or CND_OBS=det (deterministic)
 enables tracing with a stderr summary, CND_OBS_OUT=<path> writes JSONL,
-CND_OBS_LISTEN=<addr> serves live /metrics (Prometheus) and /health.";
+CND_OBS_LISTEN=<addr> serves live /metrics (Prometheus) and /health.
+CND_STORE_CHUNK_ROWS=N sets the rows per .cnds read slab (default 8192).";
 
 /// Per subcommand: the flags that take a value, then the switches.
 /// `--trace-out <path>` is accepted by every subcommand.
@@ -167,16 +171,10 @@ const FLAGS: &[(&str, &[&str], &[&str])] = &[
     ("run", &["--experiences", "--seed"], &["--paper"]),
     (
         "train",
-        &[
-            "--experiences",
-            "--seed",
-            "--clean-cap",
-            "--train-cap",
-            "--chunk-rows",
-        ],
+        &["--experiences", "--seed", "--clean-cap", "--train-cap"],
         &[],
     ),
-    ("score", &["--quantile", "--chunk-rows"], &[]),
+    ("score", &["--quantile"], &[]),
     (
         "stream",
         &["--experiences", "--seed", "--chunk", "--fault-rate"],
@@ -196,7 +194,6 @@ const FLAGS: &[(&str, &[&str], &[&str])] = &[
             "--data",
             "--experiences",
             "--seed",
-            "--chunk-rows",
             "--drift-window",
             "--min-retrain",
             "--probation",
@@ -436,7 +433,6 @@ fn cmd_train_from_store(path: &str, model_out: &str, args: &[String]) -> Result<
     cfg.seed = seed;
     cfg.clean_capacity = parse_flag(args, "--clean-cap", cfg.clean_capacity)?;
     cfg.train_capacity = parse_flag(args, "--train-cap", cfg.train_capacity)?;
-    cfg.chunk_rows = parse_flag(args, "--chunk-rows", cfg.chunk_rows)?;
     let report = train_from_store(&store, &cfg).map_err(|e| e.to_string())?;
     let scorer = report.model.freeze().map_err(|e| e.to_string())?;
     scorer.save_to_path(model_out).map_err(|e| e.to_string())?;
@@ -540,7 +536,6 @@ fn continual_bootstrap_from_store(
     }
     let mut cfg = OutOfCoreTrainConfig::new(CndIdsConfig::fast(seed));
     cfg.seed = seed;
-    cfg.chunk_rows = parse_flag(args, "--chunk-rows", cfg.chunk_rows)?;
     let report = train_from_store(&store, &cfg).map_err(|e| e.to_string())?;
     let val_len = (store.len() as usize).min(2048);
     let chunk = store
@@ -959,9 +954,10 @@ fn cmd_score(args: &[String]) -> Result<(), String> {
                 store.meta().dim
             ));
         }
-        let chunk_rows: usize = parse_flag(args, "--chunk-rows", cnd_store::default_chunk_rows())?;
         let mut scores = Vec::with_capacity(store.len() as usize);
-        let chunks = store.chunks(chunk_rows).map_err(|e| e.to_string())?;
+        let chunks = store
+            .chunks(cnd_store::default_chunk_rows())
+            .map_err(|e| e.to_string())?;
         for part in scorer.score_chunks(chunks) {
             scores.extend(part.map_err(|e| e.to_string())?.scores);
         }

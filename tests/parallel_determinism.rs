@@ -1,8 +1,7 @@
 //! Determinism guarantees of the parallel compute substrate.
 //!
-//! The `cnd-parallel` pool promises that, in deterministic mode (the
-//! default), every parallelized kernel is **bit-identical** to its
-//! serial execution at any thread count. Reductions use fixed chunk
+//! The `cnd-parallel` pool promises that every parallelized kernel is
+//! **bit-identical** to its serial execution at any thread count. Reductions use fixed chunk
 //! boundaries (never derived from the pool size) and combine partials
 //! with an ordered tree; per-row kernels (GEMM, inference, PCA-FRE
 //! scoring) split rows into one block per thread, which is exact
@@ -328,19 +327,4 @@ fn empty_batches_are_handled() {
         let scores = pool.install(|| pca.reconstruction_errors(&empty).expect("scores"));
         assert!(scores.is_empty(), "{t} threads");
     }
-}
-
-#[test]
-fn non_deterministic_mode_still_correct_for_row_independent_kernels() {
-    // With determinism off, chunk sizes may scale with the pool — row
-    // maps (matmul) remain exact; only reduction association may change.
-    let a = Matrix::from_fn(90, 80, |i, j| ((i * 7 + j) % 13) as f64);
-    let b = Matrix::from_fn(80, 70, |i, j| ((i + j * 5) % 11) as f64);
-    let oracle = a.matmul_naive(&b).expect("shapes agree");
-    let pool = ThreadPool::builder()
-        .threads(4)
-        .deterministic(false)
-        .build();
-    let out = pool.install(|| a.matmul(&b).expect("shapes agree"));
-    assert_eq!(matrix_bits(&out), matrix_bits(&oracle));
 }
