@@ -28,7 +28,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
-use crate::json::{escape_json, parse_json};
+use crate::json::{escape_json, parse_json, ObsError};
 
 fn esc(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
@@ -227,59 +227,70 @@ pub fn install_panic_hook() {
 }
 
 /// Parse + schema-validate a flight dump. Returns (cause, event count).
-pub fn validate_flight(text: &str) -> Result<(String, usize), String> {
+pub fn validate_flight(text: &str) -> Result<(String, usize), ObsError> {
     let mut lines = text
         .lines()
         .enumerate()
         .filter(|(_, l)| !l.trim().is_empty());
-    let (_, meta_line) = lines.next().ok_or("empty flight dump")?;
-    let meta = parse_json(meta_line).map_err(|e| format!("meta line: {e}"))?;
+    let (_, meta_line) = lines
+        .next()
+        .ok_or_else(|| ObsError::new("empty flight dump"))?;
+    let meta =
+        parse_json(meta_line).map_err(|e| ObsError::new(format!("meta line: {}", e.message)))?;
     if meta.get("ev").and_then(|v| v.as_str()) != Some("meta") {
-        return Err("first line must be a meta event".into());
+        return Err(ObsError::new("first line must be a meta event"));
     }
     if meta.get("stream").and_then(|v| v.as_str()) != Some("flight") {
-        return Err("meta line is not a flight stream (missing \"stream\":\"flight\")".into());
+        return Err(ObsError::new(
+            "meta line is not a flight stream (missing \"stream\":\"flight\")",
+        ));
     }
     match meta.get("version").and_then(|v| v.as_u64()) {
         Some(FLIGHT_VERSION) => {}
-        Some(v) => return Err(format!("unsupported flight version {v}")),
-        None => return Err("meta line missing version".into()),
+        Some(v) => return Err(ObsError::new(format!("unsupported flight version {v}"))),
+        None => return Err(ObsError::new("meta line missing version")),
     }
     let cause = meta
         .get("cause")
         .and_then(|v| v.as_str())
-        .ok_or("meta line missing \"cause\"")?
+        .ok_or_else(|| ObsError::new("meta line missing \"cause\""))?
         .to_string();
     if meta.get("overwritten").and_then(|v| v.as_u64()).is_none() {
-        return Err("meta line missing \"overwritten\"".into());
+        return Err(ObsError::new("meta line missing \"overwritten\""));
     }
     let mut count = 0usize;
     let mut last_t = 0u64;
     for (idx, raw) in lines {
         let line = idx + 1;
-        let obj = parse_json(raw).map_err(|e| format!("line {line}: {e}"))?;
+        let obj = parse_json(raw).map_err(|e| ObsError::at(line, e.message))?;
         if obj.get("ev").and_then(|v| v.as_str()) != Some("flight") {
-            return Err(format!("line {line}: expected \"ev\":\"flight\""));
+            return Err(ObsError::at(line, "expected \"ev\":\"flight\""));
         }
         let t = obj
             .get("t_us")
             .and_then(|v| v.as_u64())
-            .ok_or_else(|| format!("line {line}: missing \"t_us\""))?;
+            .ok_or_else(|| ObsError::at(line, "missing \"t_us\""))?;
         if t < last_t {
-            return Err(format!("line {line}: timestamps regress ({t} < {last_t})"));
+            return Err(ObsError::at(
+                line,
+                format!("timestamps regress ({t} < {last_t})"),
+            ));
         }
         last_t = t;
         for key in ["source", "kind", "detail"] {
             if obj.get(key).and_then(|v| v.as_str()).is_none() {
-                return Err(format!("line {line}: missing or non-string \"{key}\""));
+                return Err(ObsError::at(
+                    line,
+                    format!("missing or non-string \"{key}\""),
+                ));
             }
         }
         match obj.get("cycle") {
             Some(c) if c.as_u64().is_none() && !matches!(c, crate::json::Json::Null) => {
-                return Err(format!("line {line}: \"cycle\" must be an integer or null"));
+                return Err(ObsError::at(line, "\"cycle\" must be an integer or null"));
             }
             Some(_) => {}
-            None => return Err(format!("line {line}: missing \"cycle\"")),
+            None => return Err(ObsError::at(line, "missing \"cycle\"")),
         }
         count += 1;
     }
@@ -326,7 +337,8 @@ mod tests {
             "{{\"ev\":\"meta\",\"stream\":\"flight\",\"version\":{FLIGHT_VERSION},\"cause\":\"x\",\"overwritten\":0}}\n{{\"ev\":\"flight\",\"t_us\":1}}"
         );
         let err = validate_flight(&bad).unwrap_err();
-        assert!(err.contains("missing"), "got: {err}");
+        assert_eq!(err.line, Some(2), "got: {err}");
+        assert!(err.message.contains("missing"), "got: {err}");
     }
 
     #[test]

@@ -8,7 +8,48 @@
 //! our own deterministic output, not a general-purpose library.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
+
+/// Why a reader in this crate rejected its input: [`parse_json`], the
+/// trace, ledger and flight validators, and the trace reports.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ObsError {
+    /// 1-based input line of the offending record. `None` for a meta
+    /// line, whose errors say so in the message, and for errors about
+    /// the input as a whole.
+    pub line: Option<usize>,
+    /// What is wrong, without the line prefix.
+    pub message: String,
+}
+
+impl ObsError {
+    /// An error with no line.
+    pub(crate) fn new(message: impl Into<String>) -> Self {
+        ObsError {
+            line: None,
+            message: message.into(),
+        }
+    }
+
+    /// An error on 1-based input line `line`.
+    pub(crate) fn at(line: usize, message: impl Into<String>) -> Self {
+        ObsError {
+            line: Some(line),
+            message: message.into(),
+        }
+    }
+}
+
+impl fmt::Display for ObsError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.line {
+            Some(n) => write!(f, "line {n}: {}", self.message),
+            None => f.write_str(&self.message),
+        }
+    }
+}
+
+impl std::error::Error for ObsError {}
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -303,18 +344,19 @@ impl Parser<'_> {
 ///
 /// # Errors
 ///
-/// Returns a message for malformed input, trailing data, or arrays and
-/// objects nested deeper than [`MAX_DEPTH`].
-pub fn parse_json(s: &str) -> Result<Json, String> {
+/// Returns an error without a line (the input is one document) for
+/// malformed input, trailing data, or arrays and objects nested deeper
+/// than [`MAX_DEPTH`].
+pub fn parse_json(s: &str) -> Result<Json, ObsError> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
         depth: 0,
     };
-    let v = p.parse_value()?;
+    let v = p.parse_value().map_err(ObsError::new)?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
-        return Err(format!("trailing data at byte {}", p.pos));
+        return Err(ObsError::new(format!("trailing data at byte {}", p.pos)));
     }
     Ok(v)
 }
@@ -351,7 +393,8 @@ mod tests {
     fn deep_nesting_is_an_error_not_a_stack_overflow() {
         let hostile = "[".repeat(200_000);
         let err = parse_json(&hostile).expect_err("rejected");
-        assert!(err.contains("nesting deeper"), "{err}");
+        assert_eq!(err.line, None);
+        assert!(err.message.contains("nesting deeper"), "{err}");
         let deep_obj = "{\"a\":".repeat(MAX_DEPTH + 1);
         assert!(parse_json(&deep_obj).is_err());
         // The limit itself still parses.

@@ -35,7 +35,7 @@ use std::fs::OpenOptions;
 use std::io::Write as IoWrite;
 use std::path::{Path, PathBuf};
 
-use crate::json::{escape_json, parse_json, write_f64, Json};
+use crate::json::{escape_json, parse_json, write_f64, Json, ObsError};
 
 fn esc(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
@@ -375,32 +375,33 @@ fn wall_us() -> u64 {
         .unwrap_or(0)
 }
 
-fn req_u64(obj: &Json, key: &str, line: usize) -> Result<u64, String> {
+fn req_u64(obj: &Json, key: &str, line: usize) -> Result<u64, ObsError> {
     obj.get(key)
         .and_then(|v| v.as_u64())
-        .ok_or_else(|| format!("line {line}: missing or non-integer \"{key}\""))
+        .ok_or_else(|| ObsError::at(line, format!("missing or non-integer \"{key}\"")))
 }
 
-fn req_f64(obj: &Json, key: &str, line: usize) -> Result<f64, String> {
+fn req_f64(obj: &Json, key: &str, line: usize) -> Result<f64, ObsError> {
     obj.get(key)
         .and_then(|v| v.as_f64())
-        .ok_or_else(|| format!("line {line}: missing or non-numeric \"{key}\""))
+        .ok_or_else(|| ObsError::at(line, format!("missing or non-numeric \"{key}\"")))
 }
 
-fn req_str<'a>(obj: &'a Json, key: &str, line: usize) -> Result<&'a str, String> {
+fn req_str<'a>(obj: &'a Json, key: &str, line: usize) -> Result<&'a str, ObsError> {
     obj.get(key)
         .and_then(|v| v.as_str())
-        .ok_or_else(|| format!("line {line}: missing or non-string \"{key}\""))
+        .ok_or_else(|| ObsError::at(line, format!("missing or non-string \"{key}\"")))
 }
 
-fn parse_hash(s: &str, line: usize, key: &str) -> Result<u64, String> {
+fn parse_hash(s: &str, line: usize, key: &str) -> Result<u64, ObsError> {
     if s.len() != 16 {
-        return Err(format!(
-            "line {line}: \"{key}\" must be 16 hex chars, got {:?}",
-            s
+        return Err(ObsError::at(
+            line,
+            format!("\"{key}\" must be 16 hex chars, got {s:?}"),
         ));
     }
-    u64::from_str_radix(s, 16).map_err(|_| format!("line {line}: \"{key}\" is not hex: {s:?}"))
+    u64::from_str_radix(s, 16)
+        .map_err(|_| ObsError::at(line, format!("\"{key}\" is not hex: {s:?}")))
 }
 
 /// Parse + schema-validate + hash-chain-verify a JSONL ledger stream.
@@ -408,43 +409,48 @@ fn parse_hash(s: &str, line: usize, key: &str) -> Result<u64, String> {
 /// Errors describe the first violation: schema problems, sequence gaps,
 /// broken chain links, or a hash that does not match its entry body
 /// (i.e. tampering). Returns the reconstructed entries on success.
-pub fn verify(text: &str) -> Result<Vec<LedgerEntry>, String> {
+pub fn verify(text: &str) -> Result<Vec<LedgerEntry>, ObsError> {
     let mut lines = text
         .lines()
         .enumerate()
         .filter(|(_, l)| !l.trim().is_empty());
-    let (_, meta_line) = lines.next().ok_or("empty ledger stream")?;
-    let meta = parse_json(meta_line).map_err(|e| format!("meta line: {e}"))?;
+    let (_, meta_line) = lines
+        .next()
+        .ok_or_else(|| ObsError::new("empty ledger stream"))?;
+    let meta =
+        parse_json(meta_line).map_err(|e| ObsError::new(format!("meta line: {}", e.message)))?;
     if meta.get("ev").and_then(|v| v.as_str()) != Some("meta") {
-        return Err("first line must be a meta event".into());
+        return Err(ObsError::new("first line must be a meta event"));
     }
     if meta.get("stream").and_then(|v| v.as_str()) != Some("ledger") {
-        return Err("meta line is not a ledger stream (missing \"stream\":\"ledger\")".into());
+        return Err(ObsError::new(
+            "meta line is not a ledger stream (missing \"stream\":\"ledger\")",
+        ));
     }
     match meta.get("version").and_then(|v| v.as_u64()) {
         Some(LEDGER_VERSION) => {}
-        Some(v) => return Err(format!("unsupported ledger version {v}")),
-        None => return Err("meta line missing version".into()),
+        Some(v) => return Err(ObsError::new(format!("unsupported ledger version {v}"))),
+        None => return Err(ObsError::new("meta line missing version")),
     }
 
     let mut entries: Vec<LedgerEntry> = Vec::new();
     let mut prev_hash = GENESIS_HASH;
     for (idx, raw) in lines {
         let line = idx + 1;
-        let obj = parse_json(raw).map_err(|e| format!("line {line}: {e}"))?;
+        let obj = parse_json(raw).map_err(|e| ObsError::at(line, e.message))?;
         if obj.get("ev").and_then(|v| v.as_str()) != Some("ledger") {
-            return Err(format!("line {line}: expected \"ev\":\"ledger\""));
+            return Err(ObsError::at(line, "expected \"ev\":\"ledger\""));
         }
         let seq = req_u64(&obj, "seq", line)?;
         if seq != entries.len() as u64 {
-            return Err(format!(
-                "line {line}: sequence gap: expected seq {} got {seq}",
-                entries.len()
+            return Err(ObsError::at(
+                line,
+                format!("sequence gap: expected seq {} got {seq}", entries.len()),
             ));
         }
         let kind_s = req_str(&obj, "kind", line)?;
         let kind = Disposition::parse(kind_s)
-            .ok_or_else(|| format!("line {line}: unknown disposition {kind_s:?}"))?;
+            .ok_or_else(|| ObsError::at(line, format!("unknown disposition {kind_s:?}")))?;
         let drift = match obj.get("drift") {
             None => None,
             Some(d) => Some(DriftProvenance {
@@ -476,13 +482,15 @@ pub fn verify(text: &str) -> Result<Vec<LedgerEntry>, String> {
         // the evidence they were decided on.
         match kind {
             Disposition::Swapped if drift.is_none() || samples.is_none() || shadow.is_none() => {
-                return Err(format!(
-                    "line {line}: \"swapped\" entry requires drift, samples, and shadow provenance"
+                return Err(ObsError::at(
+                    line,
+                    "\"swapped\" entry requires drift, samples, and shadow provenance",
                 ));
             }
             Disposition::ShadowRejected if shadow.is_none() => {
-                return Err(format!(
-                    "line {line}: \"shadow_rejected\" entry requires shadow provenance"
+                return Err(ObsError::at(
+                    line,
+                    "\"shadow_rejected\" entry requires shadow provenance",
                 ));
             }
             _ => {}
@@ -502,16 +510,22 @@ pub fn verify(text: &str) -> Result<Vec<LedgerEntry>, String> {
             hash: parse_hash(req_str(&obj, "hash", line)?, line, "hash")?,
         };
         if entry.prev_hash != prev_hash {
-            return Err(format!(
-                "line {line}: broken hash chain: prev_hash {:016x} does not match prior entry hash {:016x}",
-                entry.prev_hash, prev_hash
+            return Err(ObsError::at(
+                line,
+                format!(
+                    "broken hash chain: prev_hash {:016x} does not match prior entry hash {prev_hash:016x}",
+                    entry.prev_hash
+                ),
             ));
         }
         let expect = entry.compute_hash();
         if entry.hash != expect {
-            return Err(format!(
-                "line {line}: entry hash {:016x} does not match body hash {:016x} (tampered?)",
-                entry.hash, expect
+            return Err(ObsError::at(
+                line,
+                format!(
+                    "entry hash {:016x} does not match body hash {expect:016x} (tampered?)",
+                    entry.hash
+                ),
             ));
         }
         prev_hash = entry.hash;
@@ -583,7 +597,11 @@ mod tests {
         l.append(draft(1, Disposition::Swapped, 2));
         let text = l.to_jsonl().replace("\"version\":2", "\"version\":7");
         let err = verify(&text).unwrap_err();
-        assert!(err.contains("does not match body hash"), "got: {err}");
+        assert_eq!(err.line, Some(2), "got: {err}");
+        assert!(
+            err.message.contains("does not match body hash"),
+            "got: {err}"
+        );
     }
 
     #[test]
@@ -600,7 +618,7 @@ mod tests {
         lines.swap(1, 2);
         let err = verify(&lines.join("\n")).unwrap_err();
         assert!(
-            err.contains("sequence gap") || err.contains("broken hash chain"),
+            err.message.contains("sequence gap") || err.message.contains("broken hash chain"),
             "got: {err}"
         );
     }
@@ -620,7 +638,11 @@ mod tests {
         let lines: Vec<&str> = full.lines().collect();
         let text = format!("{}\n{}", lines[0], lines[2]);
         let err = verify(&text).unwrap_err();
-        assert!(err.contains("sequence gap"), "got: {err}");
+        assert_eq!(
+            err,
+            ObsError::at(2, "sequence gap: expected seq 0 got 1"),
+            "got: {err}"
+        );
     }
 
     #[test]
@@ -631,8 +653,9 @@ mod tests {
             ..draft(1, Disposition::Swapped, 2)
         });
         let err = verify(&l.to_jsonl()).unwrap_err();
+        assert_eq!(err.line, Some(2), "got: {err}");
         assert!(
-            err.contains("requires drift, samples, and shadow"),
+            err.message.contains("requires drift, samples, and shadow"),
             "got: {err}"
         );
     }

@@ -51,6 +51,7 @@ pub mod trace;
 pub use clock::{Clock, ClockKind, DeterministicClock, WallClock};
 pub use export::{init_exporter_from_env, Exporter};
 pub use hdr::HdrHistogram;
+pub use json::ObsError;
 pub use ledger::{
     Disposition, DriftProvenance, EntryDraft, Ledger, LedgerEntry, SampleProvenance,
     ShadowProvenance,

@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::hdr::HdrHistogram;
-use crate::json::{parse_json, Json};
+use crate::json::{parse_json, Json, ObsError};
 
 /// Aggregated timing for one span name.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,7 +50,7 @@ struct OpenSpan {
 /// Builds a phase report from JSONL trace text. Tolerates metric lines
 /// (they are skipped); fails on unparseable lines or span_end without a
 /// matching span_begin.
-pub fn phase_report(text: &str) -> Result<PhaseReport, String> {
+pub fn phase_report(text: &str) -> Result<PhaseReport, ObsError> {
     let mut clock = String::from("wall");
     let mut unit = String::from("us");
     let mut open: BTreeMap<u64, OpenSpan> = BTreeMap::new();
@@ -62,7 +62,7 @@ pub fn phase_report(text: &str) -> Result<PhaseReport, String> {
             continue;
         }
         let n = i + 1;
-        let obj = parse_json(line).map_err(|e| format!("line {n}: {e}"))?;
+        let obj = parse_json(line).map_err(|e| ObsError::at(n, e.message))?;
         match obj.get("ev").and_then(Json::as_str) {
             Some("meta") => {
                 if let Some(c) = obj.get("clock").and_then(Json::as_str) {
@@ -76,7 +76,7 @@ pub fn phase_report(text: &str) -> Result<PhaseReport, String> {
                 let id = obj
                     .get("id")
                     .and_then(Json::as_u64)
-                    .ok_or(format!("line {n}: span_begin missing id"))?;
+                    .ok_or_else(|| ObsError::at(n, "span_begin missing id"))?;
                 open.insert(
                     id,
                     OpenSpan {
@@ -95,10 +95,10 @@ pub fn phase_report(text: &str) -> Result<PhaseReport, String> {
                 let id = obj
                     .get("id")
                     .and_then(Json::as_u64)
-                    .ok_or(format!("line {n}: span_end missing id"))?;
+                    .ok_or_else(|| ObsError::at(n, "span_end missing id"))?;
                 let span = open
                     .remove(&id)
-                    .ok_or(format!("line {n}: span_end for unopened id {id}"))?;
+                    .ok_or_else(|| ObsError::at(n, format!("span_end for unopened id {id}")))?;
                 let end = obj.get("t").and_then(Json::as_u64).unwrap_or(span.begin);
                 let dur = end.saturating_sub(span.begin);
                 let row = agg.entry(span.name.clone()).or_insert(PhaseRow {
@@ -248,44 +248,44 @@ pub struct LatencyReport {
 /// Builds a latency report from JSONL trace text by collecting every
 /// `hdr` metric line. Lines of other kinds are skipped; a malformed
 /// line is an error.
-pub fn latency_report(text: &str) -> Result<LatencyReport, String> {
+pub fn latency_report(text: &str) -> Result<LatencyReport, ObsError> {
     let mut rows = Vec::new();
     for (i, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
         let n = i + 1;
-        let obj = parse_json(line).map_err(|e| format!("line {n}: {e}"))?;
+        let obj = parse_json(line).map_err(|e| ObsError::at(n, e.message))?;
         if obj.get("ev").and_then(Json::as_str) != Some("hdr") {
             continue;
         }
         let name = obj
             .get("name")
             .and_then(Json::as_str)
-            .ok_or(format!("line {n}: hdr missing name"))?
+            .ok_or_else(|| ObsError::at(n, "hdr missing name"))?
             .to_string();
         let mut hist = HdrHistogram::new();
         hist.count = obj
             .get("count")
             .and_then(Json::as_u64)
-            .ok_or(format!("line {n}: hdr missing count"))?;
+            .ok_or_else(|| ObsError::at(n, "hdr missing count"))?;
         hist.sum = obj
             .get("sum")
             .and_then(Json::as_u64)
-            .ok_or(format!("line {n}: hdr missing sum"))?;
+            .ok_or_else(|| ObsError::at(n, "hdr missing sum"))?;
         hist.min = obj.get("min").and_then(Json::as_u64);
         hist.max = obj.get("max").and_then(Json::as_u64);
         let buckets = obj
             .get("buckets")
             .and_then(Json::as_obj)
-            .ok_or(format!("line {n}: hdr missing buckets object"))?;
+            .ok_or_else(|| ObsError::at(n, "hdr missing buckets object"))?;
         for (k, v) in buckets {
             let idx: u32 = k
                 .parse()
-                .map_err(|_| format!("line {n}: bad bucket index {k}"))?;
+                .map_err(|_| ObsError::at(n, format!("bad bucket index {k}")))?;
             let c = v
                 .as_u64()
-                .ok_or(format!("line {n}: bad bucket count for {k}"))?;
+                .ok_or_else(|| ObsError::at(n, format!("bad bucket count for {k}")))?;
             hist.buckets.insert(idx, c);
         }
         rows.push(LatencyRow { name, hist });
@@ -381,7 +381,7 @@ pub struct TimelineReport {
 /// Builds a timeline report from JSONL trace text by collecting every
 /// `cevent` line and grouping by cycle id. Lines of other kinds are
 /// skipped; a malformed `cevent` line is an error.
-pub fn timeline_report(text: &str) -> Result<TimelineReport, String> {
+pub fn timeline_report(text: &str) -> Result<TimelineReport, ObsError> {
     let mut unit = String::from("us");
     let mut chains: BTreeMap<u64, Vec<TimelineStage>> = BTreeMap::new();
     for (i, line) in text.lines().enumerate() {
@@ -389,7 +389,7 @@ pub fn timeline_report(text: &str) -> Result<TimelineReport, String> {
             continue;
         }
         let n = i + 1;
-        let obj = parse_json(line).map_err(|e| format!("line {n}: {e}"))?;
+        let obj = parse_json(line).map_err(|e| ObsError::at(n, e.message))?;
         match obj.get("ev").and_then(Json::as_str) {
             Some("meta") => {
                 if let Some(u) = obj.get("unit").and_then(Json::as_str) {
@@ -400,16 +400,16 @@ pub fn timeline_report(text: &str) -> Result<TimelineReport, String> {
                 let cycle = obj
                     .get("cycle")
                     .and_then(Json::as_u64)
-                    .ok_or(format!("line {n}: cevent missing cycle"))?;
+                    .ok_or_else(|| ObsError::at(n, "cevent missing cycle"))?;
                 chains.entry(cycle).or_default().push(TimelineStage {
                     t: obj
                         .get("t")
                         .and_then(Json::as_u64)
-                        .ok_or(format!("line {n}: cevent missing t"))?,
+                        .ok_or_else(|| ObsError::at(n, "cevent missing t"))?,
                     kind: obj
                         .get("kind")
                         .and_then(Json::as_str)
-                        .ok_or(format!("line {n}: cevent missing kind"))?
+                        .ok_or_else(|| ObsError::at(n, "cevent missing kind"))?
                         .to_string(),
                     detail: obj
                         .get("detail")
@@ -709,12 +709,16 @@ mod tests {
         assert!(report.rows.is_empty());
         assert!(report.render().contains("no hdr metrics"));
         let bad = "{\"ev\":\"hdr\",\"name\":\"x\",\"count\":1}";
-        assert!(latency_report(bad).unwrap_err().contains("missing sum"));
+        assert_eq!(
+            latency_report(bad).unwrap_err(),
+            ObsError::at(1, "hdr missing sum")
+        );
         let bad_bucket =
             "{\"ev\":\"hdr\",\"name\":\"x\",\"count\":1,\"sum\":5,\"min\":5,\"max\":5,\"buckets\":{\"oops\":1}}";
-        assert!(latency_report(bad_bucket)
-            .unwrap_err()
-            .contains("bad bucket index"));
+        assert_eq!(
+            latency_report(bad_bucket).unwrap_err(),
+            ObsError::at(1, "bad bucket index oops")
+        );
     }
 
     #[test]

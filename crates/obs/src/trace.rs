@@ -26,7 +26,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::clock::ClockKind;
-use crate::json::{escape_json, write_f64};
+use crate::json::{escape_json, write_f64, ObsError};
 use crate::metrics::{Metric, MetricValue, Registry};
 use crate::quality::QualityRecord;
 use crate::Value;
@@ -293,12 +293,129 @@ fn check_hdr_body(obj: &Json, what: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// Checks one parsed trace line: the meta record when `first`, else an
+/// event or metric record, opening and closing spans in `open`
+/// (span id → begin time).
+fn check_record(obj: &Json, first: bool, open: &mut BTreeMap<u64, u64>) -> Result<(), String> {
+    let ev = obj
+        .get("ev")
+        .and_then(Json::as_str)
+        .ok_or("missing \"ev\"")?;
+    if first {
+        if ev != "meta" {
+            return Err(format!("first line must be meta, got {ev}"));
+        }
+        let version = obj
+            .get("version")
+            .and_then(Json::as_u64)
+            .ok_or("meta missing version")?;
+        if version != TRACE_VERSION {
+            return Err(format!("unsupported trace version {version}"));
+        }
+        obj.get("clock")
+            .and_then(Json::as_str)
+            .ok_or("meta missing clock")?;
+    } else {
+        match ev {
+            "meta" => return Err("duplicate meta".into()),
+            "span_begin" => {
+                let id = obj
+                    .get("id")
+                    .and_then(Json::as_u64)
+                    .ok_or("span_begin missing id")?;
+                let t = obj
+                    .get("t")
+                    .and_then(Json::as_u64)
+                    .ok_or("span_begin missing t")?;
+                obj.get("name")
+                    .and_then(Json::as_str)
+                    .ok_or("span_begin missing name")?;
+                if open.insert(id, t).is_some() {
+                    return Err(format!("duplicate span id {id}"));
+                }
+            }
+            "span_end" => {
+                let id = obj
+                    .get("id")
+                    .and_then(Json::as_u64)
+                    .ok_or("span_end missing id")?;
+                let t = obj
+                    .get("t")
+                    .and_then(Json::as_u64)
+                    .ok_or("span_end missing t")?;
+                let dur = obj
+                    .get("dur")
+                    .and_then(Json::as_u64)
+                    .ok_or("span_end missing dur")?;
+                let begin = open
+                    .remove(&id)
+                    .ok_or(format!("span_end for unopened id {id}"))?;
+                if t < begin || t - begin != dur {
+                    return Err(format!(
+                        "span {id} duration mismatch (begin {begin}, end {t}, dur {dur})"
+                    ));
+                }
+            }
+            "counter" | "gauge" => {
+                obj.get("name")
+                    .and_then(Json::as_str)
+                    .ok_or(format!("{ev} missing name"))?;
+                if obj.get("value").is_none() {
+                    return Err(format!("{ev} missing value"));
+                }
+            }
+            "hdr" => {
+                obj.get("name")
+                    .and_then(Json::as_str)
+                    .ok_or("hdr missing name")?;
+                check_hdr_body(obj, "hdr")?;
+            }
+            "quality" => {
+                obj.get("t")
+                    .and_then(Json::as_u64)
+                    .ok_or("quality missing t")?;
+                obj.get("experience")
+                    .and_then(Json::as_u64)
+                    .ok_or("quality missing experience")?;
+                let f1 = obj
+                    .get("f1")
+                    .and_then(Json::as_arr)
+                    .ok_or("quality missing f1 array")?;
+                if f1.iter().any(|v| !matches!(v, Json::Num(_) | Json::Null)) {
+                    return Err("quality f1 entries must be numbers".into());
+                }
+                for field in ["avg", "fwd_trans", "bwd_trans"] {
+                    if obj.get(field).is_none() {
+                        return Err(format!("quality missing {field}"));
+                    }
+                }
+                let scores = obj.get("scores").ok_or("quality missing scores object")?;
+                check_hdr_body(scores, "quality scores")?;
+            }
+            "cevent" => {
+                for field in ["t", "cycle"] {
+                    obj.get(field)
+                        .and_then(Json::as_u64)
+                        .ok_or(format!("cevent missing {field}"))?;
+                }
+                for field in ["kind", "detail"] {
+                    obj.get(field)
+                        .and_then(Json::as_str)
+                        .ok_or(format!("cevent missing {field}"))?;
+                }
+            }
+            other => return Err(format!("unknown event kind {other}")),
+        }
+    }
+    Ok(())
+}
+
 /// Structural validation of a JSONL trace. Checks that the first line
 /// is a versioned meta record, every line parses, every `span_end`
 /// matches an open `span_begin`, durations are consistent, and metric
 /// lines carry the fields their kind requires. Returns the number of
 /// lines validated.
-pub fn validate_jsonl(text: &str) -> Result<usize, String> {
+pub fn validate_jsonl(text: &str) -> Result<usize, ObsError> {
     let mut lines = 0usize;
     let mut open: BTreeMap<u64, u64> = BTreeMap::new(); // id -> begin t
     for (i, line) in text.lines().enumerate() {
@@ -306,126 +423,15 @@ pub fn validate_jsonl(text: &str) -> Result<usize, String> {
             continue;
         }
         let n = i + 1;
-        let obj = parse_json(line).map_err(|e| format!("line {n}: {e}"))?;
-        let ev = obj
-            .get("ev")
-            .and_then(Json::as_str)
-            .ok_or(format!("line {n}: missing \"ev\""))?;
-        if lines == 0 {
-            if ev != "meta" {
-                return Err(format!("line {n}: first line must be meta, got {ev}"));
-            }
-            let version = obj
-                .get("version")
-                .and_then(Json::as_u64)
-                .ok_or(format!("line {n}: meta missing version"))?;
-            if version != TRACE_VERSION {
-                return Err(format!("line {n}: unsupported trace version {version}"));
-            }
-            obj.get("clock")
-                .and_then(Json::as_str)
-                .ok_or(format!("line {n}: meta missing clock"))?;
-        } else {
-            match ev {
-                "meta" => return Err(format!("line {n}: duplicate meta")),
-                "span_begin" => {
-                    let id = obj
-                        .get("id")
-                        .and_then(Json::as_u64)
-                        .ok_or(format!("line {n}: span_begin missing id"))?;
-                    let t = obj
-                        .get("t")
-                        .and_then(Json::as_u64)
-                        .ok_or(format!("line {n}: span_begin missing t"))?;
-                    obj.get("name")
-                        .and_then(Json::as_str)
-                        .ok_or(format!("line {n}: span_begin missing name"))?;
-                    if open.insert(id, t).is_some() {
-                        return Err(format!("line {n}: duplicate span id {id}"));
-                    }
-                }
-                "span_end" => {
-                    let id = obj
-                        .get("id")
-                        .and_then(Json::as_u64)
-                        .ok_or(format!("line {n}: span_end missing id"))?;
-                    let t = obj
-                        .get("t")
-                        .and_then(Json::as_u64)
-                        .ok_or(format!("line {n}: span_end missing t"))?;
-                    let dur = obj
-                        .get("dur")
-                        .and_then(Json::as_u64)
-                        .ok_or(format!("line {n}: span_end missing dur"))?;
-                    let begin = open
-                        .remove(&id)
-                        .ok_or(format!("line {n}: span_end for unopened id {id}"))?;
-                    if t < begin || t - begin != dur {
-                        return Err(format!(
-                            "line {n}: span {id} duration mismatch (begin {begin}, end {t}, dur {dur})"
-                        ));
-                    }
-                }
-                "counter" | "gauge" => {
-                    obj.get("name")
-                        .and_then(Json::as_str)
-                        .ok_or(format!("line {n}: {ev} missing name"))?;
-                    if obj.get("value").is_none() {
-                        return Err(format!("line {n}: {ev} missing value"));
-                    }
-                }
-                "hdr" => {
-                    obj.get("name")
-                        .and_then(Json::as_str)
-                        .ok_or(format!("line {n}: hdr missing name"))?;
-                    check_hdr_body(&obj, &format!("line {n}: hdr"))?;
-                }
-                "quality" => {
-                    obj.get("t")
-                        .and_then(Json::as_u64)
-                        .ok_or(format!("line {n}: quality missing t"))?;
-                    obj.get("experience")
-                        .and_then(Json::as_u64)
-                        .ok_or(format!("line {n}: quality missing experience"))?;
-                    let f1 = obj
-                        .get("f1")
-                        .and_then(Json::as_arr)
-                        .ok_or(format!("line {n}: quality missing f1 array"))?;
-                    if f1.iter().any(|v| !matches!(v, Json::Num(_) | Json::Null)) {
-                        return Err(format!("line {n}: quality f1 entries must be numbers"));
-                    }
-                    for field in ["avg", "fwd_trans", "bwd_trans"] {
-                        if obj.get(field).is_none() {
-                            return Err(format!("line {n}: quality missing {field}"));
-                        }
-                    }
-                    let scores = obj
-                        .get("scores")
-                        .ok_or(format!("line {n}: quality missing scores object"))?;
-                    check_hdr_body(scores, &format!("line {n}: quality scores"))?;
-                }
-                "cevent" => {
-                    for field in ["t", "cycle"] {
-                        obj.get(field)
-                            .and_then(Json::as_u64)
-                            .ok_or(format!("line {n}: cevent missing {field}"))?;
-                    }
-                    for field in ["kind", "detail"] {
-                        obj.get(field)
-                            .and_then(Json::as_str)
-                            .ok_or(format!("line {n}: cevent missing {field}"))?;
-                    }
-                }
-                other => return Err(format!("line {n}: unknown event kind {other}")),
-            }
-        }
+        let obj = parse_json(line).map_err(|e| ObsError::at(n, e.message))?;
+        check_record(&obj, lines == 0, &mut open).map_err(|m| ObsError::at(n, m))?;
         lines += 1;
     }
     if lines == 0 {
-        return Err("empty trace".into());
+        return Err(ObsError::new("empty trace"));
     }
     if let Some((&id, _)) = open.iter().next() {
-        return Err(format!("span {id} never closed"));
+        return Err(ObsError::new(format!("span {id} never closed")));
     }
     Ok(lines)
 }
@@ -537,20 +543,25 @@ mod tests {
         let no_scores = format!(
             "{meta}\n{{\"ev\":\"quality\",\"t\":1,\"experience\":0,\"f1\":[0.5],\"avg\":0.5,\"fwd_trans\":0.0,\"bwd_trans\":0.0}}"
         );
-        assert!(validate_jsonl(&no_scores)
-            .unwrap_err()
-            .contains("missing scores"));
+        assert_eq!(
+            validate_jsonl(&no_scores).unwrap_err(),
+            ObsError::at(2, "quality missing scores object")
+        );
         let no_f1 = format!(
             "{meta}\n{{\"ev\":\"quality\",\"t\":1,\"experience\":0,\"avg\":0.5,\"fwd_trans\":0.0,\"bwd_trans\":0.0,\"scores\":{{\"count\":0,\"sum\":0,\"min\":null,\"max\":null,\"buckets\":{{}}}}}}"
         );
-        assert!(validate_jsonl(&no_f1).unwrap_err().contains("missing f1"));
+        assert_eq!(
+            validate_jsonl(&no_f1).unwrap_err(),
+            ObsError::at(2, "quality missing f1 array")
+        );
         // Version 1's exponent-bucket `scores` shape no longer validates.
         let old_scores = format!(
             "{meta}\n{{\"ev\":\"quality\",\"t\":1,\"experience\":0,\"f1\":[0.5],\"avg\":0.5,\"fwd_trans\":0.0,\"bwd_trans\":0.0,\"scores\":{{\"count\":2,\"zero\":0,\"rejected\":0,\"sum\":2.75,\"min\":1.25,\"max\":1.5,\"buckets\":{{\"0\":2}}}}}}"
         );
-        assert!(validate_jsonl(&old_scores)
-            .unwrap_err()
-            .contains("quality scores missing sum"));
+        assert_eq!(
+            validate_jsonl(&old_scores).unwrap_err(),
+            ObsError::at(2, "quality scores missing sum")
+        );
     }
 
     #[test]
@@ -581,13 +592,17 @@ mod tests {
         let no_buckets = format!(
             "{meta}\n{{\"ev\":\"hdr\",\"name\":\"x\",\"count\":1,\"sum\":5,\"min\":5,\"max\":5}}"
         );
-        assert!(validate_jsonl(&no_buckets)
-            .unwrap_err()
-            .contains("missing buckets"));
+        assert_eq!(
+            validate_jsonl(&no_buckets).unwrap_err(),
+            ObsError::at(2, "hdr missing buckets object")
+        );
         let no_sum = format!(
             "{meta}\n{{\"ev\":\"hdr\",\"name\":\"x\",\"count\":1,\"min\":5,\"max\":5,\"buckets\":{{}}}}"
         );
-        assert!(validate_jsonl(&no_sum).unwrap_err().contains("missing sum"));
+        assert_eq!(
+            validate_jsonl(&no_sum).unwrap_err(),
+            ObsError::at(2, "hdr missing sum")
+        );
     }
 
     #[test]
@@ -614,9 +629,10 @@ mod tests {
             "{\"ev\":\"meta\",\"version\":2,\"clock\":\"wall\",\"unit\":\"us\",\"dropped\":0}";
         let no_cycle =
             format!("{meta}\n{{\"ev\":\"cevent\",\"t\":1,\"kind\":\"x\",\"detail\":\"y\"}}");
-        assert!(validate_jsonl(&no_cycle)
-            .unwrap_err()
-            .contains("cevent missing cycle"));
+        assert_eq!(
+            validate_jsonl(&no_cycle).unwrap_err(),
+            ObsError::at(2, "cevent missing cycle")
+        );
     }
 
     #[test]
@@ -624,11 +640,16 @@ mod tests {
         assert!(validate_jsonl("").is_err());
         assert!(validate_jsonl("{\"ev\":\"span_end\",\"t\":1,\"id\":1,\"dur\":0}").is_err());
         let no_close = "{\"ev\":\"meta\",\"version\":2,\"clock\":\"wall\",\"unit\":\"us\",\"dropped\":0}\n{\"ev\":\"span_begin\",\"t\":1,\"id\":1,\"parent\":0,\"name\":\"x\"}";
-        assert!(validate_jsonl(no_close)
-            .unwrap_err()
-            .contains("never closed"));
+        assert_eq!(
+            validate_jsonl(no_close).unwrap_err(),
+            ObsError::new("span 1 never closed")
+        );
         let bad_dur = "{\"ev\":\"meta\",\"version\":2,\"clock\":\"wall\",\"unit\":\"us\",\"dropped\":0}\n{\"ev\":\"span_begin\",\"t\":5,\"id\":1,\"parent\":0,\"name\":\"x\"}\n{\"ev\":\"span_end\",\"t\":9,\"id\":1,\"dur\":3}";
-        assert!(validate_jsonl(bad_dur).unwrap_err().contains("mismatch"));
+        let err = validate_jsonl(bad_dur).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "line 3: span 1 duration mismatch (begin 5, end 9, dur 3)"
+        );
     }
 
     #[test]
